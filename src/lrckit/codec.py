@@ -103,6 +103,13 @@ def local_repair(field: GF, received: Received, r: int) -> tuple[int, int]:
     return pos, field.neg(acc)
 
 
+def _check_length(h_rows: Sequence[Sequence[int]], received: Received) -> int:
+    n = len(h_rows[0]) if h_rows else len(received)
+    if len(received) != n:
+        raise ValueError(f"received word length {len(received)} != n = {n}")
+    return n
+
+
 def erasure_decode(field: GF, h_rows: Sequence[Sequence[int]], received: Received) -> list[int]:
     """Fill every erasure by solving the parity checks restricted to them.
 
@@ -110,9 +117,7 @@ def erasure_decode(field: GF, h_rows: Sequence[Sequence[int]], received: Receive
     completion, and UnrecoverableError when more than one completion fits
     (always the case past d-1 erasures on a singular restriction).
     """
-    n = len(h_rows[0]) if h_rows else len(received)
-    if len(received) != n:
-        raise ValueError(f"received word length {len(received)} != n = {n}")
+    _check_length(h_rows, received)
     erased = [j for j, v in enumerate(received) if v is None]
     if not erased:
         if not is_codeword(field, h_rows, [v for v in received if v is not None]):
@@ -153,8 +158,13 @@ def repair(field: GF, h_rows: Sequence[Sequence[int]], r: int, received: Receive
 
     Groups with a single erasure are fixed by reading their r mates; if any
     group has two or more erasures the whole word falls back to global
-    erasure decoding, reading every present symbol.
+    erasure decoding, reading every present symbol.  A word whose length is
+    not the number of columns of H, or not a multiple of r+1, is refused
+    with ValueError.
     """
+    n = _check_length(h_rows, received)
+    if n % (r + 1) != 0:
+        raise ValueError(f"n = {n} is not a multiple of r+1 = {r + 1}")
     erased = [i for i, v in enumerate(received) if v is None]
     if not erased:
         return RepairResult(tuple(v for v in received if v is not None), "none", 0)

@@ -79,6 +79,8 @@ def read_matrix(path: PathLike) -> tuple[tuple[tuple[int, ...], ...], int]:
     if len(toks) < 3:
         raise FormatError("matrix file needs a 'rows cols q' header")
     nrows, ncols, q = _ints(toks[:3], "header")
+    if nrows < 1 or ncols < 1:
+        raise FormatError(f"matrix must have at least one row and one column, got {nrows}x{ncols}")
     body = _ints(toks[3:], "entry")
     if len(body) != nrows * ncols:
         raise FormatError(f"expected {nrows * ncols} entries, found {len(body)}")

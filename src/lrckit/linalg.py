@@ -12,6 +12,7 @@ independent of chunk boundaries.
 
 from __future__ import annotations
 
+import weakref
 from math import comb
 from typing import Optional, Sequence
 
@@ -152,14 +153,16 @@ class _VecField:
         return out
 
 
-_VEC_CACHE: dict[int, _VecField] = {}
+# keyed by the field object itself: an entry dies with its field, so a new
+# field never picks up tables by reusing a freed field's id()
+_VEC_CACHE: weakref.WeakKeyDictionary[GF, _VecField] = weakref.WeakKeyDictionary()
 
 
 def _vec_field(field: GF) -> _VecField:
-    vf = _VEC_CACHE.get(id(field))
-    if vf is None or vf.q != field.q:
+    vf = _VEC_CACHE.get(field)
+    if vf is None:
         vf = _VecField(field)
-        _VEC_CACHE[id(field)] = vf
+        _VEC_CACHE[field] = vf
     return vf
 
 

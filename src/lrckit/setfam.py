@@ -2,19 +2,28 @@
 
 A family A_1, ..., A_m supports a distance-d local code when every
 collection of s <= t of its sets covers at least s*r + 1 distinct values,
-where t = floor((d-1)/2).  This module holds the family type, the exhaustive
+where t = floor((d-1)/2).  This module holds the family type, the exact
 verifier for that coverage condition, the equivalent Berge-cycle view of it,
 size bounds, and randomized generators.  The derandomized generator lives in
 `derand`.
+
+The condition is local.  A minimal failing collection is connected in the
+intersection graph (i ~ j when A_i and A_j share a value): were it split
+into parts with disjoint unions, each part, being a single set or a
+collection that passes, would cover at least r*(its size) + 1 values, so
+the whole would cover more than r*s.  The verifier and the greedy generator
+therefore grow collections only through an element -> sets index, one set
+at a time, and drop a collection once its union exceeds r*t; their cost is
+the incidences plus the connected collections of small union, not C(m, t).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from .rng import SplitMix64
 
@@ -73,36 +82,70 @@ class Violation:
     union_size: int
 
 
+_Collections = dict[tuple[int, ...], frozenset[int]]  # sorted set indices -> their union
+
+
+def _grow(
+    sets: Sequence[frozenset[int]],
+    index: dict[int, list[int]],
+    level: _Collections,
+    limit: int,
+) -> _Collections:
+    """Each collection of `level` plus one set that meets its union, keyed by
+    sorted indices, kept while the union holds at most `limit` values.
+
+    Counting a neighbour's hits in the index gives how many values it shares
+    with the union, so a union that would exceed `limit` is never built.
+    """
+    grown: _Collections = {}
+    for members, union in level.items():
+        shared: dict[int, int] = {}
+        for v in union:
+            for j in index.get(v, ()):
+                shared[j] = shared.get(j, 0) + 1
+        room = limit - len(union)
+        for j, common in shared.items():
+            if len(sets[j]) - common > room or j in members:
+                continue
+            key = tuple(sorted(members + (j,)))
+            if key not in grown:
+                grown[key] = union | sets[j]
+    return grown
+
+
 def verify_union_condition(family: SetFamily) -> list[Violation]:
     """Every minimal failing index collection of size 2..t, or [] when none.
 
-    Exhaustive: index subsets are enumerated in ascending size and, within a
-    size, lexicographically.  A collection that contains an already-reported
+    Violations come in ascending size and, within a size, in lexicographic
+    order of their indices.  A collection that contains an already-reported
     violation is skipped, so only minimal violations are returned.
+
+    Only connected collections are grown (see the module docstring): size
+    s+1 extends the passing collections of size s by a set that meets their
+    union, and a union above r*t is dropped, since no collection of size <= t
+    containing it can fail.  A minimal violation minus a leaf of a spanning
+    tree is connected and passes, so every one is reached.  Two sets fail
+    together exactly when they share two values, which the index count at
+    size 2 shows directly.  The cost is the index hits of the connected
+    collections whose union stays within r*t, not the C(m, t) collections
+    of an exhaustive walk.
     """
     sets = [frozenset(s) for s in family.sets]
-    m = len(sets)
-    r = family.r
+    index: dict[int, list[int]] = {}
+    for i, s in enumerate(sets):
+        for v in s:
+            index.setdefault(v, []).append(i)
     found: list[Violation] = []
-    found_keys: list[frozenset[int]] = []
-    for size in range(2, min(family.t, m) + 1):
-        limit = r * size
-
-        def walk(start: int, chosen: tuple[int, ...], union: frozenset[int]) -> None:
-            if len(chosen) == size:
-                key = frozenset(chosen)
-                if not any(v <= key for v in found_keys):
-                    found.append(Violation(chosen, len(union)))
-                    found_keys.append(key)
-                return
-            need = size - len(chosen)
-            for i in range(start, m - need + 1):
-                nu = union | sets[i]
-                if len(nu) > limit:
-                    continue  # unions only grow; this branch cannot fail at `size`
-                walk(i + 1, chosen + (i,), nu)
-
-        walk(0, (), frozenset())
+    found_keys: set[tuple[int, ...]] = set()
+    level: _Collections = {(i,): s for i, s in enumerate(sets)}
+    for size in range(2, min(family.t, len(sets)) + 1):
+        level = _grow(sets, index, level, family.r * family.t)
+        limit = family.r * size
+        for key in sorted(k for k, u in level.items() if len(u) <= limit):
+            if not any(sub in found_keys for w in range(2, size) for sub in combinations(key, w)):
+                found.append(Violation(key, len(level[key])))
+                found_keys.add(key)
+        level = {k: u for k, u in level.items() if len(u) > limit}
     return found
 
 
@@ -404,6 +447,12 @@ def greedy_family(
     passes full verification.  Stops after `candidate_budget` draws or once
     `target_m` sets (when given) are accepted.  May return fewer sets than
     the target; the family can even be empty for tiny budgets.
+
+    As the accepted sets already verify, any failing collection with the
+    candidate contains a minimal one that holds the candidate and is
+    connected, so only collections grown from the candidate through an
+    incrementally kept element -> sets index are checked.  Each draw costs
+    the incidences of those collections, not C(accepted, t - 1) unions.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -411,21 +460,31 @@ def greedy_family(
         raise ValueError("set size r+1 cannot exceed q")
     rng = SplitMix64(seed)
     accepted: list[frozenset[int]] = []
+    index: dict[int, list[int]] = {}
+    pairs: set[tuple[int, int]] = set()  # value pairs inside accepted sets
 
-    def admissible(cand: frozenset[int]) -> bool:
-        for size in range(2, t + 1):
-            if size - 1 > len(accepted):
-                break
-            limit = r * size
-            for others in itertools.combinations(range(len(accepted)), size - 1):
-                union = cand.union(*(accepted[i] for i in others))
-                if len(union) <= limit:
-                    return False
+    def admissible(drawn: tuple[int, ...], cand: frozenset[int]) -> bool:
+        # a failing pair shares two values, so the pair set settles size 2
+        if not pairs.isdisjoint(combinations(drawn, 2)):
+            return False
+        if t == 2:
+            return True
+        # larger collections are joined through the candidate; keys hold the
+        # accepted indices only, and no pair in the first level fails
+        level = _grow(accepted, index, {(): cand}, r * t)
+        for size in range(3, t + 1):
+            level = _grow(accepted, index, level, r * t)
+            if any(len(union) <= r * size for union in level.values()):
+                return False
         return True
 
     for _ in range(candidate_budget):
-        cand = frozenset(rng.subset(q, r + 1))
-        if admissible(cand):
+        drawn = rng.subset(q, r + 1)
+        cand = frozenset(drawn)
+        if admissible(drawn, cand):
+            for v in drawn:
+                index.setdefault(v, []).append(len(accepted))
+            pairs.update(combinations(drawn, 2))
             accepted.append(cand)
             if target_m is not None and len(accepted) >= target_m:
                 break

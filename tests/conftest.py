@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the package's own linear algebra:
 column dependence is decided through sympy integer determinants reduced
 mod p, Berge cycles through exhaustive edge-tuple search, and collision
-probabilities through bare enumeration of completions.  Tests compare
-package output against these slower routes.
+probabilities through bare enumeration of completions.  The coverage
+verifier and the greedy generator are checked against exhaustive walks over
+every index collection of size <= t.  Tests compare package output against
+these slower routes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 from sympy import Matrix
 
 from lrckit.rng import SplitMix64
-from lrckit.setfam import SetFamily, greedy_family
+from lrckit.setfam import SetFamily, Violation, greedy_family
 
 
 # ---------------------------------------------------------------- oracles
@@ -97,6 +99,60 @@ def collision_probability(q: int, size: int, fixed: Sequence[frozenset[int]]) ->
 
     rec(0, [])
     return Fraction(bad, total)
+
+
+def reference_violations(family: SetFamily) -> list[Violation]:
+    """Minimal failing collections by walking every index collection of
+    size 2..t in ascending size, lexicographically within a size, skipping
+    any that contains an already-reported violation."""
+    sets = [frozenset(s) for s in family.sets]
+    m = len(sets)
+    r = family.r
+    found: list[Violation] = []
+    found_keys: list[frozenset[int]] = []
+    for size in range(2, min(family.t, m) + 1):
+        limit = r * size
+
+        def walk(start: int, chosen: tuple[int, ...], union: frozenset[int]) -> None:
+            if len(chosen) == size:
+                key = frozenset(chosen)
+                if not any(v <= key for v in found_keys):
+                    found.append(Violation(chosen, len(union)))
+                    found_keys.append(key)
+                return
+            need = size - len(chosen)
+            for i in range(start, m - need + 1):
+                nu = union | sets[i]
+                if len(nu) > limit:
+                    continue  # unions only grow; this branch cannot fail at `size`
+                walk(i + 1, chosen + (i,), nu)
+
+        walk(0, (), frozenset())
+    return found
+
+
+def reference_greedy(
+    q: int, r: int, t: int, candidate_budget: int, seed: int, target_m: Optional[int] = None
+) -> SetFamily:
+    """greedy_family with admissibility decided against every combination
+    of up to t-1 accepted sets, from the same draws."""
+    rng = SplitMix64(seed)
+    accepted: list[frozenset[int]] = []
+
+    def admissible(cand: frozenset[int]) -> bool:
+        for size in range(2, t + 1):
+            for others in itertools.combinations(range(len(accepted)), size - 1):
+                if len(cand.union(*(accepted[i] for i in others))) <= r * size:
+                    return False
+        return True
+
+    for _ in range(candidate_budget):
+        cand = frozenset(rng.subset(q, r + 1))
+        if admissible(cand):
+            accepted.append(cand)
+            if target_m is not None and len(accepted) >= target_m:
+                break
+    return SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in accepted))
 
 
 # ---------------------------------------------------------------- corpus

@@ -149,6 +149,36 @@ def test_encode_from_message_file(tmp_path, code_files):
     assert main(["encode", "--matrix", str(h), "--in", str(short), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("header", ["0 0 13", "0 4 13", "3 0 13"])
+@pytest.mark.parametrize("command", ["distance", "encode", "repair", "decode"])
+def test_empty_matrix_is_a_usage_error(tmp_path, capsys, header, command):
+    h = tmp_path / "H.txt"
+    h.write_text(header + "\n")
+    w = tmp_path / "w.txt"
+    w.write_text("2 13\n1 ?\n")
+    out = tmp_path / "out.txt"
+    argv = {
+        "distance": ["distance", "--in", str(h), "--d", "5"],
+        "encode": ["encode", "--matrix", str(h), "--seed", "1", "--out", str(out)],
+        "repair": ["repair", "--matrix", str(h), "--in", str(w), "--r", "1", "--out", str(out)],
+        "decode": ["decode", "--matrix", str(h), "--in", str(w), "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_repair_refuses_word_of_wrong_length(tmp_path, capsys):
+    h = tmp_path / "H.txt"
+    h.write_text("1 2 13\n1 1\n")
+    w = tmp_path / "w.txt"
+    w.write_text("3 13\n5 ? 7\n")
+    out = tmp_path / "out.txt"
+    assert main(["repair", "--matrix", str(h), "--in", str(w), "--out", str(out)]) == 2
+    assert "error: received word length 3 != n = 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2

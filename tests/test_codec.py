@@ -161,6 +161,20 @@ def test_repair_falls_back_to_global(singleton_codec):
     assert res.word == tuple(word)
 
 
+def test_repair_rejects_wrong_length(singleton_codec):
+    f, pcm, params, g = singleton_codec
+    word = _random_codeword(f, g, SplitMix64(33))
+    longer = list(word) + [0]
+    longer[6] = None
+    with pytest.raises(ValueError, match="length"):
+        repair(f, pcm.rows, params.r, longer)
+    with pytest.raises(ValueError, match="length"):
+        repair(f, pcm.rows, params.r, list(word)[:-1])
+    # n = 3 columns cannot split into groups of r+1 = 2
+    with pytest.raises(ValueError, match="multiple"):
+        repair(GF(13), ((1, 1, 1),), 1, [5, None, 7])
+
+
 def test_projection_disjointness_on_small_subcode(adjusted_code):
     # locality in its sharpest form: for every position, codewords that
     # agree on the recovery group mates also agree at the position itself;

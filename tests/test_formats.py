@@ -68,6 +68,9 @@ def test_family_reader_rejects_malformed(tmp_path, content):
         "2 2 13\n1 2\n",  # missing row
         "2 2 13\n1 2\n3 13\n",  # entry out of range
         "2 2 13\n1 2\n3\n",  # short row
+        "0 0 13\n",  # no rows, no columns
+        "0 3 13\n",  # no rows
+        "2 0 13\n",  # no columns
     ],
 )
 def test_matrix_reader_rejects_malformed(tmp_path, content):

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -177,6 +179,19 @@ def test_vectorized_field_matches_scalar(q):
     assert np.array_equal(vf.sub(a, b), np.array([f.sub(int(x), int(y)) for x, y in zip(a, b)]))
     nz = a[a != 0]
     assert np.array_equal(vf.inv_table[nz], np.array([f.inv(int(x)) for x in nz]))
+
+
+def test_vectorized_tables_live_and_die_with_their_field():
+    # tables are built once per field object and never handed to a later
+    # field by a reused id(), so counts of GF calls repeat run to run
+    f = GF(13)
+    vf = linalg._vec_field(f)
+    assert linalg._vec_field(f) is vf
+    gone = weakref.ref(f)
+    del f
+    gc.collect()
+    assert gone() is None
+    assert all(v is not vf for v in linalg._VEC_CACHE.values())
 
 
 @given(data=st.data())

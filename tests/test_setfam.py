@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, getcontext
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrckit.derand import derandomized_family
 from lrckit.rng import SplitMix64
 from lrckit.setfam import (
     BergeCycle,
@@ -25,7 +27,7 @@ from lrckit.setfam import (
     verify_union_condition,
 )
 
-from conftest import berge_cycle_exists
+from conftest import berge_cycle_exists, reference_greedy, reference_violations
 
 
 # ------------------------------------------------------------ validation
@@ -127,6 +129,62 @@ def test_pairwise_characterization_at_t2(data):
         len(set(a) & set(b)) <= 1 for a, b in itertools.combinations(fam.sets, 2)
     )
     assert passes == pairwise_ok
+
+
+@st.composite
+def small_families(draw):
+    """Families with q <= 31, r in 1..5, t in 2..4 and at most 9 sets, some
+    with a duplicated set or a set sharing two values with another."""
+    r = draw(st.integers(1, 5))
+    q = draw(st.integers(r + 1, 31))
+    t = draw(st.integers(2, 4))
+    block = st.lists(st.integers(0, q - 1), min_size=r + 1, max_size=r + 1, unique=True)
+    sets = draw(st.lists(block, max_size=9))
+    for _ in range(draw(st.integers(0, 2))):
+        if not sets or len(sets) >= 9:
+            break
+        src = draw(st.sampled_from(sets))
+        if draw(st.booleans()):
+            extra = list(src)
+        else:
+            rest = [v for v in range(q) if v not in src[:2]]
+            extra = src[:2] + draw(st.permutations(rest))[: r - 1]
+        sets.insert(draw(st.integers(0, len(sets))), extra)
+    return SetFamily(q, r, t, tuple(tuple(s) for s in sets))
+
+
+@given(fam=small_families())
+@settings(max_examples=300, deadline=None)
+def test_verifier_matches_exhaustive_walk(fam):
+    assert verify_union_condition(fam) == reference_violations(fam)
+
+
+@pytest.mark.parametrize("q,r,t,budget", [(101, 5, 3, 4096), (13, 4, 2, 4096), (17, 3, 3, 100), (50, 2, 4, 300)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_greedy_matches_exhaustive_admissibility(q, r, t, budget, seed):
+    assert greedy_family(q, r, t, budget, seed).sets == reference_greedy(q, r, t, budget, seed).sets
+
+
+def _digest(fam: SetFamily) -> str:
+    return hashlib.sha256(repr(fam.sets).encode()).hexdigest()[:16]
+
+
+def test_seeded_families_are_pinned():
+    # digests of repr(fam.sets) as written by the exhaustive-walk verifier;
+    # the same seed must keep giving the same family
+    assert [_digest(random_family(4999, 5, 3, s)) for s in range(1, 6)] == [
+        "e547f775f92aac21",
+        "a3b9d288b37eb101",
+        "e341b74148a315ca",
+        "748ce0502f90e9be",
+        "b2fad6610eac192b",
+    ]
+    assert [_digest(greedy_family(101, 5, 3, 4096, s)) for s in range(1, 4)] == [
+        "3a0d452d641b5262",
+        "bfa36cb17dec58d1",
+        "4a0b3998f253e4e5",
+    ]
+    assert _digest(derandomized_family(64, 2, 3)) == "f0828bc5938ebb6e"
 
 
 # ----------------------------------------------------------- hypergraphs
