@@ -41,7 +41,6 @@ from .lrc import (
 from .setfam import (
     BergeCycle,
     GenerationError,
-    Graph,
     Hypergraph,
     SetFamily,
     Violation,
@@ -49,8 +48,6 @@ from .setfam import (
     family_size_upper_bound,
     find_berge_cycle,
     greedy_family,
-    has_cycle,
-    intersection_graph,
     is_berge_cycle,
     packing_ceiling,
     random_family,
@@ -68,15 +65,12 @@ __all__ = [
     "Violation",
     "Hypergraph",
     "BergeCycle",
-    "Graph",
     "GenerationError",
     "verify_union_condition",
     "to_hypergraph",
     "find_berge_cycle",
     "is_berge_cycle",
     "equivalence_check",
-    "intersection_graph",
-    "has_cycle",
     "target_family_size",
     "family_size_upper_bound",
     "packing_ceiling",

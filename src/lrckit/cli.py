@@ -34,14 +34,10 @@ def _locality_from_d(d: int) -> int:
     return (d - 1) // 2
 
 
-def _construction_target(q: int, r: int, t: int) -> int:
-    if t >= 3:
-        return setfam.target_family_size(q, r, t)
-    return setfam._formula_target(q, r, t)
-
-
 def cmd_gen_family(args: argparse.Namespace) -> int:
     t = _locality_from_d(args.d)
+    if args.r < 1:
+        raise formats.FormatError(f"--r {args.r} must be at least 1")
     target: Optional[int] = None
     if args.n is not None:
         if args.n % (args.r + 1) != 0:
@@ -70,7 +66,7 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
     print(f"q: {args.q}  r: {args.r}  t: {t}  d: {args.d}")
     print(f"seed: {args.seed}")
     print(f"sets: {family.m}")
-    print(f"target size: {_construction_target(args.q, args.r, t)}")
+    print(f"target size: {setfam.formula_target(args.q, args.r, t)}")
     try:
         print(f"size upper bound: {setfam.family_size_upper_bound(args.q, args.r, t)}")
     except ValueError:
@@ -101,11 +97,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     field = _field_for(family.q)
     pcm = lrc.build_parity_check(family, d, field)
     params = lrc.code_params_from_family(family, d, pcm)
-    actual = lrc.exact_min_distance(pcm, budget=args.budget)
+    witness = lrc.min_distance_witness(pcm, budget=args.budget)
+    actual = len(witness)
     print(f"code: n={params.n} k={params.k} over GF({params.q})")
     print(f"minimum distance: {actual}")
     if actual < d:
-        witness = lrc.min_distance_witness(pcm, budget=args.budget)
         print(f"distance check: FAIL  dependent columns {list(witness)}")
         return 1
     verdict = lrc.optimality_check(params, actual)
@@ -141,17 +137,15 @@ def cmd_build_code(args: argparse.Namespace) -> int:
 def cmd_distance(args: argparse.Namespace) -> int:
     rows, q = formats.read_matrix(args.infile)
     field = _field_for(q)
-    cols = [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
     if args.d is not None:
+        cols = list(zip(*rows))
         witness = linalg.smallest_dependent_subset(field, cols, args.d - 1, budget=args.budget)
         if witness is None:
             print(f"distance >= {args.d}: pass")
             return 0
         print(f"distance >= {args.d}: FAIL  dependent columns {list(witness)}")
         return 1
-    cap = linalg.rank(field, rows) + 1
-    witness = linalg.smallest_dependent_subset(field, cols, cap, budget=args.budget)
-    assert witness is not None
+    witness = lrc.least_dependent_columns(field, rows, budget=args.budget)
     print(f"minimum distance: {len(witness)}")
     print(f"witness columns: {list(witness)}")
     return 0
@@ -211,7 +205,15 @@ def cmd_repair(args: argparse.Namespace) -> int:
     symbols, wq = formats.read_word(args.infile)
     if wq != q:
         raise formats.FormatError(f"word alphabet {wq} does not match matrix field {q}")
-    r = args.r if args.r is not None else formats.detect_block_locality(rows)
+    r = formats.detect_block_locality(rows)
+    if args.r is not None:
+        # codec.repair refuses r < 1; a wrong r would split the word into
+        # groups that are not the code's blocks
+        if r is not None and args.r != r:
+            raise formats.FormatError(
+                f"--r {args.r} disagrees with the matrix's block rows, which give r = {r}"
+            )
+        r = args.r
     if r is None:
         raise formats.FormatError("cannot infer locality from the matrix; pass --r")
     field = _field_for(q)

@@ -49,24 +49,13 @@ def generator_from_parity(field: GF, h_rows: Sequence[Sequence[int]]) -> list[li
 def encode(field: GF, g_rows: Sequence[Sequence[int]], message: Sequence[int]) -> list[int]:
     if len(message) != len(g_rows):
         raise ValueError(f"message length {len(message)} != k = {len(g_rows)}")
-    n = len(g_rows[0])
-    out = [0] * n
-    for coeff, row in zip(message, g_rows):
-        if coeff == 0:
-            continue
-        for j in range(n):
-            out[j] = field.add(out[j], field.mul(coeff, row[j]))
-    return out
+    products = field.mul_array(field.array(message)[:, None], field.array(g_rows))
+    return field.sum_array(products, axis=0).tolist()
 
 
 def syndrome(field: GF, h_rows: Sequence[Sequence[int]], word: Sequence[int]) -> list[int]:
-    out = []
-    for row in h_rows:
-        acc = 0
-        for hv, wv in zip(row, word):
-            acc = field.add(acc, field.mul(hv, wv))
-        out.append(acc)
-    return out
+    products = field.mul_array(field.array(h_rows), field.array(word)[None, :])
+    return field.sum_array(products, axis=1).tolist()
 
 
 def is_codeword(field: GF, h_rows: Sequence[Sequence[int]], word: Sequence[int]) -> bool:
@@ -81,30 +70,30 @@ def repair_groups(n: int, r: int) -> list[tuple[int, ...]]:
     return [tuple(range(i, i + width)) for i in range(0, n, width)]
 
 
+def _restore_from_group(field: GF, received: Received, r: int, pos: int) -> int:
+    # the r+1 symbols of a repair group sum to zero, so the erased one is
+    # the negated sum of its r mates
+    start = pos - pos % (r + 1)
+    mates = [received[j] for j in range(start, start + r + 1) if j != pos]
+    return int(field.sub_array(0, field.sum_array(field.array(mates), axis=0)))
+
+
 def local_repair(field: GF, received: Received, r: int) -> tuple[int, int]:
     """(position, value) for the unique erasure, read from its r group mates.
 
     Fails unless exactly one symbol is erased and the rest of its repair
-    group is intact.
+    group is intact; r < 1 is refused with ValueError.
     """
+    if r < 1:
+        raise ValueError(f"locality r = {r} must be at least 1")
     erased = [i for i, v in enumerate(received) if v is None]
     if len(erased) != 1:
         raise LocalRepairError(f"local repair needs exactly one erasure, found {len(erased)}")
-    pos = erased[0]
-    width = r + 1
-    group = range((pos // width) * width, (pos // width + 1) * width)
-    acc = 0
-    for j in group:
-        if j == pos:
-            continue
-        v = received[j]
-        assert v is not None
-        acc = field.add(acc, v)
-    return pos, field.neg(acc)
+    return erased[0], _restore_from_group(field, received, r, erased[0])
 
 
 def _check_length(h_rows: Sequence[Sequence[int]], received: Received) -> int:
-    n = len(h_rows[0]) if h_rows else len(received)
+    n = len(h_rows[0]) if len(h_rows) else len(received)
     if len(received) != n:
         raise ValueError(f"received word length {len(received)} != n = {n}")
     return n
@@ -120,19 +109,13 @@ def erasure_decode(field: GF, h_rows: Sequence[Sequence[int]], received: Receive
     _check_length(h_rows, received)
     erased = [j for j, v in enumerate(received) if v is None]
     if not erased:
-        if not is_codeword(field, h_rows, [v for v in received if v is not None]):
+        if not is_codeword(field, h_rows, received):  # type: ignore[arg-type]
             raise InconsistentWordError("word is complete but fails the parity checks")
-        return [v for v in received if v is not None]  # type: ignore[misc]
-    a_rows = []
-    b = []
-    for row in h_rows:
-        a_rows.append([row[j] for j in erased])
-        acc = 0
-        for j, wv in enumerate(received):
-            if wv is not None:
-                acc = field.add(acc, field.mul(row[j], wv))
-        b.append(field.neg(acc))
-    status, x = linalg.solve(field, a_rows, b)
+        return list(received)  # type: ignore[arg-type]
+    # erased symbols enter the syndrome as zeros: H_E x = -(H w with w_E = 0)
+    known = syndrome(field, h_rows, [0 if v is None else v for v in received])
+    b = field.sub_array(0, field.array(known))
+    status, x = linalg.solve(field, field.array(h_rows)[:, erased], b)
     if status == "none":
         raise InconsistentWordError("present symbols are inconsistent with the parity checks")
     if status == "many":
@@ -156,33 +139,28 @@ class RepairResult:
 def repair(field: GF, h_rows: Sequence[Sequence[int]], r: int, received: Received) -> RepairResult:
     """Restore all erasures, preferring per-group local repair.
 
-    Groups with a single erasure are fixed by reading their r mates; if any
-    group has two or more erasures the whole word falls back to global
-    erasure decoding, reading every present symbol.  A word whose length is
-    not the number of columns of H, or not a multiple of r+1, is refused
-    with ValueError.
+    Groups with a single erasure are fixed by reading their r mates, and the
+    repaired word must then pass every parity check of H (else
+    InconsistentWordError); if any group has two or more erasures the whole
+    word falls back to global erasure decoding, reading every present
+    symbol.  r < 1, or a word whose length is not the number of columns of
+    H or not a multiple of r+1, is refused with ValueError.
     """
+    if r < 1:
+        raise ValueError(f"locality r = {r} must be at least 1")
     n = _check_length(h_rows, received)
     if n % (r + 1) != 0:
         raise ValueError(f"n = {n} is not a multiple of r+1 = {r + 1}")
     erased = [i for i, v in enumerate(received) if v is None]
     if not erased:
         return RepairResult(tuple(v for v in received if v is not None), "none", 0)
-    width = r + 1
-    per_group: dict[int, list[int]] = {}
-    for pos in erased:
-        per_group.setdefault(pos // width, []).append(pos)
-    if all(len(v) == 1 for v in per_group.values()):
+    groups = {pos // (r + 1) for pos in erased}
+    if len(groups) == len(erased):
         out = list(received)
-        for g, positions in per_group.items():
-            pos = positions[0]
-            acc = 0
-            for j in range(g * width, (g + 1) * width):
-                if j != pos:
-                    v = received[j]
-                    assert v is not None
-                    acc = field.add(acc, v)
-            out[pos] = field.neg(acc)
-        return RepairResult(tuple(out), "local", r * len(per_group))  # type: ignore[arg-type]
+        for pos in erased:
+            out[pos] = _restore_from_group(field, received, r, pos)
+        if not is_codeword(field, h_rows, out):  # type: ignore[arg-type]
+            raise InconsistentWordError("locally repaired word fails the parity checks")
+        return RepairResult(tuple(out), "local", r * len(erased))  # type: ignore[arg-type]
     decoded = erasure_decode(field, h_rows, received)
     return RepairResult(tuple(decoded), "global", len(received) - len(erased))

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .setfam import SetFamily, _formula_target, _repair_removals, verify_union_condition
+from .setfam import SetFamily, formula_target, _repair_removals, verify_union_condition
 
 # Work caps.  Collections of up to t=3 sets need the triple kernel below;
 # larger t would need deeper overlap patterns.  The element loop touches
@@ -190,7 +190,7 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
         raise ValueError("need 1 <= r and r+1 <= q")
     if q > MAX_Q:
         raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q}")
-    m = _formula_target(q, r, t)
+    m = formula_target(q, r, t)
     nsets = 2 * m
     if nsets > MAX_SETS:
         raise ValueError(

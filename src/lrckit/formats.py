@@ -56,7 +56,7 @@ def read_family(path: PathLike) -> SetFamily:
     if len(body) != m * (r + 1):
         raise FormatError(f"expected {m * (r + 1)} elements, found {len(body)}")
     width = r + 1
-    sets = tuple(tuple(body[i : i + width]) for i in range(0, len(body), width))
+    sets = tuple(tuple(body[i * width : (i + 1) * width]) for i in range(m))
     try:
         return SetFamily(q, r, t, sets)
     except ValueError as exc:

@@ -9,6 +9,10 @@ of the multiplicative group.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 MAX_ORDER = 1 << 16
 
 
@@ -97,8 +101,10 @@ class GF:
     Notes
     -----
     Instances are immutable after construction and safe to share across
-    threads.  All operations take and return canonical integers in
-    [0, q); out-of-range inputs raise ValueError.
+    threads.  The scalar operations take and return canonical integers in
+    [0, q); out-of-range inputs raise ValueError.  The `*_array` operations
+    act elementwise on int64 arrays of canonical elements (see `array`),
+    reading numpy tables that each field builds once, on first use.
     """
 
     def __init__(self, q: int):
@@ -172,33 +178,27 @@ class GF:
             raise ValueError(f"{a!r} is not a canonical element of GF({self.q})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        self.validate(a)
-        self.validate(b)
+    def _combine(self, a, b, sign: int):
+        # a + sign*b for ints and int64 arrays alike: %, // and ^ broadcast
+        # the same way on both; odd extension fields add base-p digits
         if self.e == 1:
-            return (a + b) % self.p
+            return (a + sign * b) % self.p
         if self.p == 2:
             return a ^ b
         p, out, mult = self.p, 0, 1
         for _ in range(self.e):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
+            out = out + ((a + sign * b) % p) * mult
+            a, b, mult = a // p, b // p, mult * p
         return out
+
+    def add(self, a: int, b: int) -> int:
+        self.validate(a)
+        self.validate(b)
+        return self._combine(a, b, 1)
 
     def neg(self, a: int) -> int:
         self.validate(a)
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.e):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._combine(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -238,6 +238,62 @@ class GF:
             return pow(a, n % (self.p - 1), self.p)
         assert self.exp_table is not None and self.log_table is not None
         return self.exp_table[(self.log_table[a] * n) % (self.q - 1)]
+
+    # ------------------------------------------------------------ arrays
+
+    def array(self, values) -> np.ndarray:
+        """A fresh int64 array of `values`; ValueError unless every entry is
+        a canonical element."""
+        arr = np.asarray(values)
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= self.q):
+            raise ValueError(f"array entries are not canonical elements of GF({self.q})")
+        return arr.astype(np.int64)
+
+    @cached_property
+    def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
+        assert self.exp_table is not None and self.log_table is not None
+        return np.array(self.log_table, dtype=np.int64), np.array(self.exp_table, dtype=np.int64)
+
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        """Inverse of every element, indexed by element, with 0 mapped to 0."""
+        a = np.arange(self.q, dtype=np.int64)
+        if self.e == 1:
+            inv, n = np.ones_like(a), self.p - 2  # a**(p-2) by square and multiply
+            while n:
+                if n & 1:
+                    inv = inv * a % self.p
+                a = a * a % self.p
+                n >>= 1
+        else:
+            log, exp = self._log_exp
+            inv = exp[-log % (self.q - 1)]
+        inv[0] = 0
+        return inv
+
+    def mul_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise product of broadcastable arrays of elements."""
+        if self.e == 1:
+            return (x * y) % self.p
+        log, exp = self._log_exp
+        out = exp[(log[x] + log[y]) % (self.q - 1)]  # log[0] = -1 is masked out below
+        return np.where((x != 0) & (y != 0), out, 0)
+
+    def sub_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise difference x - y of broadcastable arrays of elements."""
+        return self._combine(x, y, -1)
+
+    def sum_array(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Field sum of an array of elements along `axis`."""
+        if self.e == 1:
+            return x.sum(axis=axis) % self.p
+        if self.p == 2:
+            return np.bitwise_xor.reduce(x, axis=axis)
+        p, out, mult = self.p, 0, 1
+        for _ in range(self.e):
+            out = out + ((x % p).sum(axis=axis) % p) * mult
+            x, mult = x // p, mult * p
+        return out
 
     def elements(self) -> range:
         return range(self.q)

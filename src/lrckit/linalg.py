@@ -1,18 +1,17 @@
 """Dense linear algebra over GF(q).
 
-Scalar routines (row reduction, rank, nullspace, solving) work on plain
-lists of ints and are written for clarity.  The search for small dependent
-column sets is the hot path of distance verification, so it batches
-Gaussian elimination over many column subsets at once with numpy, using
-table lookups for extension fields and modular arithmetic for prime ones.
-Enumeration is chunked but strictly lexicographic: the returned witness is
-always the lexicographically least dependent subset of the smallest size,
-independent of chunk boundaries.
+Row reduction, rank, nullspace and solving take and return plain lists of
+ints but eliminate on numpy arrays through the field's array operations
+(table lookups for extension fields, modular arithmetic for prime ones).
+The search for small dependent column sets is the hot path of distance
+verification, so it batches Gaussian elimination over many column subsets
+at once on the same operations.  Enumeration is chunked but strictly
+lexicographic: the returned witness is always the lexicographically least
+dependent subset of the smallest size, independent of chunk boundaries.
 """
 
 from __future__ import annotations
 
-import weakref
 from math import comb
 from typing import Optional, Sequence
 
@@ -28,40 +27,41 @@ def rref(field: GF, rows: Matrix) -> tuple[list[list[int]], list[int]]:
 
     Args:
         field: arithmetic context.
-        rows: matrix as a sequence of equal-length rows.
+        rows: matrix as a sequence of equal-length rows (or a 2-D array).
 
     Returns:
         (reduced_rows, pivot_columns).  Pivoting is deterministic: for each
         column, the first row (top to bottom) with a nonzero entry becomes
-        the pivot row.
+        the pivot row.  Each pivot clears its column in every other row with
+        one array operation, so the matrix is never walked element by element.
     """
-    work = [list(row) for row in rows]
-    if not work:
+    if len(rows) == 0:
         return [], []
-    ncols = len(work[0])
+    work = field.array(rows)
+    nrows, ncols = work.shape
     pivots: list[int] = []
     prow = 0
     for col in range(ncols):
-        sel = None
-        for r in range(prow, len(work)):
-            if work[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
+        nz = np.flatnonzero(work[prow:, col])
+        if nz.size == 0:
             continue
-        work[prow], work[sel] = work[sel], work[prow]
-        scale = field.inv(work[prow][col])
-        if scale != 1:
-            work[prow] = [field.mul(scale, v) for v in work[prow]]
-        for r in range(len(work)):
-            if r != prow and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [field.sub(v, field.mul(f, pv)) for v, pv in zip(work[r], work[prow])]
+        sel = prow + int(nz[0])
+        work[[prow, sel]] = work[[sel, prow]]
+        # columns left of `col` are zero in the pivot row, so only the rest moves
+        pivot_row = field.mul_array(work[prow, col:], field.inv_table[work[prow, col]])
+        work[prow, col:] = pivot_row
+        factors = work[:, col].copy()
+        factors[prow] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            work[hit, col:] = field.sub_array(
+                work[hit, col:], field.mul_array(factors[hit, None], pivot_row[None, :])
+            )
         pivots.append(col)
         prow += 1
-        if prow == len(work):
+        if prow == nrows:
             break
-    return work, pivots
+    return work.tolist(), pivots
 
 
 def rank(field: GF, rows: Matrix) -> int:
@@ -75,19 +75,18 @@ def nullspace_basis(field: GF, rows: Matrix) -> list[list[int]]:
     free position, so the basis is in systematic form with respect to the
     free columns (taken in ascending order).
     """
-    if not rows:
+    if len(rows) == 0:
         return []
-    ncols = len(rows[0])
     red, pivots = rref(field, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = field.neg(red[i][f])
-        basis.append(vec)
-    return basis
+    ncols = len(red[0])
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    if pivots and free:
+        pivot_rows = np.array(red[: len(pivots)], dtype=np.int64)
+        basis[:, pivots] = field.sub_array(0, pivot_rows[:, free].T)
+    return basis.tolist()
 
 
 def solve(field: GF, a_rows: Matrix, b: Sequence[int]) -> tuple[str, Optional[list[int]]]:
@@ -98,10 +97,10 @@ def solve(field: GF, a_rows: Matrix, b: Sequence[int]) -> tuple[str, Optional[li
     """
     if len(a_rows) != len(b):
         raise ValueError("right-hand side length does not match row count")
-    if not a_rows:
+    if len(a_rows) == 0:
         return "many", []
     ncols = len(a_rows[0])
-    aug = [list(row) + [bv] for row, bv in zip(a_rows, b)]
+    aug = np.column_stack([field.array(a_rows), field.array(b)])
     red, pivots = rref(field, aug)
     if ncols in pivots:
         return "none", None
@@ -112,61 +111,7 @@ def solve(field: GF, a_rows: Matrix, b: Sequence[int]) -> tuple[str, Optional[li
     return status, x
 
 
-class _VecField:
-    """numpy-vectorised field operations derived from a GF context."""
-
-    def __init__(self, field: GF):
-        self.q = field.q
-        self.p = field.p
-        self.e = field.e
-        q = field.q
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = field.inv(a)
-        self.inv_table = inv
-        if field.e > 1:
-            assert field.exp_table is not None and field.log_table is not None
-            self.exp = np.array(field.exp_table, dtype=np.int64)
-            log = np.array(field.log_table, dtype=np.int64)
-            log[0] = 0  # masked out before use
-            self.log = log
-
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (x * y) % self.p
-        nz = (x != 0) & (y != 0)
-        out = self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
-        return np.where(nz, out, 0)
-
-    def sub(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return (x - y) % self.p
-        if self.p == 2:
-            return x ^ y
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        xx, yy, mult = x, y, 1
-        for _ in range(self.e):
-            out += ((xx - yy) % self.p) * mult
-            xx = xx // self.p
-            yy = yy // self.p
-            mult *= self.p
-        return out
-
-
-# keyed by the field object itself: an entry dies with its field, so a new
-# field never picks up tables by reusing a freed field's id()
-_VEC_CACHE: weakref.WeakKeyDictionary[GF, _VecField] = weakref.WeakKeyDictionary()
-
-
-def _vec_field(field: GF) -> _VecField:
-    vf = _VEC_CACHE.get(field)
-    if vf is None:
-        vf = _VecField(field)
-        _VEC_CACHE[field] = vf
-    return vf
-
-
-def _dependent_mask(vf: _VecField, batch: np.ndarray) -> np.ndarray:
+def _dependent_mask(field: GF, batch: np.ndarray) -> np.ndarray:
     """batch has shape (B, R, W); True where the W columns are dependent."""
     nb, nrows, ncols = batch.shape
     dep = np.zeros(nb, dtype=bool)
@@ -187,10 +132,10 @@ def _dependent_mask(vf: _VecField, batch: np.ndarray) -> np.ndarray:
         batch[idx, piv, :] = saved
         if j + 1 >= nrows:
             continue
-        inv_piv = vf.inv_table[batch[:, j, j]]
-        factors = vf.mul(batch[:, j + 1 :, j], inv_piv[:, None])
-        batch[:, j + 1 :, j:] = vf.sub(
-            batch[:, j + 1 :, j:], vf.mul(factors[:, :, None], batch[:, j : j + 1, j:])
+        inv_piv = field.inv_table[batch[:, j, j]]
+        factors = field.mul_array(batch[:, j + 1 :, j], inv_piv[:, None])
+        batch[:, j + 1 :, j:] = field.sub_array(
+            batch[:, j + 1 :, j:], field.mul_array(factors[:, :, None], batch[:, j : j + 1, j:])
         )
     return dep
 
@@ -223,7 +168,6 @@ def smallest_dependent_subset(
             raise ValueError(f"subset scan of {cost} exceeds budget {budget}")
     nrows = len(columns[0])
     cols_np = np.array(columns, dtype=np.int64)
-    vf = _vec_field(field)
     from itertools import combinations, islice
 
     for w in range(1, min(max_size, n) + 1):
@@ -236,7 +180,7 @@ def smallest_dependent_subset(
                 break
             sel = np.array(block, dtype=np.intp)
             batch = cols_np[sel].transpose(0, 2, 1).copy()
-            dep = _dependent_mask(vf, batch)
+            dep = _dependent_mask(field, batch)
             if dep.any():
                 return block[int(np.argmax(dep))]
     return None

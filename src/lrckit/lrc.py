@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import linalg
 from .gf import GF
@@ -71,10 +71,6 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
     return ParityCheckMatrix(family.q, m, r, d, tuple(tuple(rw) for rw in rows), fld)
 
 
-def rank(field: GF, rows) -> int:
-    return linalg.rank(field, rows)
-
-
 def columns_independent(pcm: ParityCheckMatrix, indices) -> bool:
     idx = list(indices)
     if len(set(idx)) != len(idx):
@@ -101,26 +97,35 @@ def verify_distance_at_least(
     return linalg.smallest_dependent_subset(pcm.field, pcm.columns(), dd - 1, budget=budget)
 
 
-def exact_min_distance(pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
-    """Exhaustive minimum distance: the smallest number of dependent columns.
+def least_dependent_columns(
+    field: GF, rows: Sequence[Sequence[int]], budget: int = DEFAULT_SUBSET_BUDGET
+) -> tuple[int, ...]:
+    """Lexicographically least dependent column set of minimum size.
 
     Any rank+1 columns are dependent, so the scan is capped there; instances
-    whose subset count exceeds `budget` are rejected up front.
+    whose subset count exceeds `budget` are rejected up front.  A matrix of
+    full column rank has no dependent set (its code is {0}): ValueError.
     """
-    cap = linalg.rank(pcm.field, pcm.rows) + 1
-    witness = linalg.smallest_dependent_subset(pcm.field, pcm.columns(), cap, budget=budget)
-    assert witness is not None
-    return len(witness)
+    cap = linalg.rank(field, rows) + 1
+    columns = list(zip(*rows))
+    witness = linalg.smallest_dependent_subset(field, columns, cap, budget=budget)
+    if witness is None:
+        raise ValueError(
+            f"all {len(columns)} columns are independent: the code is {{0}} and has no minimum distance"
+        )
+    return witness
 
 
 def min_distance_witness(
     pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> tuple[int, ...]:
     """Lexicographically least dependent column set of minimum size."""
-    cap = linalg.rank(pcm.field, pcm.rows) + 1
-    witness = linalg.smallest_dependent_subset(pcm.field, pcm.columns(), cap, budget=budget)
-    assert witness is not None
-    return witness
+    return least_dependent_columns(pcm.field, pcm.rows, budget)
+
+
+def exact_min_distance(pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
+    """Exhaustive minimum distance: the smallest number of dependent columns."""
+    return len(min_distance_witness(pcm, budget))
 
 
 def singleton_bound(n: int, k: int, r: int) -> int:

@@ -253,42 +253,6 @@ def equivalence_check(family: SetFamily) -> bool:
     return passes != cycle_found
 
 
-@dataclass(frozen=True)
-class Graph:
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-
-def intersection_graph(family: SetFamily) -> Graph:
-    """Simple graph on set indices; i ~ j when A_i and A_j share an element."""
-    sets = [frozenset(s) for s in family.sets]
-    edges = []
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                edges.append((i, j))
-    return Graph(len(sets), tuple(edges))
-
-
-def has_cycle(g: Graph) -> bool:
-    """Union-find cycle detection.  Any graph with at least as many edges as
-    vertices on some induced subgraph necessarily comes out True."""
-    parent = list(range(g.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return True
-        parent[ra] = rb
-    return False
-
-
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) by Newton iteration on integers."""
     if n < 0 or k < 1:
@@ -308,9 +272,13 @@ def _iroot(n: int, k: int) -> int:
     return x
 
 
-def _formula_target(q: int, r: int, t: int) -> int:
-    # ceil(q**(t/(t-1)) / (2 t^2 (r+1)**(2t/(t-1)))), evaluated exactly:
-    # the least M with M**(t-1) * B >= A for A = q**t,
+def formula_target(q: int, r: int, t: int) -> int:
+    """ceil(q**(t/(t-1)) / (2 t^2 (r+1)**(2t/(t-1)))) for any t >= 2.
+
+    `target_family_size` is this value behind its t >= 3 and range checks;
+    the derandomized construction aims at it for t = 2 as well.
+    """
+    # evaluated exactly: the least M with M**(t-1) * B >= A for A = q**t,
     # B = 2**(t-1) * t**(2t-2) * (r+1)**(2t).
     a = q**t
     b = 2 ** (t - 1) * t ** (2 * t - 2) * (r + 1) ** (2 * t)
@@ -337,7 +305,7 @@ def target_family_size(q: int, r: int, t: int) -> int:
         raise ValueError("the randomized construction needs t >= 3")
     if r < 1 or q < 2:
         raise ValueError("need r >= 1 and q >= 2")
-    return _formula_target(q, r, t)
+    return formula_target(q, r, t)
 
 
 def family_size_upper_bound(q: int, r: int, t: int) -> int:

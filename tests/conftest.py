@@ -5,8 +5,9 @@ column dependence is decided through sympy integer determinants reduced
 mod p, Berge cycles through exhaustive edge-tuple search, and collision
 probabilities through bare enumeration of completions.  The coverage
 verifier and the greedy generator are checked against exhaustive walks over
-every index collection of size <= t.  Tests compare package output against
-these slower routes.
+every index collection of size <= t, and the array row reduction against a
+row-by-row elimination through the field's scalar operations.  Tests
+compare package output against these slower routes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Sequence
 import pytest
 from sympy import Matrix
 
+from lrckit.gf import GF
 from lrckit.rng import SplitMix64
 from lrckit.setfam import SetFamily, Violation, greedy_family
 
@@ -153,6 +155,38 @@ def reference_greedy(
             if target_m is not None and len(accepted) >= target_m:
                 break
     return SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in accepted))
+
+
+def reference_rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form by scalar field calls, one row at a time,
+    pivoting on the first nonzero row from the top in each column."""
+    work = [list(row) for row in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots: list[int] = []
+    prow = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(prow, len(work)):
+            if work[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[prow], work[sel] = work[sel], work[prow]
+        scale = field.inv(work[prow][col])
+        if scale != 1:
+            work[prow] = [field.mul(scale, v) for v in work[prow]]
+        for r in range(len(work)):
+            if r != prow and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [field.sub(v, field.mul(f, pv)) for v, pv in zip(work[r], work[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == len(work):
+            break
+    return work, pivots
 
 
 # ---------------------------------------------------------------- corpus

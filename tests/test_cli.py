@@ -1,9 +1,12 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from lrckit.cli import main
-from lrckit.formats import read_family, read_matrix, read_word
+from lrckit.formats import read_family, read_matrix, read_word, write_word
 
 FAMILY = "13 4 2 3\n0 1 2 3 4\n0 5 6 7 8\n1 5 9 10 11\n"
 BROKEN = "13 4 2 2\n0 1 2 3 4\n0 1 5 6 7\n"
@@ -179,6 +182,44 @@ def test_repair_refuses_word_of_wrong_length(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("r", ["2", "0", "-1"])
+def test_repair_refuses_r_that_disagrees_with_the_block_rows(tmp_path, code_files, capsys, r):
+    # the matrix's block rows give r = 4; any other --r would repair from
+    # groups that are not the code's blocks
+    h, w = code_files
+    erased = tmp_path / "e.txt"
+    out = tmp_path / "r.txt"
+    assert main(["erase", "--in", str(w), "--positions", "6", "--out", str(erased)]) == 0
+    capsys.readouterr()
+    assert main(["repair", "--matrix", str(h), "--in", str(erased), "--r", r, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert main(["repair", "--matrix", str(h), "--in", str(erased), "--r", "4", "--out", str(out)]) == 0
+    assert out.read_bytes() == w.read_bytes()
+
+
+def test_repair_refuses_a_word_that_fails_the_parity_checks(tmp_path, code_files, capsys):
+    h, w = code_files
+    symbols, q = read_word(w)
+    symbols[0] = (symbols[0] + 1) % q
+    symbols[6] = None
+    erased = tmp_path / "e.txt"
+    write_word(erased, symbols, q)
+    out = tmp_path / "r.txt"
+    assert main(["repair", "--matrix", str(h), "--in", str(erased), "--out", str(out)]) == 1
+    assert "repair failed" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_distance_of_a_full_column_rank_matrix_is_a_usage_error(tmp_path, capsys):
+    # one nonzero column: the code is {0}, so no dependent set exists
+    h = tmp_path / "H.txt"
+    h.write_text("3 1 7\n3\n0\n6\n")
+    assert main(["distance", "--in", str(h)]) == 2
+    assert "error: all 1 columns are independent" in capsys.readouterr().err
+    assert main(["distance", "--in", str(h), "--d", "2"]) == 0
+
+
 def test_usage_error_on_unknown_command():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
@@ -200,3 +241,16 @@ def test_reruns_are_byte_identical(tmp_path, fam_file):
         assert main(["repair", "--matrix", str(h), "--in", str(e), "--out", str(r)]) == 0
         pairs.append([p.read_bytes() for p in (fam, h, w, e, r)])
     assert pairs[0] == pairs[1]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every `lrckit ...` line of the README's CLI section, in order, in one
+    # directory, so the documented commands cannot drift from the parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [ln.split("#", 1)[0] for ln in section.splitlines() if ln.startswith("lrckit ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    assert "minimum distance: 5" in capsys.readouterr().out

@@ -175,6 +175,40 @@ def test_repair_rejects_wrong_length(singleton_codec):
         repair(GF(13), ((1, 1, 1),), 1, [5, None, 7])
 
 
+def test_repair_refuses_locality_below_one(singleton_codec):
+    f, pcm, params, g = singleton_codec
+    received = list(_random_codeword(f, g, SplitMix64(34)))
+    received[6] = None
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            repair(f, pcm.rows, r, received)
+
+
+def test_local_repair_is_checked_against_the_parity_checks(singleton_codec):
+    f, pcm, params, g = singleton_codec
+    # r = 2 splits n = 15 into groups of 3 that are not the code's blocks:
+    # the repair is refused unless the wrong group happens to give the
+    # right symbol, and never returns a wrong word
+    refused = 0
+    for seed in range(35, 45):
+        word = _random_codeword(f, g, SplitMix64(seed))
+        received = list(word)
+        received[6] = None
+        try:
+            res = repair(f, pcm.rows, 2, received)
+        except InconsistentWordError:
+            refused += 1
+        else:
+            assert res.word == tuple(word)
+    assert refused > 0
+    # a corrupted symbol outside the repaired group is caught as well
+    received = list(word)
+    received[6] = None
+    received[0] = f.add(received[0], 1)
+    with pytest.raises(InconsistentWordError):
+        repair(f, pcm.rows, params.r, received)
+
+
 def test_projection_disjointness_on_small_subcode(adjusted_code):
     # locality in its sharpest form: for every position, codewords that
     # agree on the recovery group mates also agree at the position itself;

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import weakref
@@ -11,7 +12,7 @@ from lrckit import linalg
 from lrckit.gf import GF
 from lrckit.rng import SplitMix64
 
-from conftest import minors_dependent
+from conftest import minors_dependent, reference_rref
 
 
 def _random_matrix(rng: SplitMix64, q: int, nrows: int, ncols: int) -> list[list[int]]:
@@ -37,6 +38,27 @@ def test_rank_matches_minor_oracle(q):
         nc = 1 + rng.below(4)
         rows = _random_matrix(rng, q, nr, nc)
         assert linalg.rank(GF(q), rows) == _minors_rank(rows, q)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_scalar_reference(data):
+    # the reduced echelon form is unique, so the array elimination must
+    # reproduce the row-by-row scalar one entry for entry
+    q = data.draw(st.sampled_from([2, 4, 5, 8, 9, 13, 16, 25, 27]))
+    f = GF(q)
+    nr = data.draw(st.integers(1, 4))
+    nc = data.draw(st.integers(1, 8))
+    entry = st.integers(0, q - 1) | st.just(0)
+    rows = [data.draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    for _ in range(data.draw(st.integers(0, 2))):  # up to 6 rows in all
+        pick = data.draw(st.sampled_from(["zero", "repeat"]))
+        at = data.draw(st.integers(0, len(rows)))
+        new = [0] * nc if pick == "zero" else list(rows[data.draw(st.integers(0, len(rows) - 1))])
+        rows.insert(at, new)
+    got = linalg.rref(f, rows)
+    assert got == reference_rref(f, rows)
+    assert all(type(v) is int for row in got[0] for v in row)
 
 
 def test_rref_shape_and_pivots():
@@ -171,27 +193,30 @@ def test_budget_guard():
 @pytest.mark.parametrize("q", [13, 16, 27])
 def test_vectorized_field_matches_scalar(q):
     f = GF(q)
-    vf = linalg._vec_field(f)
     rng = SplitMix64(42 + q)
     a = np.array([rng.below(q) for _ in range(300)])
     b = np.array([rng.below(q) for _ in range(300)])
-    assert np.array_equal(vf.mul(a, b), np.array([f.mul(int(x), int(y)) for x, y in zip(a, b)]))
-    assert np.array_equal(vf.sub(a, b), np.array([f.sub(int(x), int(y)) for x, y in zip(a, b)]))
+    assert np.array_equal(f.mul_array(a, b), np.array([f.mul(int(x), int(y)) for x, y in zip(a, b)]))
+    assert np.array_equal(f.sub_array(a, b), np.array([f.sub(int(x), int(y)) for x, y in zip(a, b)]))
     nz = a[a != 0]
-    assert np.array_equal(vf.inv_table[nz], np.array([f.inv(int(x)) for x in nz]))
+    assert np.array_equal(f.inv_table[nz], np.array([f.inv(int(x)) for x in nz]))
+    rows = a.reshape(30, 10)
+    sums = [functools.reduce(f.add, (int(x) for x in row), 0) for row in rows]
+    assert np.array_equal(f.sum_array(rows, axis=1), np.array(sums))
 
 
 def test_vectorized_tables_live_and_die_with_their_field():
-    # tables are built once per field object and never handed to a later
-    # field by a reused id(), so counts of GF calls repeat run to run
+    # tables are built once per field object and die with it, so a later
+    # field never reads an earlier one's and counts of GF calls repeat
     f = GF(13)
-    vf = linalg._vec_field(f)
-    assert linalg._vec_field(f) is vf
+    table = f.inv_table
+    assert f.inv_table is table
     gone = weakref.ref(f)
-    del f
+    table_gone = weakref.ref(table)
+    del f, table
     gc.collect()
     assert gone() is None
-    assert all(v is not vf for v in linalg._VEC_CACHE.values())
+    assert table_gone() is None
 
 
 @given(data=st.data())

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from lrckit.gf import GF
+from lrckit.linalg import rank
 from lrckit.lrc import (
     CodeParams,
     OptimalityKind,
@@ -13,7 +14,6 @@ from lrckit.lrc import (
     exact_min_distance,
     min_distance_witness,
     optimality_check,
-    rank,
     singleton_bound,
     verify_distance_at_least,
 )

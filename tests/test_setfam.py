@@ -11,14 +11,11 @@ from lrckit.rng import SplitMix64
 from lrckit.setfam import (
     BergeCycle,
     GenerationError,
-    Graph,
     SetFamily,
     equivalence_check,
     family_size_upper_bound,
     find_berge_cycle,
     greedy_family,
-    has_cycle,
-    intersection_graph,
     is_berge_cycle,
     packing_ceiling,
     random_family,
@@ -263,36 +260,6 @@ def test_equivalence_check_fuzz(data):
     rng = SplitMix64(data.draw(st.integers(0, 2**32)))
     fam = SetFamily(q, r, t, tuple(rng.subset(q, r + 1) for _ in range(m)))
     assert equivalence_check(fam)
-
-
-# ----------------------------------------------------------- plain graphs
-
-
-def test_intersection_graph_cases():
-    disjoint = SetFamily(13, 2, 2, ((0, 1, 2), (3, 4, 5)))
-    assert intersection_graph(disjoint).edges == ()
-    linked = SetFamily(13, 2, 2, ((0, 1, 5), (3, 4, 5)))
-    assert intersection_graph(linked).edges == ((0, 1),)
-    chain = SetFamily(13, 2, 2, ((0, 1, 2), (2, 3, 4), (4, 5, 6)))
-    assert set(intersection_graph(chain).edges) == {(0, 1), (1, 2)}
-
-
-def test_has_cycle_known_graphs():
-    assert has_cycle(Graph(3, ((0, 1), (1, 2), (0, 2))))
-    assert not has_cycle(Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4))))
-    assert not has_cycle(Graph(4, ()))
-
-
-@given(data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_edge_count_forces_cycle(data):
-    n = data.draw(st.integers(2, 8))
-    all_edges = list(itertools.combinations(range(n), 2))
-    k = data.draw(st.integers(n, len(all_edges))) if len(all_edges) >= n else None
-    if k is None:
-        return
-    chosen = data.draw(st.permutations(all_edges))[:k]
-    assert has_cycle(Graph(n, tuple(chosen)))
 
 
 # ------------------------------------------------------- size formulas
