@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import linalg
 from .gf import GF
 
@@ -53,8 +55,19 @@ def encode(field: GF, g_rows: Sequence[Sequence[int]], message: Sequence[int]) -
     return field.sum_array(products, axis=0).tolist()
 
 
+def _parity_array(field: GF, h_rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """H as a (rows, n) array for a word of length n; ValueError unless H
+    has n columns (an H with no rows has any number)."""
+    h = field.array(h_rows)
+    if len(h) == 0:
+        return h.reshape(0, n)
+    if h.ndim != 2 or h.shape[1] != n:
+        raise ValueError(f"received word length {n} != n = {h.shape[-1]}")
+    return h
+
+
 def syndrome(field: GF, h_rows: Sequence[Sequence[int]], word: Sequence[int]) -> list[int]:
-    products = field.mul_array(field.array(h_rows), field.array(word)[None, :])
+    products = field.mul_array(_parity_array(field, h_rows, len(word)), field.array(word)[None, :])
     return field.sum_array(products, axis=1).tolist()
 
 
@@ -92,13 +105,6 @@ def local_repair(field: GF, received: Received, r: int) -> tuple[int, int]:
     return erased[0], _restore_from_group(field, received, r, erased[0])
 
 
-def _check_length(h_rows: Sequence[Sequence[int]], received: Received) -> int:
-    n = len(h_rows[0]) if len(h_rows) else len(received)
-    if len(received) != n:
-        raise ValueError(f"received word length {len(received)} != n = {n}")
-    return n
-
-
 def erasure_decode(field: GF, h_rows: Sequence[Sequence[int]], received: Received) -> list[int]:
     """Fill every erasure by solving the parity checks restricted to them.
 
@@ -106,16 +112,16 @@ def erasure_decode(field: GF, h_rows: Sequence[Sequence[int]], received: Receive
     completion, and UnrecoverableError when more than one completion fits
     (always the case past d-1 erasures on a singular restriction).
     """
-    _check_length(h_rows, received)
+    h = _parity_array(field, h_rows, len(received))
     erased = [j for j, v in enumerate(received) if v is None]
     if not erased:
-        if not is_codeword(field, h_rows, received):  # type: ignore[arg-type]
+        if not is_codeword(field, h, received):  # type: ignore[arg-type]
             raise InconsistentWordError("word is complete but fails the parity checks")
         return list(received)  # type: ignore[arg-type]
     # erased symbols enter the syndrome as zeros: H_E x = -(H w with w_E = 0)
-    known = syndrome(field, h_rows, [0 if v is None else v for v in received])
+    known = syndrome(field, h, [0 if v is None else v for v in received])
     b = field.sub_array(0, field.array(known))
-    status, x = linalg.solve(field, field.array(h_rows)[:, erased], b)
+    status, x = linalg.solve(field, h[:, erased], b)
     if status == "none":
         raise InconsistentWordError("present symbols are inconsistent with the parity checks")
     if status == "many":
@@ -148,7 +154,8 @@ def repair(field: GF, h_rows: Sequence[Sequence[int]], r: int, received: Receive
     """
     if r < 1:
         raise ValueError(f"locality r = {r} must be at least 1")
-    n = _check_length(h_rows, received)
+    h = _parity_array(field, h_rows, len(received))
+    n = len(received)
     if n % (r + 1) != 0:
         raise ValueError(f"n = {n} is not a multiple of r+1 = {r + 1}")
     erased = [i for i, v in enumerate(received) if v is None]
@@ -159,8 +166,8 @@ def repair(field: GF, h_rows: Sequence[Sequence[int]], r: int, received: Receive
         out = list(received)
         for pos in erased:
             out[pos] = _restore_from_group(field, received, r, pos)
-        if not is_codeword(field, h_rows, out):  # type: ignore[arg-type]
+        if not is_codeword(field, h, out):  # type: ignore[arg-type]
             raise InconsistentWordError("locally repaired word fails the parity checks")
         return RepairResult(tuple(out), "local", r * len(erased))  # type: ignore[arg-type]
-    decoded = erasure_decode(field, h_rows, received)
+    decoded = erasure_decode(field, h, received)
     return RepairResult(tuple(decoded), "global", len(received) - len(erased))

@@ -175,6 +175,30 @@ def test_repair_rejects_wrong_length(singleton_codec):
         repair(GF(13), ((1, 1, 1),), 1, [5, None, 7])
 
 
+def test_syndrome_and_decode_refuse_a_word_that_does_not_fit_h(singleton_codec):
+    f, pcm, params, g = singleton_codec
+    word = _random_codeword(f, g, SplitMix64(35))
+    for bad in ([word[0]], list(word) + [0], list(word)[:-1]):
+        with pytest.raises(ValueError, match="length"):
+            syndrome(f, pcm.rows, bad)
+        with pytest.raises(ValueError, match="length"):
+            is_codeword(f, pcm.rows, bad)
+        with pytest.raises(ValueError, match="length"):
+            erasure_decode(f, pcm.rows, [None] + list(bad)[1:])
+
+
+def test_empty_parity_check_matrix_constrains_nothing():
+    f = GF(7)
+    assert syndrome(f, [], [1]) == [] and syndrome(f, [], []) == []
+    assert is_codeword(f, [], [3, 4])
+    assert erasure_decode(f, [], [3]) == [3]
+    # with no checks every value fits the erasure
+    with pytest.raises(UnrecoverableError):
+        erasure_decode(f, [], [None])
+    with pytest.raises(UnrecoverableError):
+        erasure_decode(f, [], [2, None])
+
+
 def test_repair_refuses_locality_below_one(singleton_codec):
     f, pcm, params, g = singleton_codec
     received = list(_random_codeword(f, g, SplitMix64(34)))
