@@ -17,14 +17,8 @@ import time
 from typing import Optional, Sequence
 
 from . import codec, formats, linalg, lrc, setfam
-from .gf import GF, prime_power
+from .gf import GF
 from .rng import SplitMix64
-
-
-def _field_for(q: int) -> GF:
-    if prime_power(q) is None:
-        raise formats.FormatError(f"q={q} is not a prime power; no field arithmetic available")
-    return GF(q)
 
 
 def _locality_from_d(d: int) -> int:
@@ -94,7 +88,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     d = args.d
     if _locality_from_d(d) > family.t:
         raise formats.FormatError(f"family was built for t={family.t}; d={d} needs t >= {_locality_from_d(d)}")
-    field = _field_for(family.q)
+    field = GF(family.q)
     pcm = lrc.build_parity_check(family, d, field)
     params = lrc.code_params_from_family(family, d, pcm)
     witness = lrc.min_distance_witness(pcm, budget=args.budget)
@@ -124,7 +118,7 @@ def cmd_build_code(args: argparse.Namespace) -> int:
         idx = ",".join(str(i) for i in violations[0].indices)
         print(f"family fails verification: sets ({idx}) cover too few values")
         return 1
-    field = _field_for(family.q)
+    field = GF(family.q)
     pcm = lrc.build_parity_check(family, args.d, field)
     params = lrc.code_params_from_family(family, args.d, pcm)
     formats.write_matrix(args.out, pcm.rows, family.q)
@@ -136,7 +130,7 @@ def cmd_build_code(args: argparse.Namespace) -> int:
 
 def cmd_distance(args: argparse.Namespace) -> int:
     rows, q = formats.read_matrix(args.infile)
-    field = _field_for(q)
+    field = GF(q)
     if args.d is not None:
         cols = list(zip(*rows))
         witness = linalg.smallest_dependent_subset(field, cols, args.d - 1, budget=args.budget)
@@ -153,7 +147,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     rows, q = formats.read_matrix(args.matrix)
-    field = _field_for(q)
+    field = GF(q)
     gen = codec.generator_from_parity(field, rows)
     k = len(gen)
     if args.infile is not None:
@@ -216,7 +210,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         r = args.r
     if r is None:
         raise formats.FormatError("cannot infer locality from the matrix; pass --r")
-    field = _field_for(q)
+    field = GF(q)
     try:
         result = codec.repair(field, rows, r, symbols)
     except codec.DecodingError as exc:
@@ -234,7 +228,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     symbols, wq = formats.read_word(args.infile)
     if wq != q:
         raise formats.FormatError(f"word alphabet {wq} does not match matrix field {q}")
-    field = _field_for(q)
+    field = GF(q)
     erased = sum(1 for s in symbols if s is None)
     try:
         word = codec.erasure_decode(field, rows, symbols)

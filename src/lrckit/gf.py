@@ -4,7 +4,8 @@ Elements are canonical integers in [0, q).  Prime fields use plain modular
 arithmetic.  For an extension field GF(p**e) the base-p digits of an element
 are the coefficients of a residue polynomial modulo a fixed irreducible
 polynomial of degree e, and multiplication runs through log/antilog tables
-of the multiplicative group.
+of the multiplicative group, built once per field with numpy.  Each
+operation has one body, on arrays; the scalar operations validate and call it.
 """
 
 from __future__ import annotations
@@ -70,13 +71,6 @@ def _digits(value: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _undigits(digits: list[int], p: int) -> int:
-    v = 0
-    for d in reversed(digits):
-        v = v * p + d
-    return v
-
-
 def lowest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree e over GF(p).
 
@@ -102,9 +96,10 @@ class GF:
     -----
     Instances are immutable after construction and safe to share across
     threads.  The scalar operations take and return canonical integers in
-    [0, q); out-of-range inputs raise ValueError.  The `*_array` operations
-    act elementwise on int64 arrays of canonical elements (see `array`),
-    reading numpy tables that each field builds once, on first use.
+    [0, q), raise ValueError for anything else, and call the `*_array`
+    operations, which act elementwise on int64 arrays of canonical elements
+    (see `array`).  Extension fields build `exp_table` and `log_table` (int64,
+    log_table[0] = -1) on construction; `inv_table` is built on first use.
     """
 
     def __init__(self, q: int):
@@ -117,34 +112,32 @@ class GF:
         self.p, self.e = pe
         if self.e == 1:
             self.modulus: tuple[int, ...] | None = None
-            self.exp_table: list[int] | None = None
-            self.log_table: list[int] | None = None
+            self.exp_table: np.ndarray | None = None
+            self.log_table: np.ndarray | None = None
         else:
             self.modulus = lowest_irreducible(self.p, self.e)
-            self._build_tables()
+            self.exp_table, self.log_table = self._tables()
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        # schoolbook polynomial product reduced by the modulus
+    def _poly_mul(self, x, y) -> np.ndarray:
+        # elementwise product of element arrays as residue polynomials, for
+        # the tables only: schoolbook over the base-p digits (a leading axis),
+        # then reduced by the monic modulus from the top degree down
         p, e = self.p, self.e
-        da = _digits(a, p, e)
-        db = _digits(b, p, e)
-        prod = [0] * (2 * e - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        return _undigits(_poly_rem(prod, list(self.modulus), p), p)
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        axis = (e,) + (1,) * max(x.ndim, y.ndim)
+        place = (p ** np.arange(e, dtype=np.int64)).reshape(axis)
+        dx, dy = x // place % p, y // place % p
+        prod = np.zeros((2 * e - 1,) + np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+        for i in range(e):
+            prod[i : i + e] += dx[i] * dy
+        modulus = np.array(self.modulus, dtype=np.int64).reshape((e + 1,) + axis[1:])
+        for k in range(2 * e - 2, e - 1, -1):
+            prod[k - e : k + 1] -= prod[k] % p * modulus
+        return (prod[:e] % p * place).sum(axis=0)
 
-    def _raw_pow(self, a: int, n: int) -> int:
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            n >>= 1
-        return out
-
-    def _build_tables(self) -> None:
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        # exp[i] = g**i for the least primitive element g >= 2, log its inverse
         q = self.q
         order = q - 1
         primes = []
@@ -157,21 +150,30 @@ class GF:
             c += 1
         if x > 1:
             primes.append(x)
-        gen = None
-        for g in range(2, q):
-            if all(self._raw_pow(g, order // ell) != 1 for ell in primes):
-                gen = g
+        # g is primitive iff g**(order/l) != 1 for every prime l dividing
+        # order; test candidates in small batches, all cofactors at once
+        cofactors = np.array([order // ell for ell in primes], dtype=np.int64)
+        for start in range(2, q, 16):
+            cands = np.arange(start, min(start + 16, q), dtype=np.int64)
+            base, power = cands[:, None], np.ones((len(cands), len(primes)), dtype=np.int64)
+            n = cofactors
+            while n.any():
+                power = np.where(n & 1, self._poly_mul(power, base), power)
+                base = self._poly_mul(base, base)
+                n = n >> 1
+            primitive = (power != 1).all(axis=1)
+            if primitive.any():
+                gen = int(cands[np.argmax(primitive)])
                 break
-        assert gen is not None, "multiplicative group of a finite field is cyclic"
+        # one "multiply by g" map over the field, walked once from 1
+        step = self._poly_mul(np.arange(q), gen).tolist()
         exp = [1] * order
         for i in range(1, order):
-            exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [-1] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        assert all(log[v] >= 0 for v in range(1, q))
-        self.exp_table = exp
-        self.log_table = log
+            exp[i] = step[exp[i - 1]]
+        exp_table = np.array(exp, dtype=np.int64)
+        log_table = np.full(q, -1, dtype=np.int64)
+        log_table[exp_table] = np.arange(order)
+        return exp_table, log_table
 
     def validate(self, a: int) -> int:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
@@ -198,29 +200,23 @@ class GF:
 
     def neg(self, a: int) -> int:
         self.validate(a)
-        return self._combine(0, a, -1)
+        return self.sub_array(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        self.validate(a)
+        self.validate(b)
+        return self.sub_array(a, b)
 
     def mul(self, a: int, b: int) -> int:
         self.validate(a)
         self.validate(b)
-        if self.e == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        assert self.exp_table is not None and self.log_table is not None
-        return self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]
+        return int(self.mul_array(a, b))
 
     def inv(self, a: int) -> int:
         self.validate(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        assert self.exp_table is not None and self.log_table is not None
-        return self.exp_table[(self.q - 1 - self.log_table[a]) % (self.q - 1)]
+        return int(self.inv_table[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -228,16 +224,11 @@ class GF:
     def pow(self, a: int, n: int) -> int:
         """a**n with 0**0 = 1; negative n inverts (and rejects a = 0)."""
         self.validate(a)
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
+        if n < 0:
+            if a == 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
-            return 0
-        if self.e == 1:
-            return pow(a, n % (self.p - 1), self.p)
-        assert self.exp_table is not None and self.log_table is not None
-        return self.exp_table[(self.log_table[a] * n) % (self.q - 1)]
+            n %= self.q - 1
+        return int(self.pow_array(a, n))
 
     # ------------------------------------------------------------ arrays
 
@@ -250,24 +241,9 @@ class GF:
         return arr.astype(np.int64)
 
     @cached_property
-    def _log_exp(self) -> tuple[np.ndarray, np.ndarray]:
-        assert self.exp_table is not None and self.log_table is not None
-        return np.array(self.log_table, dtype=np.int64), np.array(self.exp_table, dtype=np.int64)
-
-    @cached_property
     def inv_table(self) -> np.ndarray:
         """Inverse of every element, indexed by element, with 0 mapped to 0."""
-        a = np.arange(self.q, dtype=np.int64)
-        if self.e == 1:
-            inv, n = np.ones_like(a), self.p - 2  # a**(p-2) by square and multiply
-            while n:
-                if n & 1:
-                    inv = inv * a % self.p
-                a = a * a % self.p
-                n >>= 1
-        else:
-            log, exp = self._log_exp
-            inv = exp[-log % (self.q - 1)]
+        inv = self.pow_array(np.arange(self.q, dtype=np.int64), self.q - 2)
         inv[0] = 0
         return inv
 
@@ -275,9 +251,27 @@ class GF:
         """Elementwise product of broadcastable arrays of elements."""
         if self.e == 1:
             return (x * y) % self.p
-        log, exp = self._log_exp
-        out = exp[(log[x] + log[y]) % (self.q - 1)]  # log[0] = -1 is masked out below
-        return np.where((x != 0) & (y != 0), out, 0)
+        out = self.exp_table[(self.log_table[x] + self.log_table[y]) % (self.q - 1)]
+        return np.where((x != 0) & (y != 0), out, 0)  # log[0] = -1 is masked out here
+
+    def pow_array(self, x: np.ndarray, n: int) -> np.ndarray:
+        """Elementwise x**n for an integer n >= 0, with 0**0 = 1."""
+        if n < 0:
+            raise ValueError(f"exponent {n} is negative")
+        if n == 0:
+            return np.ones_like(x)
+        # x**k == x**n for every element, 0 included, since k >= 1
+        k = (n - 1) % (self.q - 1) + 1
+        if self.e == 1:
+            out, base = 1, x
+            while k:
+                if k & 1:
+                    out = out * base % self.p
+                base = base * base % self.p
+                k >>= 1
+            return out
+        out = self.exp_table[self.log_table[x] * k % (self.q - 1)]
+        return np.where(x != 0, out, 0)
 
     def sub_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise difference x - y of broadcastable arrays of elements."""

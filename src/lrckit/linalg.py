@@ -112,12 +112,9 @@ def solve(field: GF, a_rows: Matrix, b: Sequence[int]) -> tuple[str, Optional[li
 
 
 def _dependent_mask(field: GF, batch: np.ndarray) -> np.ndarray:
-    """batch has shape (B, R, W); True where the W columns are dependent."""
+    """batch has shape (B, R, W), W <= R; True where the W columns are dependent."""
     nb, nrows, ncols = batch.shape
     dep = np.zeros(nb, dtype=bool)
-    if ncols > nrows:
-        dep[:] = True
-        return dep
     idx = np.arange(nb)
     for j in range(ncols):
         colpart = batch[:, j:, j]
@@ -157,15 +154,17 @@ def smallest_dependent_subset(
     Sizes are scanned in ascending order and, within a size, subsets in
     lexicographic order, so the result is the lexicographically least
     witness of the smallest dependent size.  `budget` caps the number of
-    subsets examined (ValueError when the scan would exceed it).
+    subsets examined (ValueError as soon as the count of sizes 1..w passes it).
     """
     n = len(columns)
     if n == 0 or max_size < 1:
         return None
     if budget is not None:
-        cost = subset_search_cost(n, max_size)
-        if cost > budget:
-            raise ValueError(f"subset scan of {cost} exceeds budget {budget}")
+        cost = 0
+        for w in range(1, min(max_size, n) + 1):
+            cost += comb(n, w)
+            if cost > budget:
+                raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
     nrows = len(columns[0])
     cols_np = np.array(columns, dtype=np.int64)
     from itertools import combinations, islice

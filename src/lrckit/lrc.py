@@ -65,9 +65,9 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
         for j in range(i * (r + 1), (i + 1) * (r + 1)):
             row[j] = 1
         rows.append(row)
-    flat = [a for s in family.sets for a in s]
+    flat = fld.array([a for s in family.sets for a in s])
     for power in range(1, d - 1):
-        rows.append([fld.pow(a, power) for a in flat])
+        rows.append(fld.pow_array(flat, power).tolist())
     return ParityCheckMatrix(family.q, m, r, d, tuple(tuple(rw) for rw in rows), fld)
 
 

@@ -6,8 +6,12 @@ mod p, Berge cycles through exhaustive edge-tuple search, and collision
 probabilities through bare enumeration of completions.  The coverage
 verifier and the greedy generator are checked against exhaustive walks over
 every index collection of size <= t, and the array row reduction against a
-row-by-row elimination through the field's scalar operations.  Tests
-compare package output against these slower routes.
+row-by-row elimination through the field's scalar operations.  Field
+arithmetic is checked against the schoolbook product (`reference_mul` and
+`reference_pow`: base-p digits multiplied as polynomials and reduced by the
+field's modulus one term at a time) and the digit-wise sum
+(`reference_add`); none of them reads a table.  Tests compare package
+output against these slower routes.
 """
 
 from __future__ import annotations
@@ -187,6 +191,45 @@ def reference_rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[list[list[
         if prow == len(work):
             break
     return work, pivots
+
+
+def reference_add(field: GF, a: int, b: int) -> int:
+    """a + b with the base-p digits added mod p (integers mod p when e = 1)."""
+    p = field.p
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(field.e))
+
+
+def reference_mul(field: GF, a: int, b: int) -> int:
+    """a * b by the schoolbook product: the base-p digits of a and b are
+    multiplied as polynomials over GF(p), then the product is reduced by the
+    monic `field.modulus` from the top degree down (integers mod p when
+    e = 1)."""
+    p, e = field.p, field.e
+    if e == 1:
+        return a * b % p
+    da = [a // p**i % p for i in range(e)]
+    db = [b // p**i % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, ca in enumerate(da):
+        for j, cb in enumerate(db):
+            prod[i + j] = (prod[i + j] + ca * cb) % p
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k]
+        for j, mj in enumerate(field.modulus):
+            prod[k - e + j] = (prod[k - e + j] - c * mj) % p
+    return sum(prod[i] * p**i for i in range(e))
+
+
+def reference_pow(field: GF, a: int, n: int) -> int:
+    """a**n for n >= 0 by square and multiply through `reference_mul`,
+    with 0**0 = 1."""
+    out = 1
+    while n:
+        if n & 1:
+            out = reference_mul(field, out, a)
+        a = reference_mul(field, a, a)
+        n >>= 1
+    return out
 
 
 # ---------------------------------------------------------------- corpus

@@ -101,6 +101,10 @@ def test_build_code_and_distance(tmp_path, fam_file, capsys):
     assert "minimum distance: 5" in out
     assert main(["distance", "--in", str(h), "--d", "5"]) == 0
     assert main(["distance", "--in", str(h), "--d", "6"]) == 1
+    capsys.readouterr()
+    assert main(["distance", "--in", str(h), "--budget", "10"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: budget exceeded") and len(err[0]) < 200
     bad = tmp_path / "bad.txt"
     bad.write_text(BROKEN)
     assert main(["build-code", "--in", str(bad), "--d", "5", "--out", str(h)]) == 1
@@ -152,13 +156,14 @@ def test_encode_from_message_file(tmp_path, code_files):
     assert main(["encode", "--matrix", str(h), "--in", str(short), "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("header", ["0 0 13", "0 4 13", "3 0 13"])
+# the last matrix is well formed, but over q = 12, which is no prime power
+@pytest.mark.parametrize("header", ["0 0 13", "0 4 13", "3 0 13", "1 2 12\n1 1"])
 @pytest.mark.parametrize("command", ["distance", "encode", "repair", "decode"])
 def test_empty_matrix_is_a_usage_error(tmp_path, capsys, header, command):
     h = tmp_path / "H.txt"
     h.write_text(header + "\n")
     w = tmp_path / "w.txt"
-    w.write_text("2 13\n1 ?\n")
+    w.write_text(f"2 {header.split()[2]}\n1 ?\n")
     out = tmp_path / "out.txt"
     argv = {
         "distance": ["distance", "--in", str(h), "--d", "5"],

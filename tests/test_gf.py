@@ -1,9 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import primefactors
 
 from lrckit.gf import GF, MAX_ORDER, lowest_irreducible, prime_power
+from lrckit.rng import SplitMix64
+
+from conftest import reference_mul, reference_pow
 
 PRIME_POWERS_TO_64 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
@@ -109,7 +115,7 @@ def test_gf4_multiplication_table():
 @pytest.mark.parametrize("q", [8, 9, 27, 49, 64])
 def test_log_exp_tables(q):
     f = GF(q)
-    g = f.exp_table[1]
+    g = int(f.exp_table[1])  # a numpy integer; the scalar ops take Python ints
     seen = set()
     x = 1
     for i in range(q - 1):
@@ -175,3 +181,169 @@ def test_random_triples_satisfy_axioms(q, data):
     if b:
         assert f.div(f.mul(a, b), b) == a
     assert f.mul(a, f.pow(a, 2)) == f.pow(a, 3)
+
+
+# ------------------------------------------------ oracle and pinned tables
+
+ALL_PAIRS_QS = [4, 8, 9, 13, 16, 25, 27, 49]
+SAMPLED_QS = [243, 256, 4096, 59049, 65521, 65536]
+
+
+def _elements(q: int, count: int) -> list[int]:
+    """Every element for small q, else 0, 1, q - 1 and a seeded sample."""
+    if q in ALL_PAIRS_QS:
+        return list(range(q))
+    rng = SplitMix64(q)
+    return [0, 1, q - 1] + [rng.below(q) for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", ALL_PAIRS_QS + SAMPLED_QS)
+def test_products_match_the_schoolbook_oracle(q):
+    f = GF(q)
+    if q in ALL_PAIRS_QS:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        pairs = list(zip(_elements(q, 400), reversed(_elements(q, 400))))
+    want = [reference_mul(f, a, b) for a, b in pairs]
+    a, b = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    assert f.mul_array(a, b).tolist() == want
+    got = [f.mul(x, y) for x, y in pairs]
+    assert got == want and all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("q", ALL_PAIRS_QS + SAMPLED_QS)
+def test_inverses_match_the_schoolbook_oracle(q):
+    f = GF(q)
+    xs = [x for x in _elements(q, 200) if x]
+    assert f.inv_table[0] == 0
+    assert all(reference_mul(f, x, int(f.inv_table[x])) == 1 for x in xs)
+    got = [f.inv(x) for x in xs]
+    assert all(reference_mul(f, x, y) == 1 for x, y in zip(xs, got))
+    assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("q", ALL_PAIRS_QS + SAMPLED_QS)
+def test_powers_match_the_schoolbook_oracle(q):
+    f = GF(q)
+    xs = _elements(q, 40)
+    arr = np.array(xs, dtype=np.int64)
+    for n in (0, 1, 2, q - 2, q - 1, 3 * q):
+        want = [reference_pow(f, x, n) for x in xs]
+        assert f.pow_array(arr, n).tolist() == want
+        got = [f.pow(x, n) for x in xs]
+        assert got == want and all(type(v) is int for v in got)
+    for n in (-1, -2, -(q - 1), -3 * q):
+        for x in xs:
+            if x:
+                assert reference_mul(f, f.pow(x, n), reference_pow(f, x, -n)) == 1
+    with pytest.raises(ValueError):
+        f.pow_array(arr, -1)
+
+
+# SHA-256 of exp_table and log_table as little-endian int64, recorded
+# before the tables were built with numpy
+TABLE_DIGESTS = {
+    4: (
+        "e2e2033ae7e19d680599d4eb0a1359a2b48ec5baac75066c317fbf85159c54ef",
+        "615fd22e79bc96d13bbf982925d8a898e9692c709381bec3f829fa756003d584",
+    ),
+    8: (
+        "4ec17844028f97bfa5da896681e0769fdea1646491bb7120301326ba8966a0a3",
+        "ac81c9690c4b74cee60c6973abce94c15415faf214dab4b6851a3aebf4f01231",
+    ),
+    9: (
+        "107beef16789fe215c9f675861dd58705f81b786978eb9af1837c6e3dfbc5f03",
+        "da0d10ec35bfa438f1c31b2103f459f64668df2212f7cb66e77741880d668caa",
+    ),
+    16: (
+        "1b3553e94660d3aaa951959df5449388084822f376745a532b63c1b24afaca97",
+        "42d49f76ddc31ea1aa8d62f705255e3831f8bc9ca3f136290f846d05aedb727b",
+    ),
+    25: (
+        "f819a08972b8bf0fe65072e895b3c905d6ffe44d290b58e9bb0e3a361657ac98",
+        "2f7a9b64e2043c96f5694c1dac63ac96290219917001dff8a4a9c0d5ffdef496",
+    ),
+    27: (
+        "94de5a129fc907c93762dd467cfb55db24508ee0f358d4d87bfd8848eca59fd7",
+        "fb6876db2436427bde6ccda079cbd7ef733b15bbfc33350be11f94d42783659e",
+    ),
+    32: (
+        "baa8a706cb55e34dce386f0461ddc1b0d317d8621e2f77b7b983ac8b91d89da2",
+        "54abc48e89106bd46458aba658c007f0ee99abc0664bbbfeaf266a2ef5764ab0",
+    ),
+    49: (
+        "bfbb44080945d046e687f01a1b53c22bb1df14ae512b1df6db12b94316185d14",
+        "52ed0f2bed0ca63ac984b8ca3cf9b4609e80d69c9ff89c6ad71bf5bf8dc906af",
+    ),
+    64: (
+        "4d6341833dc63b26d1be065c71ec84df57256c8cec80f79d35c7207b3ed060de",
+        "75d71f58bb351309c344ba02d105af57fd7404d7f52050efcea7bf4fda757e1e",
+    ),
+    81: (
+        "6d1eb4f77b46bca3fa4387db5ea3dcb2db3c626d30d0a4bbd0b26b6bc33f9f78",
+        "5c326d7cfbd598f9132e784b013d0f608514b5b49dc37a37db5b5936d4ae67ba",
+    ),
+    125: (
+        "3cd23adf3501f4d1b4477466dd25378cd6e4fdcdd2d3faa09a5348af418b20ac",
+        "802cf8eb5878616383ba0b8cf3600ffa938358a0953ed708478f62e29a334f1e",
+    ),
+    128: (
+        "d9a58fef65a6c2c7a1fca8b9a2480fe91aae7a7e3d2c7048948f662026cbd50e",
+        "d500c03f2dd7e7445d085f8eb46bed2148da436f9d98cb607da63c40d1dbf025",
+    ),
+    243: (
+        "e9772cc891777b15aaa2dd3b11f123390b52f4b2636ab922c1932e746d734969",
+        "cab20ffd837c5c15519cce2271b9689bab709284658b3583a23dc5bfd7b5eb27",
+    ),
+    256: (
+        "11266a21c8268fe0d18220349a334db46275acf77c028eb418cf6317b305acc7",
+        "e6c4386b08504dc699c5cf71ad8668c6513706a4a9b79da086330a5fcb3ad933",
+    ),
+    343: (
+        "e923d9e59b71b72d7ef6399ef96787677b56d6d1b1a6633d0a5dc799ba8f9de6",
+        "c42e4d213de2373311b1da73f77dccc0cca090fbfcf2bd5e7c40f4e944a36c76",
+    ),
+    512: (
+        "623a19066c1161fcb8ec0f640d97f583f71846bb1ddbdda7bf6c227d298c8a66",
+        "886b3a7194847fc0291527423961fd7bf7c26d95e9f4afabd00073edf3abb27a",
+    ),
+    729: (
+        "c35f0745b29d40992ae4c7e683072abc739cacd8d161601591a0990dffdfe563",
+        "6ed6e4668c916b0619bb8d4e7791f3b82e34190b34461073bb04f14b775afd2f",
+    ),
+    4096: (
+        "f93111f2d5d03cbd58220f842d679e036230e6d30c67a053250bb339045d0897",
+        "b164465f4d3f97aeff39a8bc47ed5f8928a8cd3e7644927a84336375a381b48c",
+    ),
+    6561: (
+        "4e359a3635e51df963e4a1c58a174265e6517b516ff864ea49b4a80982c8fc99",
+        "6caf14f320100484844c8e456e71b706806938decad90a0ee4a3f8ffe1706a1f",
+    ),
+    59049: (
+        "05e6eecc9abe2e8fc95256f41a756ad049ea391b26cc74fa08e316ceeca86baa",
+        "453cc6d71240e529d2c0522b418b46a56de11959e9aa682cdbb157002efd2734",
+    ),
+    65536: (
+        "a9c0b9735a82fc72c5287527e2930d5f0603c0dae1bd9c70ade1fc1578a1d84d",
+        "0f41fdce3eabda40cf3cdda317cab701f03874f59156f192b0f1e8830e7a11e7",
+    ),
+}
+
+
+def _digest(table) -> str:
+    return hashlib.sha256(np.asarray(table, dtype="<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_DIGESTS))
+def test_tables_are_pinned(q):
+    f = GF(q)
+    assert (_digest(f.exp_table), _digest(f.log_table)) == TABLE_DIGESTS[q]
+    assert f.log_table[0] == -1
+
+    # exp_table[1] is the generator: the least element >= 2 whose powers
+    # q-1 over a prime factor of q-1 are all different from 1
+    def primitive(g: int) -> bool:
+        return all(reference_pow(f, g, (q - 1) // ell) != 1 for ell in primefactors(q - 1))
+
+    gen = int(f.exp_table[1])
+    assert primitive(gen) and not any(primitive(c) for c in range(2, gen))

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from lrckit import linalg
 from lrckit.gf import GF
+from lrckit.lrc import DEFAULT_SUBSET_BUDGET
 from lrckit.rng import SplitMix64
 
-from conftest import minors_dependent, reference_rref
+from conftest import minors_dependent, reference_add, reference_mul, reference_rref
 
 
 def _random_matrix(rng: SplitMix64, q: int, nrows: int, ncols: int) -> list[list[int]]:
@@ -182,26 +183,36 @@ def test_independent_columns_return_none():
 
 def test_budget_guard():
     f = GF(13)
-    cols = [tuple((i + j) % 13 for j in range(10)) for i in range(40)]
     assert linalg.subset_search_cost(40, 5) == sum(
         len(list(itertools.combinations(range(40), w))) for w in range(1, 6)
     )
-    with pytest.raises(ValueError):
-        linalg.smallest_dependent_subset(f, cols, 5, budget=1000)
+    # the second case is the 1369 x 5464 GF(243) code of a greedy family:
+    # its exact subset count has over a thousand digits, and the refusal
+    # must stop counting once the budget is passed
+    for n, max_size, budget in [(40, 5, 1000), (5464, 1370, DEFAULT_SUBSET_BUDGET)]:
+        cols = [tuple((i + j) % 13 for j in range(10)) for i in range(n)]
+        with pytest.raises(ValueError, match="budget exceeded") as exc:
+            linalg.smallest_dependent_subset(f, cols, max_size, budget=budget)
+        assert len(str(exc.value)) < 200
 
 
 @pytest.mark.parametrize("q", [13, 16, 27])
 def test_vectorized_field_matches_scalar(q):
+    # the scalar ops call these array ops, so the check is against the
+    # table-free oracles
     f = GF(q)
     rng = SplitMix64(42 + q)
     a = np.array([rng.below(q) for _ in range(300)])
     b = np.array([rng.below(q) for _ in range(300)])
-    assert np.array_equal(f.mul_array(a, b), np.array([f.mul(int(x), int(y)) for x, y in zip(a, b)]))
-    assert np.array_equal(f.sub_array(a, b), np.array([f.sub(int(x), int(y)) for x, y in zip(a, b)]))
+    assert np.array_equal(
+        f.mul_array(a, b), np.array([reference_mul(f, int(x), int(y)) for x, y in zip(a, b)])
+    )
+    diff = f.sub_array(a, b)
+    assert np.array_equal(np.array([reference_add(f, int(z), int(y)) for z, y in zip(diff, b)]), a)
     nz = a[a != 0]
-    assert np.array_equal(f.inv_table[nz], np.array([f.inv(int(x)) for x in nz]))
+    assert all(reference_mul(f, int(x), int(y)) == 1 for x, y in zip(nz, f.inv_table[nz]))
     rows = a.reshape(30, 10)
-    sums = [functools.reduce(f.add, (int(x) for x in row), 0) for row in rows]
+    sums = [functools.reduce(functools.partial(reference_add, f), (int(x) for x in row), 0) for row in rows]
     assert np.array_equal(f.sum_array(rows, axis=1), np.array(sums))
 
 
