@@ -10,14 +10,12 @@ the same steps as a command-line pipeline over small text files.
 from .codec import (
     DecodingError,
     InconsistentWordError,
-    LocalRepairError,
     RepairResult,
     UnrecoverableError,
     encode,
     erasure_decode,
     generator_from_parity,
     is_codeword,
-    local_repair,
     repair,
     repair_groups,
     syndrome,
@@ -31,7 +29,6 @@ from .lrc import (
     ParityCheckMatrix,
     build_parity_check,
     code_params_from_family,
-    columns_independent,
     exact_min_distance,
     min_distance_witness,
     optimality_check,
@@ -51,6 +48,7 @@ from .setfam import (
     is_berge_cycle,
     packing_ceiling,
     random_family,
+    remove_violations,
     target_family_size,
     to_hypergraph,
     verify_union_condition,
@@ -67,6 +65,7 @@ __all__ = [
     "BergeCycle",
     "GenerationError",
     "verify_union_condition",
+    "remove_violations",
     "to_hypergraph",
     "find_berge_cycle",
     "is_berge_cycle",
@@ -82,7 +81,6 @@ __all__ = [
     "OptimalityKind",
     "OptimalityVerdict",
     "build_parity_check",
-    "columns_independent",
     "verify_distance_at_least",
     "exact_min_distance",
     "min_distance_witness",
@@ -94,13 +92,11 @@ __all__ = [
     "syndrome",
     "is_codeword",
     "repair_groups",
-    "local_repair",
     "erasure_decode",
     "repair",
     "RepairResult",
     "DecodingError",
     "UnrecoverableError",
     "InconsistentWordError",
-    "LocalRepairError",
     "__version__",
 ]

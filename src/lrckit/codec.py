@@ -31,10 +31,6 @@ class InconsistentWordError(DecodingError):
     """No completion of the received symbols satisfies the parity checks."""
 
 
-class LocalRepairError(DecodingError):
-    """Single-symbol repair was asked for but its preconditions fail."""
-
-
 def generator_from_parity(field: GF, h_rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """k x n generator matrix spanning the right nullspace of H.
 
@@ -89,20 +85,6 @@ def _restore_from_group(field: GF, received: Received, r: int, pos: int) -> int:
     start = pos - pos % (r + 1)
     mates = [received[j] for j in range(start, start + r + 1) if j != pos]
     return int(field.sub_array(0, field.sum_array(field.array(mates), axis=0)))
-
-
-def local_repair(field: GF, received: Received, r: int) -> tuple[int, int]:
-    """(position, value) for the unique erasure, read from its r group mates.
-
-    Fails unless exactly one symbol is erased and the rest of its repair
-    group is intact; r < 1 is refused with ValueError.
-    """
-    if r < 1:
-        raise ValueError(f"locality r = {r} must be at least 1")
-    erased = [i for i, v in enumerate(received) if v is None]
-    if len(erased) != 1:
-        raise LocalRepairError(f"local repair needs exactly one erasure, found {len(erased)}")
-    return erased[0], _restore_from_group(field, received, r, erased[0])
 
 
 def erasure_decode(field: GF, h_rows: Sequence[Sequence[int]], received: Received) -> list[int]:

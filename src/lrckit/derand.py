@@ -14,10 +14,12 @@ set is a uniform subset of the values not already used by that set, and the
 overlap statistics of two or three such subsets are finite hypergeometric
 sums evaluated in integer arithmetic.
 
-After all elements are fixed, the same violation-removal step as the
-randomized construction runs; survivors always verify.  The whole procedure
-is a pure function of (q, r, t): repeated calls are identical, byte for
-byte, regardless of platform or thread count.
+After all elements are fixed, the violation-removal step of the randomized
+construction, `setfam.remove_violations`, runs on the verifier's minimal
+violations.  The survivors always verify without a second check: every
+failing collection contains a minimal violation, and each minimal violation
+loses a set.  The whole procedure is a pure function of (q, r, t): repeated
+calls are identical, byte for byte, regardless of platform or thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .setfam import SetFamily, formula_target, _repair_removals, verify_union_condition
+from .setfam import SetFamily, formula_target, remove_violations, verify_union_condition
 
 # Work caps.  Collections of up to t=3 sets need the triple kernel below;
 # larger t would need deeper overlap patterns.  The element loop touches
@@ -218,11 +220,5 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
                     best_val, best_c = val, c
             assert best_val is not None and best_val <= before, "estimator must not increase"
             parts[i] = parts[i] | {best_c}
-    sets = tuple(tuple(sorted(s)) for s in parts)
-    pool = SetFamily(q, r, t, sets)
-    removed = _repair_removals(verify_union_condition(pool))
-    survivors = tuple(s for i, s in enumerate(sets) if i not in removed)
-    family = SetFamily(q, r, t, survivors)
-    leftover = verify_union_condition(family)
-    assert not leftover, "violation removal must leave a verifying family"
-    return family
+    pool = SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in parts))
+    return remove_violations(pool, verify_union_condition(pool))

@@ -218,9 +218,6 @@ class GF:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         """a**n with 0**0 = 1; negative n inverts (and rejects a = 0)."""
         self.validate(a)
@@ -288,9 +285,6 @@ class GF:
             out = out + ((x % p).sum(axis=axis) % p) * mult
             x, mult = x // p, mult * p
         return out
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -12,6 +12,7 @@ dependent subset of the smallest size, independent of chunk boundaries.
 
 from __future__ import annotations
 
+from itertools import combinations, islice
 from math import comb
 from typing import Optional, Sequence
 
@@ -20,6 +21,8 @@ import numpy as np
 from .gf import GF
 
 Matrix = Sequence[Sequence[int]]
+
+_CHUNK = 16384  # column subsets eliminated per batch in smallest_dependent_subset
 
 
 def rref(field: GF, rows: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -138,7 +141,8 @@ def _dependent_mask(field: GF, batch: np.ndarray) -> np.ndarray:
 
 
 def subset_search_cost(n: int, max_size: int) -> int:
-    """Number of column subsets examined by smallest_dependent_subset."""
+    """Number of column subsets of sizes 1..max_size: the most that
+    smallest_dependent_subset examines."""
     return sum(comb(n, w) for w in range(1, min(max_size, n) + 1))
 
 
@@ -147,34 +151,33 @@ def smallest_dependent_subset(
     columns: Sequence[Sequence[int]],
     max_size: int,
     budget: Optional[int] = None,
-    chunk: int = 16384,
 ) -> Optional[tuple[int, ...]]:
     """Least dependent column subset of size <= max_size, or None.
 
     Sizes are scanned in ascending order and, within a size, subsets in
     lexicographic order, so the result is the lexicographically least
-    witness of the smallest dependent size.  `budget` caps the number of
-    subsets examined (ValueError as soon as the count of sizes 1..w passes it).
+    witness of the smallest dependent size.  Any nrows + 1 columns are
+    dependent, so that size is answered without examining a subset.
+    `budget` caps the number of subsets examined: ValueError as soon as the
+    count of the examined sizes 1..w, w <= nrows, passes it.
     """
     n = len(columns)
     if n == 0 or max_size < 1:
         return None
+    nrows = len(columns[0])
     if budget is not None:
         cost = 0
-        for w in range(1, min(max_size, n) + 1):
+        for w in range(1, min(max_size, n, nrows) + 1):
             cost += comb(n, w)
             if cost > budget:
                 raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
-    nrows = len(columns[0])
     cols_np = np.array(columns, dtype=np.int64)
-    from itertools import combinations, islice
-
     for w in range(1, min(max_size, n) + 1):
         if w > nrows:
             return tuple(range(w))  # more columns than rows is always dependent
         gen = combinations(range(n), w)
         while True:
-            block = list(islice(gen, chunk))
+            block = list(islice(gen, _CHUNK))
             if not block:
                 break
             sel = np.array(block, dtype=np.intp)

@@ -38,9 +38,6 @@ class ParityCheckMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [tuple(row[j] for row in self.rows) for j in range(self.n)]
 
-    def block_of(self, position: int) -> int:
-        return position // (self.r + 1)
-
 
 def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) -> ParityCheckMatrix:
     """Assemble the block-indicator plus power rows for design distance d.
@@ -69,17 +66,6 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
     for power in range(1, d - 1):
         rows.append(fld.pow_array(flat, power).tolist())
     return ParityCheckMatrix(family.q, m, r, d, tuple(tuple(rw) for rw in rows), fld)
-
-
-def columns_independent(pcm: ParityCheckMatrix, indices) -> bool:
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError("column indices must be distinct")
-    if any(j < 0 or j >= pcm.n for j in idx):
-        raise ValueError("column index out of range")
-    cols = pcm.columns()
-    sub = [[cols[j][i] for j in idx] for i in range(len(pcm.rows))]
-    return linalg.rank(pcm.field, sub) == len(idx)
 
 
 def verify_distance_at_least(

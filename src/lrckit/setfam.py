@@ -15,6 +15,12 @@ the whole would cover more than r*s.  The verifier and the greedy generator
 therefore grow collections only through an element -> sets index, one set
 at a time, and drop a collection once its union exceeds r*t; their cost is
 the incidences plus the connected collections of small union, not C(m, t).
+
+`remove_violations` is the one violation-removal step, shared by the
+randomized and derandomized constructions: it drops the lowest-index set of
+each reported minimal violation not already broken.  Its result always
+verifies, because every failing collection contains a minimal violation
+and each minimal violation loses a set; no caller verifies it again.
 """
 
 from __future__ import annotations
@@ -279,27 +285,19 @@ def formula_target(q: int, r: int, t: int) -> int:
     the derandomized construction aims at it for t = 2 as well.
     """
     # evaluated exactly: the least M with M**(t-1) * B >= A for A = q**t,
-    # B = 2**(t-1) * t**(2t-2) * (r+1)**(2t).
+    # B = 2**(t-1) * t**(2t-2) * (r+1)**(2t), i.e. M**(t-1) >= ceil(A/B);
+    # the least such M is one more than the largest M with M**(t-1) < ceil(A/B)
     a = q**t
     b = 2 ** (t - 1) * t ** (2 * t - 2) * (r + 1) ** (2 * t)
-    lo, hi = 1, 1
-    while hi ** (t - 1) * b < a:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** (t - 1) * b >= a:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _iroot(-(-a // b) - 1, t - 1) + 1
 
 
 def target_family_size(q: int, r: int, t: int) -> int:
     """Family size the randomized construction is guaranteed to reach.
 
     Evaluates ceil(q**(1 + 1/(t-1)) / (2 t**2 (r+1)**(2 + 2/(t-1)))) with
-    exact integer arithmetic (binary search against the (t-1)-th power), so
-    values sitting on integer boundaries round correctly.
+    exact integer arithmetic (an integer (t-1)-th root), so values sitting
+    on integer boundaries round correctly.
     """
     if t < 3:
         raise ValueError("the randomized construction needs t >= 3")
@@ -348,14 +346,24 @@ def family_size_upper_bound(q: int, r: int, t: int) -> int:
         shift *= 2
 
 
-def _repair_removals(violations: list[Violation]) -> set[int]:
-    # break every violation by removing its lowest-index set, skipping
-    # collections already broken by an earlier removal
+def remove_violations(family: SetFamily, violations: Sequence[Violation]) -> SetFamily:
+    """`family` without one set of each violation, the rest in their order.
+
+    `violations` must be `verify_union_condition(family)`.  Each violation
+    that no earlier removal has broken loses its lowest-index set.  The
+    result always verifies: every failing collection of size <= t contains
+    a minimal violation (singletons never fail, so shrinking a failing
+    collection until no proper part fails ends at one of size 2..t), the
+    verifier reports every minimal violation, and each of them loses a set.
+    Any sub-family of the result verifies too, since a failing collection of
+    the sub-family is one of the result.
+    """
     removed: set[int] = set()
     for v in violations:
         if removed.isdisjoint(v.indices):
             removed.add(min(v.indices))
-    return removed
+    kept = tuple(s for i, s in enumerate(family.sets) if i not in removed)
+    return SetFamily(family.q, family.r, family.t, kept)
 
 
 def random_family(
@@ -371,9 +379,10 @@ def random_family(
 
     Draws 2m uniformly random (r+1)-subsets of [q] (m is the guaranteed
     target size unless overridden), removes one constituent set per minimal
-    violation, and returns the first m survivors once the survivor family
-    verifies.  Each retry reseeds from a child stream of `seed`; identical
-    arguments always reproduce the same family.
+    violation, and returns the first m survivors.  `remove_violations`
+    guarantees that the survivors verify, so an attempt fails only when
+    fewer than m sets survive.  Each retry reseeds from a child stream of
+    `seed`; identical arguments always reproduce the same family.
     """
     if t < 3:
         raise ValueError("the randomized construction needs t >= 3")
@@ -385,13 +394,9 @@ def random_family(
         rng = base.spawn()
         sets = [rng.subset(q, r + 1) for _ in range(2 * m)]
         pool = SetFamily(q, r, t, tuple(sets))
-        removed = _repair_removals(verify_union_condition(pool))
-        survivors = [s for i, s in enumerate(sets) if i not in removed]
-        if len(survivors) < m:
-            continue
-        if verify_union_condition(SetFamily(q, r, t, tuple(survivors))):
-            continue  # repair left a violation; resample
-        return SetFamily(q, r, t, tuple(survivors[:m]))
+        survivors = remove_violations(pool, verify_union_condition(pool))
+        if survivors.m >= m:
+            return SetFamily(q, r, t, survivors.sets[:m])
     raise GenerationError(
         f"no verifying family of {m} sets within {max_attempts} attempts "
         f"(q={q}, r={r}, t={t}, seed={seed})"

@@ -102,6 +102,12 @@ def test_build_code_and_distance(tmp_path, fam_file, capsys):
     assert main(["distance", "--in", str(h), "--d", "5"]) == 0
     assert main(["distance", "--in", str(h), "--d", "6"]) == 1
     capsys.readouterr()
+    # sizes past the 6 rows are dependent by counting and cost no subsets,
+    # so a design distance far above the row count fits the same budget
+    for d in ("8", "16"):
+        assert main(["distance", "--in", str(h), "--d", d, "--budget", "20000"]) == 1
+        out = capsys.readouterr().out
+        assert out == f"distance >= {d}: FAIL  dependent columns [0, 1, 2, 3, 4]\n"
     assert main(["distance", "--in", str(h), "--budget", "10"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: budget exceeded") and len(err[0]) < 200

@@ -4,13 +4,11 @@ import pytest
 
 from lrckit.codec import (
     InconsistentWordError,
-    LocalRepairError,
     UnrecoverableError,
     encode,
     erasure_decode,
     generator_from_parity,
     is_codeword,
-    local_repair,
     repair,
     repair_groups,
     syndrome,
@@ -79,21 +77,10 @@ def test_local_repair_every_position(singleton_codec):
     for pos in range(pcm.n):
         received = list(word)
         received[pos] = None
-        fixed_pos, value = local_repair(f, received, params.r)
-        assert fixed_pos == pos
-        assert value == word[pos]
-
-
-def test_local_repair_needs_exactly_one_erasure(singleton_codec):
-    f, pcm, params, g = singleton_codec
-    word = _random_codeword(f, g, SplitMix64(8))
-    with pytest.raises(LocalRepairError):
-        local_repair(f, list(word), params.r)
-    two = list(word)
-    two[0] = None
-    two[1] = None
-    with pytest.raises(LocalRepairError):
-        local_repair(f, two, params.r)
+        res = repair(f, pcm.rows, params.r, received)
+        assert res.method == "local"
+        assert res.symbols_read == params.r
+        assert list(res.word) == word
 
 
 def test_erasure_decode_random_patterns(singleton_codec):

@@ -158,13 +158,15 @@ def test_smallest_dependent_subset_matches_oracle(q):
         assert got == want
 
 
-def test_smallest_dependent_subset_chunk_invariance():
+def test_smallest_dependent_subset_chunk_invariance(monkeypatch):
     f = GF(13)
     rng = SplitMix64(321)
     cols = [tuple(rng.below(13) for _ in range(5)) for _ in range(12)]
-    a = linalg.smallest_dependent_subset(f, cols, 6, chunk=7)
-    b = linalg.smallest_dependent_subset(f, cols, 6, chunk=16384)
-    c = linalg.smallest_dependent_subset(f, cols, 6, chunk=1)
+    found = []
+    for chunk in (7, 16384, 1):
+        monkeypatch.setattr(linalg, "_CHUNK", chunk)
+        found.append(linalg.smallest_dependent_subset(f, cols, 6))
+    a, b, c = found
     assert a == b == c
 
 

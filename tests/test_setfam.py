@@ -15,10 +15,12 @@ from lrckit.setfam import (
     equivalence_check,
     family_size_upper_bound,
     find_berge_cycle,
+    formula_target,
     greedy_family,
     is_berge_cycle,
     packing_ceiling,
     random_family,
+    remove_violations,
     target_family_size,
     to_hypergraph,
     verify_union_condition,
@@ -129,16 +131,17 @@ def test_pairwise_characterization_at_t2(data):
 
 
 @st.composite
-def small_families(draw):
-    """Families with q <= 31, r in 1..5, t in 2..4 and at most 9 sets, some
-    with a duplicated set or a set sharing two values with another."""
+def small_families(draw, max_sets=9):
+    """Families with q <= 31, r in 1..5, t in 2..4 and at most `max_sets`
+    sets, some with a duplicated set or a set sharing two values with
+    another."""
     r = draw(st.integers(1, 5))
     q = draw(st.integers(r + 1, 31))
     t = draw(st.integers(2, 4))
     block = st.lists(st.integers(0, q - 1), min_size=r + 1, max_size=r + 1, unique=True)
-    sets = draw(st.lists(block, max_size=9))
+    sets = draw(st.lists(block, max_size=max_sets))
     for _ in range(draw(st.integers(0, 2))):
-        if not sets or len(sets) >= 9:
+        if not sets or len(sets) >= max_sets:
             break
         src = draw(st.sampled_from(sets))
         if draw(st.booleans()):
@@ -154,6 +157,21 @@ def small_families(draw):
 @settings(max_examples=300, deadline=None)
 def test_verifier_matches_exhaustive_walk(fam):
     assert verify_union_condition(fam) == reference_violations(fam)
+
+
+@given(fam=small_families(max_sets=12))
+@settings(max_examples=300, deadline=None)
+def test_remove_violations_leaves_a_verifying_subsequence(fam):
+    violations = verify_union_condition(fam)
+    kept = remove_violations(fam, violations)
+    assert (kept.q, kept.r, kept.t) == (fam.q, fam.r, fam.t)
+    assert reference_violations(kept) == []
+    # the kept sets keep their order: match each to its first unused original
+    remaining = iter(enumerate(fam.sets))
+    kept_at = [next((i for i, s in remaining if s == k), None) for k in kept.sets]
+    assert None not in kept_at
+    in_violations = {i for v in violations for i in v.indices}
+    assert set(range(fam.m)) - set(kept_at) <= in_violations
 
 
 @pytest.mark.parametrize("q,r,t,budget", [(101, 5, 3, 4096), (13, 4, 2, 4096), (17, 3, 3, 100), (50, 2, 4, 300)])
@@ -280,14 +298,16 @@ def test_target_family_size_against_decimal_oracle():
     getcontext().prec = 60
     for q in (64, 97, 128, 243, 997, 2048, 4999):
         for r in (1, 2, 3, 5):
-            for t in (3, 4, 5):
+            for t in (2, 3, 4, 5):
                 val = (
                     Decimal(q) ** (Decimal(t) / Decimal(t - 1))
                 ) / (2 * t * t * Decimal(r + 1) ** (Decimal(2 * t) / Decimal(t - 1)))
                 nearest = val.to_integral_value(ROUND_CEILING)
                 if abs(val - val.to_integral_value()) < Decimal("1e-30"):
                     continue  # too close to an integer for the float oracle
-                assert target_family_size(q, r, t) == max(1, int(nearest))
+                # t = 2 is the derandomized target, behind no t >= 3 check
+                size = formula_target if t == 2 else target_family_size
+                assert size(q, r, t) == max(1, int(nearest))
 
 
 def test_upper_bound_frozen_values():
