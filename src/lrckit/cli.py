@@ -199,7 +199,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     symbols, wq = formats.read_word(args.infile)
     if wq != q:
         raise formats.FormatError(f"word alphabet {wq} does not match matrix field {q}")
-    r = formats.detect_block_locality(rows)
+    r = linalg.detect_block_locality(rows)
     if args.r is not None:
         # codec.repair refuses r < 1; a wrong r would split the word into
         # groups that are not the code's blocks

@@ -118,33 +118,3 @@ def read_word(path: PathLike) -> tuple[list[Optional[int]], int]:
         out.append(v)
     return out, q
 
-
-def detect_block_locality(rows: Sequence[Sequence[int]]) -> Optional[int]:
-    """Recover r from leading block-indicator rows, or None.
-
-    Looks for an initial run of 0/1 rows whose ones form equal-width
-    contiguous blocks tiling the columns left to right.  Matrices written by
-    the builder always match; hand-made ones may need r given explicitly.
-    """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    runs = []
-    for row in rows:
-        if any(v not in (0, 1) for v in row):
-            break
-        ones = [j for j, v in enumerate(row) if v == 1]
-        if not ones or ones != list(range(ones[0], ones[-1] + 1)):
-            break
-        runs.append((ones[0], len(ones)))
-    if not runs:
-        return None
-    width = runs[0][1]
-    if any(w != width for _, w in runs):
-        return None
-    starts = [s for s, _ in runs]
-    if starts != [i * width for i in range(len(runs))]:
-        return None
-    if width * len(runs) != ncols:
-        return None
-    return width - 1

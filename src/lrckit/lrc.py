@@ -5,8 +5,11 @@ parity-check matrix: one 0/1 block-indicator row per set, then d - 2 rows
 of consecutive powers (exponents 1..d-2) of the set elements.  The block
 indicator makes every block of r+1 coordinates sum to zero in any codeword,
 which is what gives each symbol an r-symbol repair group.  Distance claims
-are checked by brute force over column subsets; nothing here relies on the
-coverage condition being sufficient, so the two verdicts stay independent.
+are checked exactly by `linalg.smallest_dependent_subset`, which scans only
+the column sets that meet each block in 0 or >= 2 columns because H's own
+block-indicator rows rule the others out.  The pruning reads H, never the
+coverage verdict, and nothing here relies on the coverage condition being
+sufficient, so the two verdicts stay independent.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def least_dependent_columns(
     """Lexicographically least dependent column set of minimum size.
 
     Any rank+1 columns are dependent, so the scan is capped there; instances
-    whose subset count exceeds `budget` are rejected up front.  A matrix of
+    whose candidate count exceeds `budget` are rejected up front.  A matrix of
     full column rank has no dependent set (its code is {0}): ValueError.
     """
     cap = linalg.rank(field, rows) + 1

@@ -5,8 +5,10 @@ column dependence is decided through sympy integer determinants reduced
 mod p, Berge cycles through exhaustive edge-tuple search, and collision
 probabilities through bare enumeration of completions.  The coverage
 verifier and the greedy generator are checked against exhaustive walks over
-every index collection of size <= t, and the array row reduction against a
-row-by-row elimination through the field's scalar operations.  Field
+every index collection of size <= t, the array row reduction against a
+row-by-row elimination through the field's scalar operations, and the
+block-aware distance scan against the loop over every column subset in
+`itertools.combinations` order that it replaced.  Field
 arithmetic is checked against the schoolbook product (`reference_mul` and
 `reference_pow`: base-p digits multiplied as polynomials and reduced by the
 field's modulus one term at a time) and the digit-wise sum
@@ -20,9 +22,11 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
 import pytest
 from sympy import Matrix
 
+from lrckit import linalg
 from lrckit.gf import GF
 from lrckit.rng import SplitMix64
 from lrckit.setfam import SetFamily, Violation, greedy_family
@@ -191,6 +195,33 @@ def reference_rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[list[list[
         if prow == len(work):
             break
     return work, pivots
+
+
+def reference_smallest_dependent_subset(
+    field: GF, columns: Sequence[Sequence[int]], max_size: int
+) -> Optional[tuple[int, ...]]:
+    """Least dependent column subset of size <= max_size, or None, by
+    eliminating every subset of each size in `itertools.combinations` order,
+    blind to block rows; any nrows + 1 columns are dependent, so that size
+    is answered without a subset."""
+    n = len(columns)
+    if n == 0 or max_size < 1:
+        return None
+    nrows = len(columns[0])
+    cols = np.array(columns, dtype=np.int64)
+    for w in range(1, min(max_size, n) + 1):
+        if w > nrows:
+            return tuple(range(w))
+        gen = itertools.combinations(range(n), w)
+        while True:
+            block = list(itertools.islice(gen, 16384))
+            if not block:
+                break
+            batch = cols[np.array(block, dtype=np.intp)].transpose(0, 2, 1).copy()
+            dep = linalg._dependent_mask(field, batch)
+            if dep.any():
+                return block[int(np.argmax(dep))]
+    return None
 
 
 def reference_add(field: GF, a: int, b: int) -> int:

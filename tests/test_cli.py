@@ -222,6 +222,23 @@ def test_repair_refuses_a_word_that_fails_the_parity_checks(tmp_path, code_files
     assert not out.exists()
 
 
+def test_distance_of_a_28_block_gf27_code(tmp_path, capsys):
+    # 31 x 112: sizes 1..4 hold 6.44M column subsets but only about 14k that
+    # meet each block in 0 or >= 2 columns, and sizes 1..6 fit the default
+    # budget, past which every candidate is dependent by counting
+    fam, h = tmp_path / "fam.txt", tmp_path / "H.txt"
+    assert main([
+        "gen-family", "--q", "27", "--r", "3", "--d", "5", "--method", "greedy",
+        "--seed", "3", "--budget", "300", "--out", str(fam),
+    ]) == 0
+    assert main(["build-code", "--in", str(fam), "--d", "5", "--out", str(h)]) == 0
+    capsys.readouterr()
+    assert main(["distance", "--in", str(h), "--d", "5"]) == 0
+    assert capsys.readouterr().out == "distance >= 5: pass\n"
+    assert main(["distance", "--in", str(h)]) == 0
+    assert capsys.readouterr().out == "minimum distance: 5\nwitness columns: [0, 1, 2, 25, 26]\n"
+
+
 def test_distance_of_a_full_column_rank_matrix_is_a_usage_error(tmp_path, capsys):
     # one nonzero column: the code is {0}, so no dependent set exists
     h = tmp_path / "H.txt"

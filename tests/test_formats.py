@@ -2,7 +2,6 @@ import pytest
 
 from lrckit.formats import (
     FormatError,
-    detect_block_locality,
     read_family,
     read_matrix,
     read_word,
@@ -10,6 +9,7 @@ from lrckit.formats import (
     write_matrix,
     write_word,
 )
+from lrckit.linalg import detect_block_locality
 from lrckit.lrc import build_parity_check
 from lrckit.setfam import SetFamily
 

@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -10,10 +11,18 @@ from hypothesis import strategies as st
 
 from lrckit import linalg
 from lrckit.gf import GF
-from lrckit.lrc import DEFAULT_SUBSET_BUDGET
+from lrckit.lrc import DEFAULT_SUBSET_BUDGET, build_parity_check
 from lrckit.rng import SplitMix64
+from lrckit.setfam import SetFamily
 
-from conftest import minors_dependent, reference_add, reference_mul, reference_rref
+from conftest import (
+    minors_dependent,
+    minors_min_distance,
+    reference_add,
+    reference_mul,
+    reference_rref,
+    reference_smallest_dependent_subset,
+)
 
 
 def _random_matrix(rng: SplitMix64, q: int, nrows: int, ncols: int) -> list[list[int]]:
@@ -158,16 +167,130 @@ def test_smallest_dependent_subset_matches_oracle(q):
         assert got == want
 
 
+def _block_rows(m: int, width: int) -> list[list[int]]:
+    return [[int(j // width == i) for j in range(m * width)] for i in range(m)]
+
+
+def _columns(rows):
+    return [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
+
+
 def test_smallest_dependent_subset_chunk_invariance(monkeypatch):
-    f = GF(13)
     rng = SplitMix64(321)
-    cols = [tuple(rng.below(13) for _ in range(5)) for _ in range(12)]
-    found = []
-    for chunk in (7, 16384, 1):
-        monkeypatch.setattr(linalg, "_CHUNK", chunk)
-        found.append(linalg.smallest_dependent_subset(f, cols, 6))
-    a, b, c = found
-    assert a == b == c
+    plain = [tuple(rng.below(13) for _ in range(5)) for _ in range(12)]
+    # 5 blocks of 3 on the powers 1..3 of 15 distinct elements of GF(16),
+    # the last column repeating the powers of the one before: (13, 14) is
+    # the only dependent pair and the last of the 15 candidate pairs
+    g = GF(16)
+    powers = [[g.pow(x, e) for x in range(1, 15)] + [g.pow(14, e)] for e in (1, 2, 3)]
+    block = _columns(_block_rows(5, 3) + powers)
+    for f, cols, max_size in ((GF(13), plain, 6), (g, block, 4)):
+        found = []
+        for chunk in (7, 16384, 1):
+            monkeypatch.setattr(linalg, "_CHUNK", chunk)
+            found.append(linalg.smallest_dependent_subset(f, cols, max_size))
+        a, b, c = found
+        assert a == b == c == reference_smallest_dependent_subset(f, cols, max_size)
+    assert a == (13, 14)
+
+
+def _counts_up_to(n, blocks, top):
+    return [int(row[-1]) for row in itertools.islice(linalg._support_counts(n, blocks), top + 1)]
+
+
+def _block_respecting(n, width, w):
+    # every w-subset of [0, n) that meets each block of `width` columns in 0 or >= 2
+    return [
+        c for c in itertools.combinations(range(n), w)
+        if all(sum(1 for x in c if x // width == b) != 1 for b in range(n // width))
+    ]
+
+
+def test_support_counts_match_a_filter_of_combinations():
+    for m in range(1, 6):
+        for width in range(2, 7):
+            n = m * width
+            got = _counts_up_to(n, m, n)
+            # each block holds 0 or 2..width of the chosen columns
+            want = [0] * (n + 1)
+            for sizes in itertools.product([0, *range(2, width + 1)], repeat=m):
+                want[sum(sizes)] += math.prod(math.comb(width, s) for s in sizes)
+            assert got == want
+            if n <= 14:
+                assert got == [len(_block_respecting(n, width, w)) for w in range(n + 1)]
+    for n in range(1, 13):
+        assert _counts_up_to(n, 0, n) == [math.comb(n, w) for w in range(n + 1)]
+
+
+@pytest.mark.parametrize("m,width", [(1, 4), (2, 2), (2, 5), (3, 3), (4, 2)])
+def test_support_generator_yields_the_filtered_combinations_in_order(monkeypatch, m, width):
+    monkeypatch.setattr(linalg, "_CHUNK", 7)
+    n = m * width
+    rows = list(itertools.islice(linalg._support_counts(n, m), n + 1))
+    for w in range(1, n + 1):
+        got = [tuple(s) for chunk in linalg._supports(rows[: w + 1], n, m) for s in chunk.tolist()]
+        assert len(got) == int(rows[w][-1])
+        assert got == _block_respecting(n, width, w)
+
+
+SCAN_QS = [4, 8, 9, 13, 16, 25, 27]
+
+
+def _draw_scan_matrix(data, q):
+    """One of: the parity-check matrix of a random family (violating ones
+    included), block-indicator rows stacked on arbitrary rows, or arbitrary
+    rows alone; the last two with zero entries and repeated columns."""
+    entry = st.integers(0, q - 1) | st.just(0)
+    shape = data.draw(st.sampled_from(["code", "stacked", "plain"]))
+    if shape == "code":
+        r = data.draw(st.integers(1, min(4, q - 1)))
+        d = data.draw(st.integers(5, 7))
+        sets = data.draw(
+            st.lists(st.lists(st.integers(0, q - 1), min_size=r + 1, max_size=r + 1, unique=True),
+                     min_size=1, max_size=3)
+        )
+        return [list(row) for row in build_parity_check(SetFamily(q, r, (d - 1) // 2, sets), d).rows]
+    if shape == "stacked":
+        m, width = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        top, n = _block_rows(m, width), m * width
+    else:
+        top, n = [], data.draw(st.integers(1, 8))
+    below = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(data.draw(st.integers(1, 4)))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        # repeat a column's entries below the block rows, so block rows still tile
+        src, dst = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        for row in below:
+            row[dst] = row[src]
+    return top + below
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_scan_matches_the_subset_loop(data):
+    q = data.draw(st.sampled_from(SCAN_QS))
+    f = GF(q)
+    rows = _draw_scan_matrix(data, q)
+    cols = _columns(rows)
+    # the loop scans sizes in ascending order, so one run up to the largest
+    # max_size answers every smaller one
+    want = reference_smallest_dependent_subset(f, cols, len(rows) + 2)
+    for max_size in range(1, len(rows) + 3):
+        expect = want if want is not None and len(want) <= max_size else None
+        assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_block_scan_matches_minor_oracle(q):
+    rng = SplitMix64(7100 + q)
+    f = GF(q)
+    for _ in range(8):
+        m, width = 1 + rng.below(3), 2 + rng.below(2)
+        n = m * width
+        rows = _block_rows(m, width) + _random_matrix(rng, q, 1 + rng.below(3), n)
+        cap = min(n, len(rows) + 1)
+        oracle = minors_min_distance(rows, n, q, cap)
+        got = linalg.smallest_dependent_subset(f, _columns(rows), cap)
+        assert got == (None if oracle is None else oracle[1])
 
 
 def test_wide_subsets_short_circuit():
@@ -196,6 +319,20 @@ def test_budget_guard():
         with pytest.raises(ValueError, match="budget exceeded") as exc:
             linalg.smallest_dependent_subset(f, cols, max_size, budget=budget)
         assert len(str(exc.value)) < 200
+
+
+def test_budget_counts_the_candidates_of_the_sizes_that_need_elimination(singleton_code):
+    _, pcm, _ = singleton_code
+    plain = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9)]
+    # 3 blocks of 5 on 3 more rows: a size-6 candidate can touch 3 blocks
+    # and leave 3 columns to test, from size 7 on none fits 3 rows; with no
+    # block rows, sizes up to the row count need an elimination
+    for f, cols, blocks, last in ((pcm.field, pcm.columns(), 3, 6), (GF(13), plain, 0, 3)):
+        need = sum(_counts_up_to(len(cols), blocks, last)[1:])
+        want = reference_smallest_dependent_subset(f, cols, last + 1)
+        assert linalg.smallest_dependent_subset(f, cols, last + 1, budget=need) == want
+        with pytest.raises(ValueError, match=f"at size {last}$"):
+            linalg.smallest_dependent_subset(f, cols, last + 1, budget=need - 1)
 
 
 @pytest.mark.parametrize("q", [13, 16, 27])
