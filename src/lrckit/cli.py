@@ -32,8 +32,12 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
     t = _locality_from_d(args.d)
     if args.r < 1:
         raise formats.FormatError(f"--r {args.r} must be at least 1")
+    if args.budget is not None and args.budget < 0:
+        raise formats.FormatError(f"--budget {args.budget} must be non-negative")
     target: Optional[int] = None
     if args.n is not None:
+        if args.n < args.r + 1:
+            raise formats.FormatError(f"--n {args.n} must be at least r+1 = {args.r + 1}")
         if args.n % (args.r + 1) != 0:
             raise formats.FormatError(f"--n {args.n} is not a multiple of r+1 = {args.r + 1}")
         target = args.n // (args.r + 1)
@@ -53,6 +57,9 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
         from .derand import derandomized_family
 
         family = derandomized_family(args.q, args.r, t)
+        if target is not None:
+            # any sub-family of a verifying family verifies
+            family = setfam.SetFamily(args.q, args.r, t, family.sets[:target])
     elapsed = time.perf_counter() - started
 
     formats.write_family(args.out, family)

@@ -11,10 +11,18 @@ The condition is local.  A minimal failing collection is connected in the
 intersection graph (i ~ j when A_i and A_j share a value): were it split
 into parts with disjoint unions, each part, being a single set or a
 collection that passes, would cover at least r*(its size) + 1 values, so
-the whole would cover more than r*s.  The verifier and the greedy generator
-therefore grow collections only through an element -> sets index, one set
-at a time, and drop a collection once its union exceeds r*t; their cost is
-the incidences plus the connected collections of small union, not C(m, t).
+the whole would cover more than r*s.  The verifier therefore grows
+collections only through an element -> sets index, one set at a time, and
+drops a collection once its union exceeds r*t; its cost is the incidences
+plus the connected collections of small union, not C(m, t).
+
+The greedy generator asks a distance question instead.  In the 2-section
+graph of the accepted sets (values adjacent when one set holds both), a
+candidate fails iff two of its values are joined by a path of length
+<= t - 1: a shortest such path uses distinct sets, so it closes a Berge
+cycle of length <= t with the candidate, and every failing collection
+holds such a cycle.  One breadth-first search from all the candidate's
+values answers it, at the cost of their balls of radius floor(t/2).
 
 `remove_violations` is the one violation-removal step, shared by the
 randomized and derandomized constructions: it drops the lowest-index set of
@@ -419,49 +427,70 @@ def greedy_family(
     were verified when their own newest member arrived, so the output always
     passes full verification.  Stops after `candidate_budget` draws or once
     `target_m` sets (when given) are accepted.  May return fewer sets than
-    the target; the family can even be empty for tiny budgets.
+    the target; the family can even be empty for tiny budgets.  A target
+    below 1 or a negative budget is a ValueError.
 
-    As the accepted sets already verify, any failing collection with the
-    candidate contains a minimal one that holds the candidate and is
-    connected, so only collections grown from the candidate through an
-    incrementally kept element -> sets index are checked.  Each draw costs
-    the incidences of those collections, not C(accepted, t - 1) unions.
+    The test is a distance query in the 2-section graph of the accepted
+    sets, where two values are adjacent when an accepted set holds both: a
+    candidate is refused iff two of its values are joined by a path of
+    length <= t - 1.  A shortest such path uses distinct sets, so with the
+    candidate it closes a Berge cycle of length <= t; conversely a failing
+    collection with the candidate holds such a cycle through it.  A pair set
+    settles length 1; longer paths are found by one breadth-first search
+    from all the candidate's values at once, so each draw costs the balls
+    of radius floor(t/2) around them.
     """
     if t < 2:
         raise ValueError("need t >= 2")
     if r + 1 > q:
         raise ValueError("set size r+1 cannot exceed q")
+    if target_m is not None and target_m < 1:
+        raise ValueError("target family size must be positive")
+    if candidate_budget < 0:
+        raise ValueError("candidate budget must be non-negative")
     rng = SplitMix64(seed)
-    accepted: list[frozenset[int]] = []
-    index: dict[int, list[int]] = {}
+    accepted: list[tuple[int, ...]] = []
+    adj: dict[int, set[int]] = {}  # the 2-section graph of the accepted sets
     pairs: set[tuple[int, int]] = set()  # value pairs inside accepted sets
 
-    def admissible(drawn: tuple[int, ...], cand: frozenset[int]) -> bool:
+    def admissible(drawn: tuple[int, ...]) -> bool:
         # a failing pair shares two values, so the pair set settles size 2
         if not pairs.isdisjoint(combinations(drawn, 2)):
             return False
         if t == 2:
             return True
-        # larger collections are joined through the candidate; keys hold the
-        # accepted indices only, and no pair in the first level fails
-        level = _grow(accepted, index, {(): cand}, r * t)
-        for size in range(3, t + 1):
-            level = _grow(accepted, index, level, r * t)
-            if any(len(union) <= r * size for union in level.values()):
-                return False
+        # each value is its own source at depth 0; an edge between values of
+        # different sources closes a path of length depth_u + depth_w + 1, and
+        # a shortest offending path has such an edge with one end at depth
+        # < floor(t/2), so that many layers suffice
+        source = {v: v for v in drawn}
+        depth = dict.fromkeys(drawn, 0)
+        layer: Sequence[int] = drawn
+        for d in range(t // 2):
+            grown: list[int] = []
+            for u in layer:
+                su = source[u]
+                for w in adj.get(u, ()):
+                    sw = source.get(w)
+                    if sw is None:
+                        source[w] = su
+                        depth[w] = d + 1
+                        grown.append(w)
+                    elif sw != su and d + depth[w] < t - 1:
+                        return False
+            layer = grown
         return True
 
     for _ in range(candidate_budget):
         drawn = rng.subset(q, r + 1)
-        cand = frozenset(drawn)
-        if admissible(drawn, cand):
+        if admissible(drawn):
             for v in drawn:
-                index.setdefault(v, []).append(len(accepted))
+                adj.setdefault(v, set()).update(w for w in drawn if w != v)
             pairs.update(combinations(drawn, 2))
-            accepted.append(cand)
+            accepted.append(drawn)
             if target_m is not None and len(accepted) >= target_m:
                 break
-    return SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in accepted))
+    return SetFamily(q, r, t, tuple(accepted))
 
 
 def packing_ceiling(q: int, r: int) -> int:

@@ -82,6 +82,30 @@ def test_gen_family_usage_errors(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["random", "greedy", "derandomized"])
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"], ["--budget", "-3"]])
+def test_gen_family_refuses_an_empty_target_and_a_negative_budget(tmp_path, capsys, method, flags):
+    out = tmp_path / "x.txt"
+    argv = ["gen-family", "--q", "13", "--r", "2", "--d", "7", "--method", method, "--out", str(out)]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_gen_family_derandomized_keeps_the_first_n_over_r_plus_1_sets(tmp_path, capsys):
+    base = ["gen-family", "--q", "64", "--r", "2", "--d", "7", "--method", "derandomized"]
+    whole, cut, long = tmp_path / "whole.txt", tmp_path / "cut.txt", tmp_path / "long.txt"
+    assert main(base + ["--out", str(whole)]) == 0
+    assert "sets: 4\n" in capsys.readouterr().out
+    assert main(base + ["--n", "6", "--out", str(cut)]) == 0
+    assert "sets: 2\n" in capsys.readouterr().out
+    assert read_family(cut).sets == read_family(whole).sets[:2]
+    # a longer code than the construction reaches keeps every set
+    assert main(base + ["--n", "300", "--out", str(long)]) == 0
+    assert "sets: 4\n" in capsys.readouterr().out
+    assert long.read_bytes() == whole.read_bytes()
+
+
 def test_gen_family_generation_failure_exit(tmp_path):
     out = tmp_path / "x.txt"
     rc = main([

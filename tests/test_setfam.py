@@ -1,9 +1,10 @@
 import hashlib
 import itertools
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, getcontext
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrckit.derand import derandomized_family
@@ -178,6 +179,27 @@ def test_remove_violations_leaves_a_verifying_subsequence(fam):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_greedy_matches_exhaustive_admissibility(q, r, t, budget, seed):
     assert greedy_family(q, r, t, budget, seed).sets == reference_greedy(q, r, t, budget, seed).sets
+
+
+@st.composite
+def greedy_cases(draw):
+    r = draw(st.integers(1, 5))
+    q = draw(st.integers(r + 1, 60))
+    t = draw(st.integers(2, 6))
+    budget = draw(st.integers(0, 200))
+    target_m = draw(st.none() | st.integers(1, 12))
+    return q, r, t, budget, draw(st.integers(0, 2**32)), target_m
+
+
+@given(case=greedy_cases())
+@settings(max_examples=200, deadline=None)
+def test_greedy_matches_exhaustive_admissibility_at_random(case):
+    q, r, t, budget, seed, target_m = case
+    fam = greedy_family(q, r, t, budget, seed, target_m=target_m)
+    # the oracle walks all C(m, t - 1) collections for each accepted draw,
+    # which passes minutes once r = 1 and no target lets m reach ~50 at t >= 5
+    assume(budget * comb(fam.m, t - 1) <= 10**6)
+    assert fam.sets == reference_greedy(q, r, t, budget, seed, target_m=target_m).sets
 
 
 def _digest(fam: SetFamily) -> str:
@@ -393,6 +415,12 @@ def test_greedy_family_contracts():
     assert tiny.m <= 1
     # zero budget, empty family
     assert greedy_family(13, 4, 2, candidate_budget=0, seed=1).m == 0
+    # an empty target or a negative budget is refused, not overshot
+    for target_m in (0, -1):
+        with pytest.raises(ValueError, match="target"):
+            greedy_family(13, 2, 2, candidate_budget=64, seed=1, target_m=target_m)
+    with pytest.raises(ValueError, match="budget"):
+        greedy_family(13, 2, 2, candidate_budget=-3, seed=1)
     # target stops acceptance early
     capped = greedy_family(13, 2, 2, candidate_budget=4096, seed=3, target_m=2)
     assert capped.m == 2
