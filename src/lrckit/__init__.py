@@ -38,10 +38,8 @@ from .lrc import (
 from .setfam import (
     BergeCycle,
     GenerationError,
-    Hypergraph,
     SetFamily,
     Violation,
-    equivalence_check,
     family_size_upper_bound,
     find_berge_cycle,
     greedy_family,
@@ -50,7 +48,6 @@ from .setfam import (
     random_family,
     remove_violations,
     target_family_size,
-    to_hypergraph,
     verify_union_condition,
 )
 
@@ -61,15 +58,12 @@ __all__ = [
     "prime_power",
     "SetFamily",
     "Violation",
-    "Hypergraph",
     "BergeCycle",
     "GenerationError",
     "verify_union_condition",
     "remove_violations",
-    "to_hypergraph",
     "find_berge_cycle",
     "is_berge_cycle",
-    "equivalence_check",
     "target_family_size",
     "family_size_upper_bound",
     "packing_ceiling",

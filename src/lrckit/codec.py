@@ -71,8 +71,15 @@ def is_codeword(field: GF, h_rows: Sequence[Sequence[int]], word: Sequence[int])
     return all(v == 0 for v in syndrome(field, h_rows, word))
 
 
+def _check_locality(r: int) -> None:
+    if r < 1:
+        raise ValueError(f"locality r = {r} must be at least 1")
+
+
 def repair_groups(n: int, r: int) -> list[tuple[int, ...]]:
-    """Coordinate blocks [i(r+1), (i+1)(r+1)) partitioning [0, n)."""
+    """Coordinate blocks [i(r+1), (i+1)(r+1)) partitioning [0, n); r < 1 is
+    refused with ValueError, as in `repair`."""
+    _check_locality(r)
     if n % (r + 1) != 0:
         raise ValueError("n must be a multiple of r+1")
     width = r + 1
@@ -134,8 +141,7 @@ def repair(field: GF, h_rows: Sequence[Sequence[int]], r: int, received: Receive
     symbol.  r < 1, or a word whose length is not the number of columns of
     H or not a multiple of r+1, is refused with ValueError.
     """
-    if r < 1:
-        raise ValueError(f"locality r = {r} must be at least 1")
+    _check_locality(r)
     h = _parity_array(field, h_rows, len(received))
     n = len(received)
     if n % (r + 1) != 0:

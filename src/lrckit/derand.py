@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .setfam import SetFamily, formula_target, remove_violations, verify_union_condition
@@ -166,8 +167,6 @@ def _phi_over(q: int, size: int, t: int, parts: list[frozenset[int]], pivot: int
     Terms avoiding the pivot set do not change when one of its elements is
     fixed, so comparing candidate values only needs this partial sum.
     """
-    from itertools import combinations
-
     others = [k for k in range(len(parts)) if k != pivot]
     total = Fraction(0)
     for s in range(2, t + 1):

@@ -19,10 +19,13 @@ plus the connected collections of small union, not C(m, t).
 The greedy generator asks a distance question instead.  In the 2-section
 graph of the accepted sets (values adjacent when one set holds both), a
 candidate fails iff two of its values are joined by a path of length
-<= t - 1: a shortest such path uses distinct sets, so it closes a Berge
-cycle of length <= t with the candidate, and every failing collection
-holds such a cycle.  One breadth-first search from all the candidate's
-values answers it, at the cost of their balls of radius floor(t/2).
+<= t - 1.  `_closing_edge` answers it by one breadth-first search from all
+the candidate's values, at the cost of their balls of radius floor(t/2).
+The path behind its answer, traced back through the search's layers, takes
+each step in a different set, so with the candidate it forms a Berge cycle
+of length <= t, and every failing collection holds such a cycle.
+`find_berge_cycle` asks the same question of each set in turn, against the
+sets before it, and traces that path; a `SetFamily` is the hypergraph.
 
 `remove_violations` is the one violation-removal step, shared by the
 randomized and derandomized constructions: it drops the lowest-index set of
@@ -164,45 +167,26 @@ def verify_union_condition(family: SetFamily) -> list[Violation]:
 
 
 @dataclass(frozen=True)
-class Hypergraph:
-    """Uniform hypergraph on vertices [0, vertex_count) with ordered edges."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        sizes = {len(e) for e in self.edges}
-        if len(sizes) > 1:
-            raise ValueError("edges must all have the same size")
-        for e in self.edges:
-            if len(set(e)) != len(e):
-                raise ValueError(f"edge {e} repeats a vertex")
-            if any(v < 0 or v >= self.vertex_count for v in e):
-                raise ValueError(f"edge {e} leaves the vertex range")
-
-
-def to_hypergraph(family: SetFamily) -> Hypergraph:
-    return Hypergraph(family.q, family.sets)
-
-
-@dataclass(frozen=True)
 class BergeCycle:
     """Distinct vertices v_1..v_k and distinct edges e_1..e_k such that
-    {v_{i-1}, v_i} lies in e_i for i = 2..k and {v_1, v_k} lies in e_1."""
+    {v_{i-1}, v_i} lies in e_i for i = 2..k and {v_1, v_k} lies in e_1.
+
+    Edges are indices into the sets of a `SetFamily`, which is the hypergraph.
+    """
 
     vertices: tuple[int, ...]
     edge_indices: tuple[int, ...]
 
 
-def is_berge_cycle(h: Hypergraph, cyc: BergeCycle) -> bool:
+def is_berge_cycle(family: SetFamily, cyc: BergeCycle) -> bool:
     k = len(cyc.vertices)
     if k < 2 or len(cyc.edge_indices) != k:
         return False
     if len(set(cyc.vertices)) != k or len(set(cyc.edge_indices)) != k:
         return False
-    if any(i < 0 or i >= len(h.edges) for i in cyc.edge_indices):
+    if any(i < 0 or i >= family.m for i in cyc.edge_indices):
         return False
-    edges = [set(h.edges[i]) for i in cyc.edge_indices]
+    edges = [set(family.sets[i]) for i in cyc.edge_indices]
     v = cyc.vertices
     for i in range(1, k):
         if v[i - 1] not in edges[i] or v[i] not in edges[i]:
@@ -210,61 +194,85 @@ def is_berge_cycle(h: Hypergraph, cyc: BergeCycle) -> bool:
     return v[0] in edges[0] and v[k - 1] in edges[0]
 
 
-def find_berge_cycle(h: Hypergraph, max_len: int) -> Optional[BergeCycle]:
-    """Some Berge cycle of length 2..max_len, or None.
+def _closing_edge(
+    adj: dict[int, set[int]], values: Sequence[int], t: int
+) -> Optional[tuple[int, int, dict[int, int], dict[int, int]]]:
+    """Whether the graph `adj` has a path of length <= t - 1 joining two of
+    the distinct `values`: None when it has none, else the edge u-w that
+    closes one, with the search's source and depth labels.
 
-    Lengths are tried in ascending order; within a length the search is a
-    depth-first scan anchored at the smallest edge index of the cycle, so
-    the result is deterministic.  A length-2 cycle is two edges sharing two
-    vertices.
+    One breadth-first search of floor(t/2) layers runs from all of `values`
+    at once: each value is its own source at depth 0, and an edge between
+    vertices of different sources closes a path of length
+    depth_u + depth_w + 1.  A shortest joining path has such an edge with
+    one end at depth < floor(t/2), so that many layers suffice.  The path
+    itself, a shortest path from `values` to u, the edge, and one from w back
+    to its source, is left to `find_berge_cycle`, so `greedy_family` pays
+    nothing for it.
     """
-    edges = [frozenset(e) for e in h.edges]
-    ne = len(edges)
-
-    def close(chain: list[int], connectors: list[int]) -> Optional[BergeCycle]:
-        last, first = edges[chain[-1]], edges[chain[0]]
-        for v in sorted(last & first):
-            if v not in connectors:
-                verts = tuple(connectors) + (v,)
-                # chain edges aligned so edge i covers {v_{i-1}, v_i}
-                return BergeCycle(verts, tuple(chain))
-        return None
-
-    def extend(length: int, chain: list[int], connectors: list[int]) -> Optional[BergeCycle]:
-        if len(chain) == length:
-            return close(chain, connectors)
-        for nxt in range(chain[0] + 1, ne):
-            if nxt in chain:
-                continue
-            common = edges[chain[-1]] & edges[nxt]
-            for v in sorted(common):
-                if v in connectors:
-                    continue
-                got = extend(length, chain + [nxt], connectors + [v])
-                if got is not None:
-                    return got
-        return None
-
-    for length in range(2, max_len + 1):
-        if length > ne:
-            break
-        for anchor in range(ne):
-            got = extend(length, [anchor], [])
-            if got is not None:
-                return got
+    source = {v: v for v in values}
+    depth = dict.fromkeys(values, 0)
+    layer: Sequence[int] = values
+    for d in range(t // 2):
+        grown: list[int] = []
+        for u in layer:
+            su = source[u]
+            for w in adj.get(u, ()):
+                sw = source.get(w)
+                if sw is None:
+                    source[w] = su
+                    depth[w] = d + 1
+                    grown.append(w)
+                elif sw != su and d + depth[w] < t - 1:
+                    return u, w, source, depth
+        layer = grown
     return None
 
 
-def equivalence_check(family: SetFamily) -> bool:
-    """True iff the coverage verdict and the Berge-cycle verdict agree.
+def find_berge_cycle(family: SetFamily, max_len: int) -> Optional[BergeCycle]:
+    """A Berge cycle of length 2..max_len among the family's sets, or None.
 
-    Passing the coverage condition must coincide with the absence of Berge
-    cycles of length <= t in the family's hypergraph, so exactly one of
-    "passes" and "cycle found" holds for a consistent pair of verdicts.
+    The sets enter the 2-section graph in index order, and each is first
+    asked for a path of length <= max_len - 1 between two of its values
+    through the earlier sets (`_closing_edge`, the query `greedy_family`
+    runs).  The first set that has one closes the returned cycle, so
+    `edge_indices[0]` is the least i for which sets[:i+1] holds a cycle of
+    length <= max_len.  The earlier sets hold none, so no two of them share
+    two values: each step of the path lies in exactly one earlier set.  The
+    cycle need not be a shortest one; the verdict is exact.
+
+    The path is u's half reversed, then w's half, where a vertex's half
+    steps to a neighbour of the same source one layer nearer it, down to
+    the source: a shortest path from the set's values.  No set holds two of
+    the path's steps.  One holding two steps of a half would shorten
+    that half.  One holding a step of each half holds an edge between the
+    two sources that the search meets before u-w: at an earlier layer, or,
+    for u and a parent of w, earlier in u's layer, whose vertices sit
+    grouped by source in the order of the set's values.
     """
-    passes = not verify_union_condition(family)
-    cycle_found = find_berge_cycle(to_hypergraph(family), family.t) is not None
-    return passes != cycle_found
+    adj: dict[int, set[int]] = {}
+    for i, s in enumerate(family.sets):
+        hit = _closing_edge(adj, s, max_len)
+        if hit is not None:
+            u, w, source, depth = hit
+
+            def half(x: int) -> list[int]:
+                path = [x]
+                while depth[x]:
+                    nearer, sx = depth[x] - 1, source[x]
+                    x = next(y for y in adj[x] if depth.get(y) == nearer and source[y] == sx)
+                    path.append(x)
+                return path
+
+            path = half(u)[::-1] + half(w)
+            steps = [
+                next(j for j in range(i) if a in family.sets[j] and b in family.sets[j])
+                for a, b in zip(path, path[1:])
+            ]
+            return BergeCycle(tuple(path), (i, *steps))
+        for v in s:
+            adj.setdefault(v, set()).update(w for w in s if w != v)
+    return None
 
 
 def _iroot(n: int, k: int) -> int:
@@ -433,12 +441,13 @@ def greedy_family(
     The test is a distance query in the 2-section graph of the accepted
     sets, where two values are adjacent when an accepted set holds both: a
     candidate is refused iff two of its values are joined by a path of
-    length <= t - 1.  A shortest such path uses distinct sets, so with the
-    candidate it closes a Berge cycle of length <= t; conversely a failing
-    collection with the candidate holds such a cycle through it.  A pair set
-    settles length 1; longer paths are found by one breadth-first search
-    from all the candidate's values at once, so each draw costs the balls
-    of radius floor(t/2) around them.
+    length <= t - 1.  The path behind `_closing_edge`'s answer, traced as
+    `find_berge_cycle` traces it, takes each step in a different set, so
+    with the candidate it forms a Berge cycle of length <= t; conversely a
+    failing collection with the candidate holds such a cycle through it.  A
+    pair set settles length 1, and so all of t = 2; longer paths cost
+    `_closing_edge`, the query `find_berge_cycle` also runs, the balls of
+    radius floor(t/2) around the candidate's values.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -452,44 +461,19 @@ def greedy_family(
     accepted: list[tuple[int, ...]] = []
     adj: dict[int, set[int]] = {}  # the 2-section graph of the accepted sets
     pairs: set[tuple[int, int]] = set()  # value pairs inside accepted sets
-
-    def admissible(drawn: tuple[int, ...]) -> bool:
-        # a failing pair shares two values, so the pair set settles size 2
-        if not pairs.isdisjoint(combinations(drawn, 2)):
-            return False
-        if t == 2:
-            return True
-        # each value is its own source at depth 0; an edge between values of
-        # different sources closes a path of length depth_u + depth_w + 1, and
-        # a shortest offending path has such an edge with one end at depth
-        # < floor(t/2), so that many layers suffice
-        source = {v: v for v in drawn}
-        depth = dict.fromkeys(drawn, 0)
-        layer: Sequence[int] = drawn
-        for d in range(t // 2):
-            grown: list[int] = []
-            for u in layer:
-                su = source[u]
-                for w in adj.get(u, ()):
-                    sw = source.get(w)
-                    if sw is None:
-                        source[w] = su
-                        depth[w] = d + 1
-                        grown.append(w)
-                    elif sw != su and d + depth[w] < t - 1:
-                        return False
-            layer = grown
-        return True
-
     for _ in range(candidate_budget):
         drawn = rng.subset(q, r + 1)
-        if admissible(drawn):
-            for v in drawn:
-                adj.setdefault(v, set()).update(w for w in drawn if w != v)
-            pairs.update(combinations(drawn, 2))
-            accepted.append(drawn)
-            if target_m is not None and len(accepted) >= target_m:
-                break
+        # a failing pair shares two values, so the pair set settles size 2
+        if not pairs.isdisjoint(combinations(drawn, 2)):
+            continue
+        if t > 2 and _closing_edge(adj, drawn, t) is not None:
+            continue
+        for v in drawn:
+            adj.setdefault(v, set()).update(w for w in drawn if w != v)
+        pairs.update(combinations(drawn, 2))
+        accepted.append(drawn)
+        if target_m is not None and len(accepted) >= target_m:
+            break
     return SetFamily(q, r, t, tuple(accepted))
 
 

@@ -68,6 +68,9 @@ def test_repair_groups_partition():
     groups = repair_groups(15, 4)
     assert len(groups) == 3
     assert sorted(x for grp in groups for x in grp) == list(range(15))
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            repair_groups(15, r)
 
 
 def test_local_repair_every_position(singleton_codec):

@@ -13,7 +13,6 @@ from lrckit.setfam import (
     BergeCycle,
     GenerationError,
     SetFamily,
-    equivalence_check,
     family_size_upper_bound,
     find_berge_cycle,
     formula_target,
@@ -23,7 +22,6 @@ from lrckit.setfam import (
     random_family,
     remove_violations,
     target_family_size,
-    to_hypergraph,
     verify_union_condition,
 )
 
@@ -132,13 +130,13 @@ def test_pairwise_characterization_at_t2(data):
 
 
 @st.composite
-def small_families(draw, max_sets=9):
-    """Families with q <= 31, r in 1..5, t in 2..4 and at most `max_sets`
+def small_families(draw, max_sets=9, max_r=5, max_t=4):
+    """Families with q <= 31, r in 1..max_r, t in 2..max_t and at most `max_sets`
     sets, some with a duplicated set or a set sharing two values with
     another."""
-    r = draw(st.integers(1, 5))
+    r = draw(st.integers(1, max_r))
     q = draw(st.integers(r + 1, 31))
-    t = draw(st.integers(2, 4))
+    t = draw(st.integers(2, max_t))
     block = st.lists(st.integers(0, q - 1), min_size=r + 1, max_size=r + 1, unique=True)
     sets = draw(st.lists(block, max_size=max_sets))
     for _ in range(draw(st.integers(0, 2))):
@@ -227,67 +225,68 @@ def test_seeded_families_are_pinned():
 # ----------------------------------------------------------- hypergraphs
 
 
-def test_to_hypergraph_round_trip():
-    fam = SetFamily(13, 2, 2, ((0, 1, 2), (2, 3, 4)))
-    h = to_hypergraph(fam)
-    assert h.vertex_count == 13
-    assert h.edges == fam.sets
-    assert to_hypergraph(SetFamily(13, 2, 2, ())).edges == ()
-
-
 def test_berge_two_cycle_from_shared_pair():
-    h = to_hypergraph(SetFamily(13, 2, 2, ((0, 1, 2), (1, 2, 3))))
-    cyc = find_berge_cycle(h, 2)
+    fam = SetFamily(13, 2, 2, ((0, 1, 2), (1, 2, 3)))
+    cyc = find_berge_cycle(fam, 2)
     assert cyc is not None
     assert len(cyc.vertices) == 2
     assert set(cyc.vertices) <= {1, 2}
-    assert is_berge_cycle(h, cyc)
+    assert is_berge_cycle(fam, cyc)
 
 
 def test_berge_three_cycle_chain():
-    h = to_hypergraph(SetFamily(13, 2, 3, ((0, 1, 2), (2, 3, 4), (0, 4, 5))))
-    cyc = find_berge_cycle(h, 3)
+    fam = SetFamily(13, 2, 3, ((0, 1, 2), (2, 3, 4), (0, 4, 5)))
+    cyc = find_berge_cycle(fam, 3)
     assert cyc is not None
     assert set(cyc.vertices) == {0, 2, 4}
-    assert is_berge_cycle(h, cyc)
+    assert is_berge_cycle(fam, cyc)
 
 
 def test_berge_none_on_open_chain():
-    h = to_hypergraph(SetFamily(13, 2, 3, ((0, 1, 2), (2, 3, 4), (4, 5, 6))))
-    assert find_berge_cycle(h, 3) is None
+    fam = SetFamily(13, 2, 3, ((0, 1, 2), (2, 3, 4), (4, 5, 6)))
+    assert find_berge_cycle(fam, 3) is None
 
 
 def test_is_berge_cycle_rejects_bad_witnesses():
-    h = to_hypergraph(SetFamily(13, 2, 3, ((0, 1, 2), (1, 2, 3), (2, 3, 4))))
+    fam = SetFamily(13, 2, 3, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))
     # repeated vertices
-    assert not is_berge_cycle(h, BergeCycle((1, 1), (0, 1)))
+    assert not is_berge_cycle(fam, BergeCycle((1, 1), (0, 1)))
     # repeated edges
-    assert not is_berge_cycle(h, BergeCycle((1, 2), (0, 0)))
+    assert not is_berge_cycle(fam, BergeCycle((1, 2), (0, 0)))
     # vertices not inside the right edges
-    assert not is_berge_cycle(h, BergeCycle((0, 4), (0, 2)))
+    assert not is_berge_cycle(fam, BergeCycle((0, 4), (0, 2)))
+    # an edge index past the last set, and a negative one (-1 would read set 2)
+    assert not is_berge_cycle(fam, BergeCycle((1, 2), (0, 3)))
+    assert not is_berge_cycle(fam, BergeCycle((2, 3), (-1, 1)))
+    # a single vertex is no cycle, even inside its edge
+    assert not is_berge_cycle(fam, BergeCycle((1,), (0,)))
+    # {2, 4} lies in edge 1 but v_1 = 2 and v_k = 4 are not both in edge 0
+    chain = SetFamily(13, 2, 3, ((0, 1, 2), (2, 3, 4), (4, 5, 6)))
+    assert not is_berge_cycle(chain, BergeCycle((2, 4), (0, 1)))
+    assert is_berge_cycle(fam, BergeCycle((1, 2), (0, 1)))
 
 
-def test_find_berge_cycle_matches_brute_force():
-    rng = SplitMix64(777)
-    for _ in range(60):
-        q = 6 + rng.below(6)
-        r = 1 + rng.below(2)
-        m = 2 + rng.below(3)
-        fam = SetFamily(q, r, 3, tuple(rng.subset(q, r + 1) for _ in range(m)))
-        h = to_hypergraph(fam)
-        for max_len in (2, 3):
-            got = find_berge_cycle(h, max_len)
-            want = berge_cycle_exists([frozenset(e) for e in h.edges], max_len)
-            assert (got is not None) == want
-            if got is not None:
-                assert 2 <= len(got.vertices) <= max_len
-                assert is_berge_cycle(h, got)
+@given(fam=small_families(max_sets=7, max_r=3, max_t=5))
+@settings(max_examples=300, deadline=None)
+def test_find_berge_cycle_matches_brute_force(fam):
+    edges = [frozenset(s) for s in fam.sets]
+    got = find_berge_cycle(fam, fam.t)
+    want = berge_cycle_exists(edges, fam.t)
+    assert (got is not None) == want == (verify_union_condition(fam) != [])
+    if got is not None:
+        assert 2 <= len(got.vertices) <= fam.t
+        assert is_berge_cycle(fam, got)
+        least = next(i for i in range(fam.m) if berge_cycle_exists(edges[: i + 1], fam.t))
+        assert got.edge_indices[0] == least
 
 
 def test_equivalence_check_on_known_cases():
-    assert equivalence_check(SetFamily(13, 2, 2, ((0, 1, 2), (2, 3, 4))))
-    assert equivalence_check(SetFamily(13, 2, 2, ((0, 1, 2), (1, 2, 3))))
-    assert equivalence_check(SetFamily(13, 2, 3, ((0, 1, 2), (2, 3, 4), (0, 4, 5))))
+    for fam in (
+        SetFamily(13, 2, 2, ((0, 1, 2), (2, 3, 4))),
+        SetFamily(13, 2, 2, ((0, 1, 2), (1, 2, 3))),
+        SetFamily(13, 2, 3, ((0, 1, 2), (2, 3, 4), (0, 4, 5))),
+    ):
+        assert (find_berge_cycle(fam, fam.t) is None) == (verify_union_condition(fam) == [])
 
 
 @given(data=st.data())
@@ -299,7 +298,7 @@ def test_equivalence_check_fuzz(data):
     t = data.draw(st.sampled_from([2, 3]))
     rng = SplitMix64(data.draw(st.integers(0, 2**32)))
     fam = SetFamily(q, r, t, tuple(rng.subset(q, r + 1) for _ in range(m)))
-    assert equivalence_check(fam)
+    assert (find_berge_cycle(fam, fam.t) is None) == (verify_union_condition(fam) == [])
 
 
 # ------------------------------------------------------- size formulas
