@@ -8,7 +8,10 @@ verifier and the greedy generator are checked against exhaustive walks over
 every index collection of size <= t, the array row reduction against a
 row-by-row elimination through the field's scalar operations, and the
 block-aware distance scan against the loop over every column subset in
-`itertools.combinations` order that it replaced.  Field
+`itertools.combinations` order that it replaced.  `ReferenceSplitMix64`
+computes the seeded stream one output at a time with Python integers, as
+the package did before it drew its outputs in numpy blocks; it feeds
+`reference_greedy` and the differential tests of `lrckit.rng`.  Field
 arithmetic is checked against the schoolbook product (`reference_mul` and
 `reference_pow`: base-p digits multiplied as polynomials and reduced by the
 field's modulus one term at a time) and the digit-wise sum
@@ -33,6 +36,49 @@ from lrckit.setfam import SetFamily, Violation, greedy_family
 
 
 # ---------------------------------------------------------------- oracles
+
+
+_MASK64 = (1 << 64) - 1
+
+
+class ReferenceSplitMix64:
+    """SplitMix64 one output at a time: advance the counter by the odd
+    constant, then mix it, all in Python integers masked to 64 bits."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    @staticmethod
+    def _mix(z: int) -> int:
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def next64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        return self._mix(self._state)
+
+    def below(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("bound must be positive")
+        k = (n - 1).bit_length()
+        if k == 0:
+            return 0
+        while True:
+            v = self.next64() >> (64 - k)
+            if v < n:
+                return v
+
+    def subset(self, n: int, k: int) -> tuple[int, ...]:
+        if k > n:
+            raise ValueError(f"cannot draw {k} distinct values from [0, {n})")
+        picked: set[int] = set()
+        while len(picked) < k:
+            picked.add(self.below(n))
+        return tuple(sorted(picked))
+
+    def spawn(self) -> "ReferenceSplitMix64":
+        return ReferenceSplitMix64(self.next64())
 
 
 def minors_dependent(rows: Sequence[Sequence[int]], idx: Sequence[int], p: int) -> bool:
@@ -146,7 +192,7 @@ def reference_greedy(
 ) -> SetFamily:
     """greedy_family with admissibility decided against every combination
     of up to t-1 accepted sets, from the same draws."""
-    rng = SplitMix64(seed)
+    rng = ReferenceSplitMix64(seed)
     accepted: list[frozenset[int]] = []
 
     def admissible(cand: frozenset[int]) -> bool:
