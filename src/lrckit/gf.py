@@ -6,28 +6,40 @@ are the coefficients of a residue polynomial modulo a fixed irreducible
 polynomial of degree e, and multiplication runs through log/antilog tables
 of the multiplicative group, built once per field with numpy.  Each
 operation has one body, on arrays; the scalar operations validate and call it.
+
+The helpers have one body per job as well.  `_poly_rem`, the remainder by
+a monic polynomial over whole arrays, finds the modulus (trial division of a
+batch of candidates) and reduces the products that build the tables.
+`GF._digitwise` adds, subtracts, negates and sums digit by digit, or by XOR
+in characteristic 2.  `_least_factor` is the one trial division, for q and
+q - 1.  `GF(q)` refuses q > MAX_ORDER before it factors q.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import operator
+from functools import cached_property, partial
 
 import numpy as np
 
 MAX_ORDER = 1 << 16
 
 
+def _least_factor(n: int) -> int:
+    """Least prime factor of n >= 2, by trial division."""
+    c = 2
+    while c * c <= n:
+        if n % c == 0:
+            return c
+        c += 1
+    return n
+
+
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, e) with q = p**e and p prime, or None if q is not a prime power."""
     if q < 2:
         return None
-    p = q
-    c = 2
-    while c * c <= q:
-        if q % c == 0:
-            p = c
-            break
-        c += 1
+    p = _least_factor(q)
     e = 0
     x = q
     while x % p == 0:
@@ -36,51 +48,47 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (p, e) if x == 1 else None
 
 
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    # remainder of num modulo monic den, coefficients low-to-high over GF(p)
-    rem = list(num)
+def _digits(x, p: int, width: int) -> np.ndarray:
+    # the `width` lowest base-p digits of x, least significant first, on a
+    # new leading axis
+    x = np.asarray(x, dtype=np.int64)
+    place = p ** np.arange(width, dtype=np.int64).reshape((width,) + (1,) * x.ndim)
+    return x // place % p
+
+
+def _monic(encs, p: int, deg: int) -> np.ndarray:
+    # x**deg plus the polynomial whose coefficients are the base-p digits of
+    # each code in encs; coefficients low-to-high on axis 0
+    digits = _digits(encs, p, deg)
+    return np.concatenate([digits, np.ones_like(digits[:1])])
+
+
+def _poly_rem(num: np.ndarray, den: np.ndarray, p: int) -> np.ndarray:
+    # num modulo the monic den over GF(p): coefficients low-to-high on axis 0
+    # of both, the other axes broadcast; reduced from the top degree down
     dd = len(den) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] = (rem[i - dd + j] - c * den[j]) % p
-    while len(rem) > dd:
-        rem.pop()
-    while len(rem) < dd:
-        rem.append(0)
-    return rem
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    # trial division by every monic polynomial of degree 1..deg//2
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p**d):
-            div = _digits(enc, p, d) + [1]
-            if not any(_poly_rem(poly, div, p)):
-                return False
-    return True
-
-
-def _digits(value: int, p: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(value % p)
-        value //= p
-    return out
+    rem = num * np.ones_like(den[:1])  # a copy of num, broadcast over den's other axes
+    for k in range(len(rem) - 1, dd - 1, -1):
+        rem[k - dd : k + 1] -= rem[k] % p * den
+    return rem[:dd] % p
 
 
 def lowest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree e over GF(p).
 
     Candidates x**e + c_{e-1} x**(e-1) + ... + c_0 are scanned in increasing
-    order of the integer whose base-p digits are (c_0, ..., c_{e-1}).
+    order of the integer whose base-p digits are (c_0, ..., c_{e-1}), a batch
+    at a time; a candidate is irreducible when no monic polynomial of degree
+    1..e//2 divides it.
     """
-    for enc in range(1, p**e):
-        cand = _digits(enc, p, e) + [1]
-        if _is_irreducible(cand, p):
-            return tuple(cand)
+    divisors = [_monic(np.arange(p**d), p, d)[:, None, :] for d in range(1, e // 2 + 1)]
+    for start in range(1, p**e, 64):
+        cands = _monic(np.arange(start, min(start + 64, p**e)), p, e)
+        irreducible = np.ones(cands.shape[1], dtype=bool)
+        for div in divisors:
+            irreducible &= _poly_rem(cands[:, :, None], div, p).any(axis=0).all(axis=1)
+        if irreducible.any():
+            return tuple(cands[:, np.argmax(irreducible)].tolist())
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -103,11 +111,11 @@ class GF:
     """
 
     def __init__(self, q: int):
+        if q > MAX_ORDER:  # before the trial division, which takes sqrt(q) steps
+            raise ValueError(f"q={q} exceeds the supported maximum {MAX_ORDER}")
         pe = prime_power(q)
         if pe is None:
             raise ValueError(f"q={q} is not a prime power")
-        if q > MAX_ORDER:
-            raise ValueError(f"q={q} exceeds the supported maximum {MAX_ORDER}")
         self.q = q
         self.p, self.e = pe
         if self.e == 1:
@@ -119,37 +127,28 @@ class GF:
             self.exp_table, self.log_table = self._tables()
 
     def _poly_mul(self, x, y) -> np.ndarray:
-        # elementwise product of element arrays as residue polynomials, for
-        # the tables only: schoolbook over the base-p digits (a leading axis),
-        # then reduced by the monic modulus from the top degree down
+        # elementwise product of broadcastable element arrays of one ndim as
+        # residue polynomials, for the tables only: schoolbook over the base-p
+        # digits (a leading axis), then reduced by the monic modulus
         p, e = self.p, self.e
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        axis = (e,) + (1,) * max(x.ndim, y.ndim)
-        place = (p ** np.arange(e, dtype=np.int64)).reshape(axis)
-        dx, dy = x // place % p, y // place % p
-        prod = np.zeros((2 * e - 1,) + np.broadcast_shapes(x.shape, y.shape), dtype=np.int64)
+        dx, dy = _digits(x, p, e), _digits(y, p, e)
+        prod = np.zeros((2 * e - 1,) + np.broadcast_shapes(dx.shape[1:], dy.shape[1:]), dtype=np.int64)
         for i in range(e):
             prod[i : i + e] += dx[i] * dy
-        modulus = np.array(self.modulus, dtype=np.int64).reshape((e + 1,) + axis[1:])
-        for k in range(2 * e - 2, e - 1, -1):
-            prod[k - e : k + 1] -= prod[k] % p * modulus
-        return (prod[:e] % p * place).sum(axis=0)
+        axes = (1,) * (dx.ndim - 1)
+        modulus = np.array(self.modulus, dtype=np.int64).reshape((e + 1,) + axes)
+        place = (p ** np.arange(e, dtype=np.int64)).reshape((e,) + axes)
+        return (_poly_rem(prod, modulus, p) * place).sum(axis=0)
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         # exp[i] = g**i for the least primitive element g >= 2, log its inverse
         q = self.q
         order = q - 1
-        primes = []
-        x, c = order, 2
-        while c * c <= x:
-            if x % c == 0:
-                primes.append(c)
-                while x % c == 0:
-                    x //= c
-            c += 1
-        if x > 1:
-            primes.append(x)
+        primes, x = [], order
+        while x > 1:
+            primes.append(_least_factor(x))
+            while x % primes[-1] == 0:
+                x //= primes[-1]
         # g is primitive iff g**(order/l) != 1 for every prime l dividing
         # order; test candidates in small batches, all cofactors at once
         cofactors = np.array([order // ell for ell in primes], dtype=np.int64)
@@ -166,7 +165,7 @@ class GF:
                 gen = int(cands[np.argmax(primitive)])
                 break
         # one "multiply by g" map over the field, walked once from 1
-        step = self._poly_mul(np.arange(q), gen).tolist()
+        step = self._poly_mul(np.arange(q), [gen]).tolist()
         exp = [1] * order
         for i in range(1, order):
             exp[i] = step[exp[i - 1]]
@@ -180,23 +179,27 @@ class GF:
             raise ValueError(f"{a!r} is not a canonical element of GF({self.q})")
         return a
 
-    def _combine(self, a, b, sign: int):
-        # a + sign*b for ints and int64 arrays alike: %, // and ^ broadcast
-        # the same way on both; odd extension fields add base-p digits
-        if self.e == 1:
-            return (a + sign * b) % self.p
+    def _digitwise(self, combine, xor, *xs):
+        # combine(*xs) in the field, for ints and int64 arrays alike.  combine
+        # is Z-linear (+, - or a sum along an axis), so combine(*xs) % p is
+        # the combined lowest base-p digit, and each higher digit is the same
+        # after dividing the operands by p; with e = 1 this is the prime
+        # field's formula.  In characteristic 2 the digits are bits and
+        # `xor`, the carry-free combine, does all of them at once.
         if self.p == 2:
-            return a ^ b
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.e):
-            out = out + ((a + sign * b) % p) * mult
-            a, b, mult = a // p, b // p, mult * p
+            return xor(*xs)
+        p = self.p
+        out, place = combine(*xs) % p, 1
+        for _ in range(self.e - 1):
+            xs = [x // p for x in xs]
+            place *= p
+            out = out + combine(*xs) % p * place
         return out
 
     def add(self, a: int, b: int) -> int:
         self.validate(a)
         self.validate(b)
-        return self._combine(a, b, 1)
+        return self._digitwise(operator.add, operator.xor, a, b)
 
     def neg(self, a: int) -> int:
         self.validate(a)
@@ -272,19 +275,11 @@ class GF:
 
     def sub_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise difference x - y of broadcastable arrays of elements."""
-        return self._combine(x, y, -1)
+        return self._digitwise(operator.sub, operator.xor, x, y)
 
     def sum_array(self, x: np.ndarray, axis: int) -> np.ndarray:
         """Field sum of an array of elements along `axis`."""
-        if self.e == 1:
-            return x.sum(axis=axis) % self.p
-        if self.p == 2:
-            return np.bitwise_xor.reduce(x, axis=axis)
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.e):
-            out = out + ((x % p).sum(axis=axis) % p) * mult
-            x, mult = x // p, mult * p
-        return out
+        return self._digitwise(partial(np.sum, axis=axis), partial(np.bitwise_xor.reduce, axis=axis), x)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

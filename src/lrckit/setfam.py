@@ -326,9 +326,10 @@ def family_size_upper_bound(q: int, r: int, t: int) -> int:
     """Largest family size compatible with the coverage condition at n = q.
 
     For odd t the bound is floor((q/r) * (q/(r+1))**(2/(t-1)) + q/(r+1));
-    for even t it is floor((q/(r(r+1))) * q**(2/t) + q/(r+1)).  The floor is
-    taken exactly: rational exponents are bracketed by scaled integer roots
-    at increasing precision until the floor is unambiguous.
+    for even t it is floor((q/(r(r+1))) * q**(2/t) + q/(r+1)).  Both are
+    floor(x**(1/u) + offset) for a rational x = coeff**u * base, and the
+    floor is taken exactly: with n = floor(x**(1/u)) + floor(offset), it is
+    n + 1 if (n + 1 - offset)**u <= x and n otherwise.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -343,23 +344,11 @@ def family_size_upper_bound(q: int, r: int, t: int) -> int:
         coeff = Fraction(q, r * (r + 1))
         base = Fraction(q)
     offset = Fraction(q, r + 1)
-    if u == 1:
-        return int(coeff * base + offset)  # Fraction floor via int()
-    nroot = _iroot(base.numerator, u)
-    droot = _iroot(base.denominator, u)
-    if nroot**u == base.numerator and droot**u == base.denominator:
-        return int(coeff * Fraction(nroot, droot) + offset)
-    # base**(1/u) is irrational; bracket it by scaled integer roots until the
-    # floor of the whole expression is pinned down
-    shift = 16
-    while True:
-        scale = 1 << shift
-        root = _iroot(base.numerator * scale**u // base.denominator, u)
-        lo = coeff * Fraction(root, scale) + offset
-        hi = coeff * Fraction(root + 1, scale) + offset
-        if int(lo) == int(hi):
-            return int(lo)
-        shift *= 2
+    x = coeff**u * base
+    # floor(x**(1/u)) is the integer root of floor(x); the fractional parts
+    # of the root and of offset add up to less than 2
+    n = _iroot(int(x), u) + int(offset)
+    return n + 1 if (n + 1 - offset) ** u <= x else n
 
 
 def remove_violations(family: SetFamily, violations: Sequence[Violation]) -> SetFamily:

@@ -191,20 +191,27 @@ def reference_greedy(
     q: int, r: int, t: int, candidate_budget: int, seed: int, target_m: Optional[int] = None
 ) -> SetFamily:
     """greedy_family with admissibility decided against every combination
-    of up to t-1 accepted sets, from the same draws."""
+    of up to t-1 accepted sets, from the same draws: a depth-first walk over
+    the accepted sets in index order, from the candidate alone, that drops a
+    branch once its union exceeds r * t."""
     rng = ReferenceSplitMix64(seed)
     accepted: list[frozenset[int]] = []
 
-    def admissible(cand: frozenset[int]) -> bool:
-        for size in range(2, t + 1):
-            for others in itertools.combinations(range(len(accepted)), size - 1):
-                if len(cand.union(*(accepted[i] for i in others))) <= r * size:
-                    return False
-        return True
+    def fails(start: int, size: int, union: frozenset[int]) -> bool:
+        # the `size` sets walked so far, whose union is `union`, extend by
+        # accepted sets from index `start` on to a collection of at most t
+        # sets whose union has at most r elements per set
+        for i in range(start, len(accepted)):
+            nu = union | accepted[i]
+            if len(nu) > r * t:
+                continue  # unions only grow; no collection of <= t sets fits
+            if len(nu) <= r * (size + 1) or (size + 1 < t and fails(i + 1, size + 1, nu)):
+                return True
+        return False
 
     for _ in range(candidate_budget):
         cand = frozenset(rng.subset(q, r + 1))
-        if admissible(cand):
+        if not fails(0, 1, cand):
             accepted.append(cand)
             if target_m is not None and len(accepted) >= target_m:
                 break

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,35 @@ def test_empty_matrix_is_a_usage_error(tmp_path, capsys, header, command):
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+HUGE_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize("command", ["build-code", "distance", "encode", "repair", "decode"])
+def test_huge_field_order_is_refused_at_once(tmp_path, capsys, command):
+    # q is prime, so finding that it is a prime power would take 10**9
+    # trial divisions; the range check comes first
+    fam = tmp_path / "fam.txt"
+    fam.write_text(f"{HUGE_PRIME} 1 2 1\n0 1\n")
+    h = tmp_path / "H.txt"
+    h.write_text(f"1 1 {HUGE_PRIME}\n5\n")
+    w = tmp_path / "w.txt"
+    w.write_text(f"1 {HUGE_PRIME}\n?\n")
+    out = tmp_path / "out.txt"
+    argv = {
+        "build-code": ["build-code", "--in", str(fam), "--d", "3", "--out", str(out)],
+        "distance": ["distance", "--in", str(h)],
+        "encode": ["encode", "--matrix", str(h), "--seed", "1", "--out", str(out)],
+        "repair": ["repair", "--matrix", str(h), "--in", str(w), "--r", "1", "--out", str(out)],
+        "decode": ["decode", "--matrix", str(h), "--in", str(w), "--out", str(out)],
+    }[command]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds the supported maximum" in err
     assert not out.exists()
 
 

@@ -1,15 +1,17 @@
+import functools
 import hashlib
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import primefactors
+from sympy import Poly, Symbol, factorint, nextprime, primefactors
 
 from lrckit.gf import GF, MAX_ORDER, lowest_irreducible, prime_power
 from lrckit.rng import SplitMix64
 
-from conftest import reference_mul, reference_pow
+from conftest import reference_add, reference_mul, reference_pow
 
 PRIME_POWERS_TO_64 = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
@@ -40,6 +42,16 @@ def test_prime_power_detection(q, expected):
 def test_rejects_bad_orders(q):
     with pytest.raises(ValueError):
         GF(q)
+
+
+def test_order_is_range_checked_before_it_is_factored():
+    # q is prime, so trial division would take 10**7 steps to find that it
+    # is a prime power before refusing it
+    q = nextprime(10**14)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        GF(q)
+    assert time.perf_counter() - start < 0.1
 
 
 def _tables(f: GF) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +249,59 @@ def test_powers_match_the_schoolbook_oracle(q):
                 assert reference_mul(f, f.pow(x, n), reference_pow(f, x, -n)) == 1
     with pytest.raises(ValueError):
         f.pow_array(arr, -1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 13, 16, 25, 27, 49, 81, 243, 256, 3**10, 2**16])
+def test_vectorized_field_matches_scalar(q):
+    # the scalar ops call the array ops, so both are checked against the
+    # table-free oracles: a difference plus its subtrahend, and a negation
+    # plus its operand, must give back the operand under `reference_add`
+    f = GF(q)
+    add = np.vectorize(lambda x, y: reference_add(f, int(x), int(y)), otypes=[np.int64])
+    rng = SplitMix64(42 + q)
+    a = np.array([rng.below(q) for _ in range(120)]).reshape(4, 5, 6)
+    b = np.array([rng.below(q) for _ in range(120)]).reshape(4, 5, 6)
+    c = rng.below(q)
+    assert np.array_equal(
+        f.mul_array(a, b), np.vectorize(lambda x, y: reference_mul(f, int(x), int(y)))(a, b)
+    )
+    for x, y in ((a, b), (a, c), (c, b), (a, a[:, :1]), (b[0], a)):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        assert np.array_equal(add(f.sub_array(x, y), y), np.broadcast_to(x, shape))
+    assert not add(a, f.sub_array(0, a)).any()
+    for axis in (0, 1, 2, -1):
+        want = np.apply_along_axis(lambda v: functools.reduce(add, v, 0), axis, a)
+        assert np.array_equal(f.sum_array(a, axis=axis), want)
+    for x, y in zip(a.ravel().tolist()[:40], b.ravel().tolist()):
+        s, d, n = f.add(x, y), f.sub(x, y), f.neg(x)
+        assert s == reference_add(f, x, y) and reference_add(f, d, y) == x
+        assert reference_add(f, x, n) == 0 and f.sub(0, x) == n
+        assert all(type(v) is int for v in (s, d, n))
+    nz = a[a != 0]
+    assert all(reference_mul(f, int(x), int(y)) == 1 for x, y in zip(nz, f.inv_table[nz]))
+
+
+_EXTENSION_ORDERS = [q for q in range(4, 1025) if prime_power(q) and prime_power(q)[1] > 1]
+
+
+@pytest.mark.parametrize("q", _EXTENSION_ORDERS + [6561, 15625, 59049, 65536])
+def test_modulus_is_the_least_monic_irreducible(q):
+    # candidates in the order lowest_irreducible scans them, each judged by
+    # sympy: every one before the modulus factors, the modulus does not
+    p, e = prime_power(q)
+    x = Symbol("x")
+    for enc in range(1, p**e):
+        coeffs = tuple(enc // p**i % p for i in range(e)) + (1,)
+        if Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible:
+            break
+    assert GF(q).modulus == coeffs
+
+
+def test_prime_power_matches_sympy_factorint():
+    for q in range(5001):
+        factors = factorint(q) if q >= 2 else {}
+        want = next(iter(factors.items())) if len(factors) == 1 else None
+        assert prime_power(q) == want
 
 
 # SHA-256 of exp_table and log_table as little-endian int64, recorded

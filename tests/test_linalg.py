@@ -1,4 +1,3 @@
-import functools
 import gc
 import itertools
 import math
@@ -18,8 +17,6 @@ from lrckit.setfam import SetFamily
 from conftest import (
     minors_dependent,
     minors_min_distance,
-    reference_add,
-    reference_mul,
     reference_rref,
     reference_smallest_dependent_subset,
 )
@@ -333,26 +330,6 @@ def test_budget_counts_the_candidates_of_the_sizes_that_need_elimination(singlet
         assert linalg.smallest_dependent_subset(f, cols, last + 1, budget=need) == want
         with pytest.raises(ValueError, match=f"at size {last}$"):
             linalg.smallest_dependent_subset(f, cols, last + 1, budget=need - 1)
-
-
-@pytest.mark.parametrize("q", [13, 16, 27])
-def test_vectorized_field_matches_scalar(q):
-    # the scalar ops call these array ops, so the check is against the
-    # table-free oracles
-    f = GF(q)
-    rng = SplitMix64(42 + q)
-    a = np.array([rng.below(q) for _ in range(300)])
-    b = np.array([rng.below(q) for _ in range(300)])
-    assert np.array_equal(
-        f.mul_array(a, b), np.array([reference_mul(f, int(x), int(y)) for x, y in zip(a, b)])
-    )
-    diff = f.sub_array(a, b)
-    assert np.array_equal(np.array([reference_add(f, int(z), int(y)) for z, y in zip(diff, b)]), a)
-    nz = a[a != 0]
-    assert all(reference_mul(f, int(x), int(y)) == 1 for x, y in zip(nz, f.inv_table[nz]))
-    rows = a.reshape(30, 10)
-    sums = [functools.reduce(functools.partial(reference_add, f), (int(x) for x in row), 0) for row in rows]
-    assert np.array_equal(f.sum_array(rows, axis=1), np.array(sums))
 
 
 def test_vectorized_tables_live_and_die_with_their_field():
