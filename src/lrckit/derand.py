@@ -9,10 +9,14 @@ Y_S is "the sets of S cover at most r*|S| values".  The estimator
 is the exact conditional expectation of the number of failing collections
 (linearity of expectation), so fixing each element to a value minimizing
 Phi never increases it, and the final Phi equals the true violation count.
-Each conditional probability is computed exactly: the unrevealed part of a
-set is a uniform subset of the values not already used by that set, and the
-overlap statistics of two or three such subsets are finite hypergeometric
-sums evaluated in integer arithmetic.
+Each conditional probability is computed exactly, in integers: the
+unrevealed part of a set with f fixed elements is one of its
+C(q - f, size - f) equally likely completions (the set's weight), so the
+probability of a collection is an integer numerator over the product of
+its sets' weights, given by finite hypergeometric sums over the overlap
+statistics of two or three such sets.  Phi itself is kept as one numerator
+over the product of every tracked set's weight; all candidates for one
+position share that denominator, so they compare as plain integers.
 
 After all elements are fixed, the violation-removal step of the randomized
 construction, `setfam.remove_violations`, runs on the verifier's minimal
@@ -24,10 +28,9 @@ calls are identical, byte for byte, regardless of platform or thread count.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .setfam import SetFamily, formula_target, remove_violations, verify_union_condition
 
@@ -49,20 +52,25 @@ def _tail_numerator(pop: int, succ: int, draws: int, lo: int) -> int:
     return total
 
 
+def _weight(q: int, size: int, fixed: int) -> int:
+    """Number of equally likely completions of a set with `fixed` elements."""
+    return comb(q - fixed, size - fixed)
+
+
 @lru_cache(maxsize=None)
-def _pair_prob(q: int, size: int, fa: int, fb: int, c0: int) -> Fraction:
-    """P(|X_a intersect X_b| >= 2) for partially revealed sets.
+def _pair_numerator(q: int, size: int, fa: int, fb: int, c0: int) -> int:
+    """P(|X_a intersect X_b| >= 2) for partially revealed sets, times the
+    weight product _weight(fa) * _weight(fb).
 
     X_a has fa fixed elements, c0 of which are shared with X_b's fb fixed
     ones; the remaining size-fa elements are a uniform subset of the q-fa
     unused values (likewise for X_b, independently).
     """
-    if c0 >= 2:
-        return Fraction(1)
     ua, ub = size - fa, size - fb
     na, nb = q - fa, q - fb
+    if c0 >= 2:
+        return comb(na, ua) * comb(nb, ub)
     ka = fb - c0  # fixed values of b that R_a can still hit
-    denom = comb(na, ua) * comb(nb, ub)
     num = 0
     for a1 in range(min(ua, ka) + 1):
         wa = comb(ka, a1) * comb(na - ka, ua - a1)
@@ -79,11 +87,11 @@ def _pair_prob(q: int, size: int, fa: int, fb: int, c0: int) -> Fraction:
                 if b1 + b2 < need:
                     continue
                 num += wa * comb(g_fix, b1) * comb(g_rand, b2) * comb(rest, ub - b1 - b2)
-    return Fraction(num, denom)
+    return num
 
 
 @lru_cache(maxsize=None)
-def _triple_prob(
+def _triple_numerator(
     q: int,
     size: int,
     fa: int,
@@ -93,9 +101,10 @@ def _triple_prob(
     fac: int,
     fbc: int,
     fabc: int,
-) -> Fraction:
+) -> int:
     """P(the three sets cover at most 3*size - 3 values), i.e. the overlap
-    excess |X_a ^ X_b| + |X_c ^ (X_a u X_b)| reaches 3.
+    excess |X_a ^ X_b| + |X_c ^ (X_a u X_b)| reaches 3, times the weight
+    product _weight(fa) * _weight(fb) * _weight(fc).
 
     Stage 1 spreads X_a's random part over the cells of [q] \\ F_a cut by
     (F_b, F_c) membership; stage 2 spreads X_b's random part over (inside
@@ -108,7 +117,6 @@ def _triple_prob(
     n10 = fb - fab - n11
     n01 = fc - fac - n11
     n00 = na - n11 - n10 - n01
-    denom = comb(na, ua) * comb(nb, ub) * comb(nc, uc)
     num = 0
     for a11 in range(min(ua, n11) + 1):
         for a10 in range(min(ua - a11, n10) + 1):
@@ -138,16 +146,18 @@ def _triple_prob(
                         assert succ >= 0
                         need = 3 - k_ab - u2c
                         num += w1 * w2 * _tail_numerator(nc, succ, uc, need)
-    return Fraction(num, denom)
+    return num
 
 
-def _collection_prob(q: int, size: int, fixed: list[frozenset[int]]) -> Fraction:
+def _collection_numerator(q: int, size: int, fixed: list[frozenset[int]]) -> int:
+    """P(the sets cover at most (size-1)*len(fixed) values), times the
+    product of their weights."""
     if len(fixed) == 2:
         a, b = fixed
-        return _pair_prob(q, size, len(a), len(b), len(a & b))
+        return _pair_numerator(q, size, len(a), len(b), len(a & b))
     if len(fixed) == 3:
         a, b, c = fixed
-        return _triple_prob(
+        return _triple_numerator(
             q,
             size,
             len(a),
@@ -161,17 +171,23 @@ def _collection_prob(q: int, size: int, fixed: list[frozenset[int]]) -> Fraction
     raise ValueError("only collections of 2 or 3 sets are supported")
 
 
-def _phi_over(q: int, size: int, t: int, parts: list[frozenset[int]], pivot: int) -> Fraction:
-    """Sum of P(Y_S) over collections S of size 2..t that contain `pivot`.
+def _phi_over(q: int, size: int, t: int, parts: list[frozenset[int]], pivot: int) -> int:
+    """Sum of P(Y_S) over collections S of size 2..t that contain `pivot`,
+    times the product of every set's weight.
 
     Terms avoiding the pivot set do not change when one of its elements is
-    fixed, so comparing candidate values only needs this partial sum.
+    fixed, so comparing candidate values only needs this partial sum.  Each
+    collection's numerator is scaled by the weights of the non-pivot sets
+    outside it, which completes its denominator to the common one.
     """
     others = [k for k in range(len(parts)) if k != pivot]
-    total = Fraction(0)
+    weight = {k: _weight(q, size, len(parts[k])) for k in others}
+    scale = prod(weight.values())
+    total = 0
     for s in range(2, t + 1):
         for rest in combinations(others, s - 1):
-            total += _collection_prob(q, size, [parts[pivot]] + [parts[k] for k in rest])
+            num = _collection_numerator(q, size, [parts[pivot]] + [parts[k] for k in rest])
+            total += num * (scale // prod(weight[k] for k in rest))
     return total
 
 
@@ -179,9 +195,14 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
     """Deterministic analogue of the randomized construction.
 
     Elements are fixed set by set, position by position; each position takes
-    the smallest value of [q] minimizing the estimator.  Candidate values
-    that lie in exactly the same fixed sets give identical estimator values,
-    so only one representative per membership signature is evaluated.
+    the smallest value of [q] minimizing the estimator.  Values that lie in
+    exactly the same tracked sets give identical estimator values, so only
+    the least value of each membership pattern is scored: the least value of
+    each pattern met in the other sets, plus the least value in no set at
+    all, when one is left.  Every candidate at a position shares Phi's
+    denominator, so the scores are compared as integer numerators.  Raises
+    RuntimeError if the chosen value would increase Phi, which exact
+    arithmetic rules out.
     Supported envelope: t in {2, 3}, q <= 512, and a target size small
     enough that 2m <= 12 sets are tracked.
     """
@@ -200,24 +221,27 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
     size = r + 1
     parts: list[frozenset[int]] = [frozenset() for _ in range(nsets)]
     for i in range(nsets):
+        others = [k for k in range(nsets) if k != i]
         for _ in range(size):
-            before = _phi_over(q, size, t, parts, i)
+            used = frozenset().union(*parts)
             rep: dict[tuple[bool, ...], int] = {}
-            for c in range(q):
-                if c in parts[i]:
-                    continue
-                sig = tuple(c in parts[k] for k in range(nsets) if k != i)
-                if sig not in rep:
-                    rep[sig] = c
-            best_val: Fraction | None = None
-            best_c = -1
-            for c in sorted(rep.values()):
+            for c in sorted(used - parts[i]):
+                rep.setdefault(tuple(c in parts[k] for k in others), c)
+            fresh = next((c for c in range(q) if c not in used), None)
+            if fresh is not None:
+                rep[(False,) * len(others)] = fresh
+            candidates = sorted(rep.values())
+            vals = []
+            for c in candidates:
                 trial = parts.copy()
                 trial[i] = parts[i] | {c}
-                val = _phi_over(q, size, t, trial, i)
-                if best_val is None or val < best_val:
-                    best_val, best_c = val, c
-            assert best_val is not None and best_val <= before, "estimator must not increase"
-            parts[i] = parts[i] | {best_c}
+                vals.append(_phi_over(q, size, t, trial, i))
+            best = min(vals)
+            # Phi before and after share every weight but the pivot's
+            before = _phi_over(q, size, t, parts, i)
+            fixed = len(parts[i])
+            if best * _weight(q, size, fixed) > before * _weight(q, size, fixed + 1):
+                raise RuntimeError(f"estimator increased at set {i}, position {fixed}")
+            parts[i] = parts[i] | {candidates[vals.index(best)]}
     pool = SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in parts))
     return remove_violations(pool, verify_union_condition(pool))

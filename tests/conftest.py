@@ -15,24 +15,36 @@ the package did before it drew its outputs in numpy blocks; it feeds
 arithmetic is checked against the schoolbook product (`reference_mul` and
 `reference_pow`: base-p digits multiplied as polynomials and reduced by the
 field's modulus one term at a time) and the digit-wise sum
-(`reference_add`); none of them reads a table.  Tests compare package
-output against these slower routes.
+(`reference_add`); none of them reads a table.
+`reference_derandomized_family` is the derandomized construction's loop
+as it was before it scored only competing values in integers: it scores
+the least value of every membership signature over all of range(q) and
+sums the estimator as `Fraction`s.  Tests compare package output against
+these slower routes.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 from sympy import Matrix
 
-from lrckit import linalg
+from lrckit import derand, linalg
 from lrckit.gf import GF
 from lrckit.rng import SplitMix64
-from lrckit.setfam import SetFamily, Violation, greedy_family
+from lrckit.setfam import (
+    SetFamily,
+    Violation,
+    formula_target,
+    greedy_family,
+    remove_violations,
+    verify_union_condition,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -155,6 +167,75 @@ def collision_probability(q: int, size: int, fixed: Sequence[frozenset[int]]) ->
 
     rec(0, [])
     return Fraction(bad, total)
+
+
+def kernel_probability(q: int, size: int, fixed: Sequence[frozenset[int]]) -> Fraction:
+    """The derandomized estimator's collection probability: its integer
+    numerator over the product of the sets' weights."""
+    denom = prod(derand._weight(q, size, len(f)) for f in fixed)
+    return Fraction(derand._collection_numerator(q, size, list(fixed)), denom)
+
+
+def reference_derandomized_pool(q: int, r: int, t: int) -> tuple[list[frozenset[int]], int]:
+    """The 2m tracked sets of derandomized_family before violation removal:
+    every value of range(q) outside the pivot set gets a membership
+    signature, the least value of each signature is scored, and the
+    estimator is summed as `Fraction`s, keeping the first minimum.  Also
+    returns how many positions found every value outside the pivot set in
+    another set, so that no value had the empty signature."""
+    if t not in (2, derand.MAX_T):
+        raise ValueError(f"supported t values are 2..{derand.MAX_T}")
+    if r < 1 or r + 1 > q:
+        raise ValueError("need 1 <= r and r+1 <= q")
+    if q > derand.MAX_Q:
+        raise ValueError(f"q={q} exceeds the supported maximum {derand.MAX_Q}")
+    m = formula_target(q, r, t)
+    nsets = 2 * m
+    if nsets > derand.MAX_SETS:
+        raise ValueError(
+            f"target of {m} sets needs {nsets} tracked sets, above the cap {derand.MAX_SETS}"
+        )
+    size = r + 1
+
+    def phi_over(parts: list[frozenset[int]], pivot: int) -> Fraction:
+        others = [k for k in range(nsets) if k != pivot]
+        total = Fraction(0)
+        for s in range(2, t + 1):
+            for rest in itertools.combinations(others, s - 1):
+                total += kernel_probability(q, size, [parts[pivot]] + [parts[k] for k in rest])
+        return total
+
+    parts: list[frozenset[int]] = [frozenset() for _ in range(nsets)]
+    exhausted = 0
+    for i in range(nsets):
+        for _ in range(size):
+            before = phi_over(parts, i)
+            rep: dict[tuple[bool, ...], int] = {}
+            for c in range(q):
+                if c in parts[i]:
+                    continue
+                sig = tuple(c in parts[k] for k in range(nsets) if k != i)
+                if sig not in rep:
+                    rep[sig] = c
+            exhausted += (False,) * (nsets - 1) not in rep
+            best_val: Optional[Fraction] = None
+            best_c = -1
+            for c in sorted(rep.values()):
+                trial = parts.copy()
+                trial[i] = parts[i] | {c}
+                val = phi_over(trial, i)
+                if best_val is None or val < best_val:
+                    best_val, best_c = val, c
+            assert best_val is not None and best_val <= before, "estimator must not increase"
+            parts[i] = parts[i] | {best_c}
+    return parts, exhausted
+
+
+def reference_derandomized_family(q: int, r: int, t: int) -> SetFamily:
+    """derandomized_family from `reference_derandomized_pool`."""
+    pool, _ = reference_derandomized_pool(q, r, t)
+    family = SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in pool))
+    return remove_violations(family, verify_union_condition(family))
 
 
 def reference_violations(family: SetFamily) -> list[Violation]:

@@ -1,16 +1,28 @@
 """The conditional-probability kernels are the core of the deterministic
-construction; they are checked here for exact rational equality against
-full enumeration of completions, which is the strongest oracle available."""
+construction; their integer numerators, over the product of the sets'
+weights, are checked here for exact rational equality against full
+enumeration of completions, which is the strongest oracle available.  The
+construction itself is checked against the loop it replaced, which scored
+every membership signature of range(q) with a `Fraction` estimator."""
 
+import hashlib
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from lrckit.derand import _collection_prob, _pair_prob, _triple_prob, derandomized_family
-from lrckit.setfam import SetFamily, target_family_size, verify_union_condition
+from lrckit import derand
+from lrckit.derand import _pair_numerator, _weight, derandomized_family
+from lrckit.gf import prime_power
+from lrckit.setfam import target_family_size, verify_union_condition
 
-from conftest import collision_probability
+from conftest import (
+    collision_probability,
+    kernel_probability,
+    reference_derandomized_family,
+    reference_derandomized_pool,
+)
 
 
 PAIR_CASES = [
@@ -26,7 +38,7 @@ PAIR_CASES = [
 
 @pytest.mark.parametrize("q,size,fixed", PAIR_CASES)
 def test_pair_kernel_exact(q, size, fixed):
-    assert _collection_prob(q, size, list(fixed)) == collision_probability(q, size, fixed)
+    assert kernel_probability(q, size, fixed) == collision_probability(q, size, fixed)
 
 
 TRIPLE_CASES = [
@@ -42,15 +54,15 @@ TRIPLE_CASES = [
 
 @pytest.mark.parametrize("q,size,fixed", TRIPLE_CASES)
 def test_triple_kernel_exact(q, size, fixed):
-    assert _collection_prob(q, size, list(fixed)) == collision_probability(q, size, fixed)
+    assert kernel_probability(q, size, fixed) == collision_probability(q, size, fixed)
 
 
 def test_kernels_are_permutation_invariant():
     fx = [frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({4})]
-    vals = {_collection_prob(8, 4, list(p)) for p in itertools.permutations(fx)}
+    vals = {kernel_probability(8, 4, p) for p in itertools.permutations(fx)}
     assert len(vals) == 1
     px = [frozenset({0, 1}), frozenset({2})]
-    pvals = {_collection_prob(9, 3, list(p)) for p in itertools.permutations(px)}
+    pvals = {kernel_probability(9, 3, p) for p in itertools.permutations(px)}
     assert len(pvals) == 1
 
 
@@ -68,13 +80,13 @@ def test_martingale_identity(fixed, idx):
     # parent probability (law of total probability); any discrepancy
     # breaks the non-increase argument of the greedy choice
     q, size = 9, 3
-    parent = _collection_prob(q, size, list(fixed))
+    parent = kernel_probability(q, size, fixed)
     cands = [c for c in range(q) if c not in fixed[idx]]
     acc = Fraction(0)
     for c in cands:
         child = list(fixed)
         child[idx] = child[idx] | {c}
-        acc += _collection_prob(q, size, child)
+        acc += kernel_probability(q, size, child)
     assert parent == acc / len(cands)
 
 
@@ -82,8 +94,31 @@ def test_probabilities_lie_in_unit_interval():
     for q, size in ((9, 3), (16, 4)):
         for fa in (frozenset(), frozenset({0}), frozenset({0, 1})):
             for fb in (frozenset(), frozenset({1}), frozenset({0, 2})):
-                p = _pair_prob(q, size, len(fa), len(fb), len(fa & fb))
+                num = _pair_numerator(q, size, len(fa), len(fb), len(fa & fb))
+                p = Fraction(num, _weight(q, size, len(fa)) * _weight(q, size, len(fb)))
                 assert 0 <= p <= 1
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize(
+    "parts,pivot",
+    [
+        ((frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({4}), frozenset()), 0),
+        ((frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({4}), frozenset()), 2),
+        ((frozenset({0, 1, 2, 3}), frozenset({0, 5}), frozenset(), frozenset({5, 6, 7})), 1),
+    ],
+)
+def test_phi_numerator_matches_the_fraction_sum(parts, pivot, t):
+    # _phi_over is Phi's numerator over the product of every set's weight
+    q, size = 10, 4
+    denom = prod(_weight(q, size, len(f)) for f in parts)
+    others = [k for k in range(len(parts)) if k != pivot]
+    expected = sum(
+        kernel_probability(q, size, [parts[pivot]] + [parts[k] for k in rest])
+        for s in range(2, t + 1)
+        for rest in itertools.combinations(others, s - 1)
+    )
+    assert Fraction(derand._phi_over(q, size, t, list(parts), pivot), denom) == expected
 
 
 def test_derandomized_family_frozen_output():
@@ -121,3 +156,71 @@ def test_derandomized_family_medium_case():
 def test_envelope_rejections(q, r, t):
     with pytest.raises(ValueError):
         derandomized_family(q, r, t)
+
+
+def _outcome(build, q, r, t):
+    try:
+        return build(q, r, t)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+def test_matches_the_fraction_loop_on_every_small_case():
+    # every (q, r, t) with q <= 40, r <= 6, t in {2, 3}: the 43 refusals
+    # must carry the same message, and the 425 accepted cases give the
+    # same family
+    built = 0
+    for q in range(2, 41):
+        for r in range(1, 7):
+            for t in (2, 3):
+                got = _outcome(derandomized_family, q, r, t)
+                assert got == _outcome(reference_derandomized_family, q, r, t), (q, r, t)
+                built += not isinstance(got, str)
+    assert built == 425
+
+
+@pytest.mark.parametrize("q,r,t", [(3, 2, 3), (5, 2, 2), (7, 6, 3), (9, 4, 2), (13, 6, 3)])
+def test_matches_the_fraction_loop_with_no_fresh_value(q, r, t):
+    # at some position every value outside the pivot set lies in another
+    # set, so only values of the other sets compete
+    _, exhausted = reference_derandomized_pool(q, r, t)
+    assert exhausted > 0
+    assert derandomized_family(q, r, t) == reference_derandomized_family(q, r, t)
+
+
+@pytest.mark.parametrize(
+    "q,r,nsets",
+    [(11, 5, 2), (439, 7, 2), (251, 5, 4), (512, 6, 4), (397, 5, 6), (512, 5, 6)],
+)
+def test_matches_the_fraction_loop_on_envelope_cases(q, r, nsets):
+    assert 2 * target_family_size(q, r, 3) == nsets
+    assert derandomized_family(q, r, 3) == reference_derandomized_family(q, r, 3)
+
+
+def test_envelope_families_are_pinned():
+    # t = 3, prime power 11 <= q <= 512, r in 5..7 with 2m <= 12: the 330
+    # cases the construction benchmark draws from; the digest was taken
+    # from the Fraction loop before it scored only competing values
+    cases = [
+        (q, r)
+        for q in range(11, 513)
+        if prime_power(q) is not None
+        for r in (5, 6, 7)
+        if 2 * target_family_size(q, r, 3) <= 12
+    ]
+    assert len(cases) == 330
+    digest = hashlib.sha256()
+    for q, r in cases:
+        digest.update(f"{q} {r} {derandomized_family(q, r, 3).sets}\n".encode())
+    assert digest.hexdigest() == "d92acf5bc9521b7a4f8377a39d70a16a98836995f05eb8b23428aab292e73b90"
+
+
+def test_an_increasing_estimator_is_an_error(monkeypatch):
+    # a pair probability that grows with the fixed elements makes Phi rise
+    # at the first position; the check is a raise, so `python -O` keeps it
+    def rising(q, size, fa, fb, c0):
+        return (fa + fb + 1) * _weight(q, size, fa) * _weight(q, size, fb)
+
+    monkeypatch.setattr(derand, "_pair_numerator", rising)
+    with pytest.raises(RuntimeError, match="estimator increased"):
+        derandomized_family(64, 2, 3)
