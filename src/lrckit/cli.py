@@ -17,7 +17,7 @@ import time
 from typing import Optional, Sequence
 
 from . import codec, formats, linalg, lrc, setfam
-from .gf import GF
+from .gf import GF, MAX_ORDER
 from .rng import SplitMix64
 
 
@@ -30,6 +30,10 @@ def _locality_from_d(d: int) -> int:
 
 def cmd_gen_family(args: argparse.Namespace) -> int:
     t = _locality_from_d(args.d)
+    if args.q > MAX_ORDER:
+        raise formats.FormatError(
+            f"--q {args.q} exceeds {MAX_ORDER}, the largest field order a code can use"
+        )
     if args.r < 1:
         raise formats.FormatError(f"--r {args.r} must be at least 1")
     if args.budget is not None and args.budget < 0:

@@ -13,10 +13,14 @@ Each conditional probability is computed exactly, in integers: the
 unrevealed part of a set with f fixed elements is one of its
 C(q - f, size - f) equally likely completions (the set's weight), so the
 probability of a collection is an integer numerator over the product of
-its sets' weights, given by finite hypergeometric sums over the overlap
-statistics of two or three such sets.  Phi itself is kept as one numerator
-over the product of every tracked set's weight; all candidates for one
-position share that denominator, so they compare as plain integers.
+its sets' weights.  A collection fails when its union stays small; as its
+sets are completed one by one, the union grows by a hypergeometric number
+of values that depends only on its current size, so one recursion over
+that chain gives the numerator for any number of sets.  It is memoized per
+overlap pattern: the fixed counts and the fixed values' union size.  Phi
+itself is kept as one numerator over the product of every tracked set's
+weight; all candidates for one position share that denominator, so they
+compare as plain integers.
 
 After all elements are fixed, the violation-removal step of the randomized
 construction, `setfam.remove_violations`, runs on the verifier's minimal
@@ -34,22 +38,11 @@ from math import comb, prod
 
 from .setfam import SetFamily, formula_target, remove_violations, verify_union_condition
 
-# Work caps.  Collections of up to t=3 sets need the triple kernel below;
-# larger t would need deeper overlap patterns.  The element loop touches
-# q * (number of sets)^t states, so both are bounded.
+# Work caps.  The chain below handles collections of any size, so the caps
+# bound only work: the element loop touches q * (number of sets)^t states.
 MAX_T = 3
 MAX_Q = 512
 MAX_SETS = 12
-
-
-def _tail_numerator(pop: int, succ: int, draws: int, lo: int) -> int:
-    """Sum of C(succ, x) * C(pop - succ, draws - x) over x >= lo."""
-    if lo <= 0:
-        return comb(pop, draws)
-    total = 0
-    for x in range(lo, min(succ, draws) + 1):
-        total += comb(succ, x) * comb(pop - succ, draws - x)
-    return total
 
 
 def _weight(q: int, size: int, fixed: int) -> int:
@@ -57,118 +50,45 @@ def _weight(q: int, size: int, fixed: int) -> int:
     return comb(q - fixed, size - fixed)
 
 
-@lru_cache(maxsize=None)
-def _pair_numerator(q: int, size: int, fa: int, fb: int, c0: int) -> int:
-    """P(|X_a intersect X_b| >= 2) for partially revealed sets, times the
-    weight product _weight(fa) * _weight(fb).
+def _chain_numerator(q: int, size: int, counts: tuple[int, ...], union: int, limit: int) -> int:
+    """P(the union ends with at most `limit` values), times the weight
+    product of the sets still to be revealed, with `counts` fixed elements
+    each; the union holds `union` values so far, every fixed value among them.
 
-    X_a has fa fixed elements, c0 of which are shared with X_b's fb fixed
-    ones; the remaining size-fa elements are a uniform subset of the q-fa
-    unused values (likewise for X_b, independently).
+    A set with f fixed elements draws its u = size-f other values uniformly
+    from the q-f values outside its fixed part: h land among the union's
+    union-f other values and u-h are new, and these weights sum over h to
+    the set's weight.
     """
-    ua, ub = size - fa, size - fb
-    na, nb = q - fa, q - fb
-    if c0 >= 2:
-        return comb(na, ua) * comb(nb, ub)
-    ka = fb - c0  # fixed values of b that R_a can still hit
-    num = 0
-    for a1 in range(min(ua, ka) + 1):
-        wa = comb(ka, a1) * comb(na - ka, ua - a1)
-        if wa == 0:
-            continue
-        g_fix = fa - c0  # fixed values of a outside b's fixed part
-        g_rand = ua - a1  # revealed-to-be-random values of a outside b's fixed part
-        rest = nb - g_fix - g_rand
-        if rest < 0:
-            continue
-        need = 2 - c0 - a1
-        for b1 in range(min(ub, g_fix) + 1):
-            for b2 in range(min(ub - b1, g_rand) + 1):
-                if b1 + b2 < need:
-                    continue
-                num += wa * comb(g_fix, b1) * comb(g_rand, b2) * comb(rest, ub - b1 - b2)
-    return num
+    if not counts:
+        return int(union <= limit)
+    f, rest = counts[0], counts[1:]
+    u = size - f
+    # h keeps the new union within [q] and, as unions only grow, the limit
+    return sum(
+        comb(union - f, h)
+        * comb(q - union, u - h)
+        * _chain_numerator(q, size, rest, union + u - h, limit)
+        for h in range(max(0, u - (q - union), union + u - limit), min(u, union - f) + 1)
+    )
 
 
-@lru_cache(maxsize=None)
-def _triple_numerator(
-    q: int,
-    size: int,
-    fa: int,
-    fb: int,
-    fc: int,
-    fab: int,
-    fac: int,
-    fbc: int,
-    fabc: int,
-) -> int:
-    """P(the three sets cover at most 3*size - 3 values), i.e. the overlap
-    excess |X_a ^ X_b| + |X_c ^ (X_a u X_b)| reaches 3, times the weight
-    product _weight(fa) * _weight(fb) * _weight(fc).
-
-    Stage 1 spreads X_a's random part over the cells of [q] \\ F_a cut by
-    (F_b, F_c) membership; stage 2 spreads X_b's random part over (inside
-    X_a, inside the still-uncovered part of F_c, elsewhere); stage 3 is a
-    plain hypergeometric tail for X_c's random part hitting the union.
-    """
-    ua, ub, uc = size - fa, size - fb, size - fc
-    na, nb, nc = q - fa, q - fb, q - fc
-    n11 = fbc - fabc
-    n10 = fb - fab - n11
-    n01 = fc - fac - n11
-    n00 = na - n11 - n10 - n01
-    num = 0
-    for a11 in range(min(ua, n11) + 1):
-        for a10 in range(min(ua - a11, n10) + 1):
-            w_10 = comb(n11, a11) * comb(n10, a10)
-            for a01 in range(min(ua - a11 - a10, n01) + 1):
-                a00 = ua - a11 - a10 - a01
-                w1 = w_10 * comb(n01, a01) * comb(n00, a00)
-                if w1 == 0:
-                    continue
-                in_b = fab + a11 + a10  # |X_a ^ F_b|
-                in_c = fac + a11 + a01  # |X_a ^ F_c|
-                g_xa = size - in_b  # X_a \ F_b, reachable by R_b
-                g_newc = n01 - a01  # F_c \ (F_b u X_a), fresh coverage for R_b
-                g_other = nb - g_xa - g_newc
-                if g_other < 0:
-                    continue
-                fixed_bc = fbc - fabc - a11  # F_b ^ F_c outside X_a
-                for b1 in range(min(ub, g_xa) + 1):
-                    for b2 in range(min(ub - b1, g_newc) + 1):
-                        w2 = comb(g_xa, b1) * comb(g_newc, b2) * comb(g_other, ub - b1 - b2)
-                        if w2 == 0:
-                            continue
-                        k_ab = in_b + b1  # |X_a ^ X_b|
-                        u2c = in_c + fixed_bc + b2  # |(X_a u X_b) ^ F_c|
-                        union2 = 2 * size - k_ab
-                        succ = union2 - u2c
-                        assert succ >= 0
-                        need = 3 - k_ab - u2c
-                        num += w1 * w2 * _tail_numerator(nc, succ, uc, need)
-    return num
+# Memoized per collection, not per chain level: the levels below a
+# collection are few and cheap, and their entries would cost memory.
+_pattern_numerator = lru_cache(maxsize=None)(_chain_numerator)
 
 
 def _collection_numerator(q: int, size: int, fixed: list[frozenset[int]]) -> int:
     """P(the sets cover at most (size-1)*len(fixed) values), times the
-    product of their weights."""
-    if len(fixed) == 2:
-        a, b = fixed
-        return _pair_numerator(q, size, len(a), len(b), len(a & b))
-    if len(fixed) == 3:
-        a, b, c = fixed
-        return _triple_numerator(
-            q,
-            size,
-            len(a),
-            len(b),
-            len(c),
-            len(a & b),
-            len(a & c),
-            len(b & c),
-            len(a & b & c),
-        )
-    raise ValueError("only collections of 2 or 3 sets are supported")
+    product of their weights.  Full sets (weight 1) add nothing to the
+    union, so the chain skips them."""
+    return _pattern_numerator(
+        q,
+        size,
+        tuple(len(f) for f in fixed if len(f) < size),
+        len(frozenset().union(*fixed)),
+        (size - 1) * len(fixed),
+    )
 
 
 def _phi_over(q: int, size: int, t: int, parts: list[frozenset[int]], pivot: int) -> int:

@@ -371,12 +371,14 @@ def remove_violations(family: SetFamily, violations: Sequence[Violation]) -> Set
     return SetFamily(family.q, family.r, family.t, kept)
 
 
+_MAX_ATTEMPTS = 20  # random_family's draws of 2m sets before it gives up
+
+
 def random_family(
     q: int,
     r: int,
     t: int,
     seed: int,
-    max_attempts: int = 20,
     target_m: Optional[int] = None,
 ) -> SetFamily:
     """Randomized construction: oversample, then delete sets that witness
@@ -395,7 +397,7 @@ def random_family(
     if m < 1:
         raise ValueError("target family size must be positive")
     base = SplitMix64(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         rng = base.spawn()
         sets = [rng.subset(q, r + 1) for _ in range(2 * m)]
         pool = SetFamily(q, r, t, tuple(sets))
@@ -403,7 +405,7 @@ def random_family(
         if survivors.m >= m:
             return SetFamily(q, r, t, survivors.sets[:m])
     raise GenerationError(
-        f"no verifying family of {m} sets within {max_attempts} attempts "
+        f"no verifying family of {m} sets within {_MAX_ATTEMPTS} attempts "
         f"(q={q}, r={r}, t={t}, seed={seed})"
     )
 

@@ -19,15 +19,18 @@ field's modulus one term at a time) and the digit-wise sum
 `reference_derandomized_family` is the derandomized construction's loop
 as it was before it scored only competing values in integers: it scores
 the least value of every membership signature over all of range(q) and
-sums the estimator as `Fraction`s.  Tests compare package output against
-these slower routes.
+sums the estimator as `Fraction`s, each term from
+`reference_collection_numerator`, the hand-derived pair and triple kernels
+the package used before its union-size chain.  Tests compare package
+output against these slower routes.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
+from functools import lru_cache
+from math import comb, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -176,6 +179,109 @@ def kernel_probability(q: int, size: int, fixed: Sequence[frozenset[int]]) -> Fr
     return Fraction(derand._collection_numerator(q, size, list(fixed)), denom)
 
 
+def _reference_tail(pop: int, succ: int, draws: int, lo: int) -> int:
+    """Sum of C(succ, x) * C(pop - succ, draws - x) over x >= lo."""
+    if lo <= 0:
+        return comb(pop, draws)
+    total = 0
+    for x in range(lo, min(succ, draws) + 1):
+        total += comb(succ, x) * comb(pop - succ, draws - x)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _reference_pair(q: int, size: int, fa: int, fb: int, c0: int) -> int:
+    """P(|X_a intersect X_b| >= 2) for partially revealed sets, times the
+    weight product.  X_a has fa fixed elements, c0 of which are shared with
+    X_b's fb fixed ones; the remaining size-fa elements are a uniform subset
+    of the q-fa unused values (likewise for X_b, independently)."""
+    ua, ub = size - fa, size - fb
+    na, nb = q - fa, q - fb
+    if c0 >= 2:
+        return comb(na, ua) * comb(nb, ub)
+    ka = fb - c0  # fixed values of b that R_a can still hit
+    num = 0
+    for a1 in range(min(ua, ka) + 1):
+        wa = comb(ka, a1) * comb(na - ka, ua - a1)
+        if wa == 0:
+            continue
+        g_fix = fa - c0  # fixed values of a outside b's fixed part
+        g_rand = ua - a1  # revealed-to-be-random values of a outside b's fixed part
+        rest = nb - g_fix - g_rand
+        if rest < 0:
+            continue
+        need = 2 - c0 - a1
+        for b1 in range(min(ub, g_fix) + 1):
+            for b2 in range(min(ub - b1, g_rand) + 1):
+                if b1 + b2 < need:
+                    continue
+                num += wa * comb(g_fix, b1) * comb(g_rand, b2) * comb(rest, ub - b1 - b2)
+    return num
+
+
+@lru_cache(maxsize=None)
+def _reference_triple(
+    q: int, size: int, fa: int, fb: int, fc: int, fab: int, fac: int, fbc: int, fabc: int
+) -> int:
+    """P(the three sets cover at most 3*size - 3 values), i.e. the overlap
+    excess |X_a ^ X_b| + |X_c ^ (X_a u X_b)| reaches 3, times the weight
+    product.  Stage 1 spreads X_a's random part over the cells of [q] \\ F_a
+    cut by (F_b, F_c) membership; stage 2 spreads X_b's random part over
+    (inside X_a, inside the still-uncovered part of F_c, elsewhere); stage 3
+    is a plain hypergeometric tail for X_c's random part hitting the union."""
+    ua, ub, uc = size - fa, size - fb, size - fc
+    na, nb, nc = q - fa, q - fb, q - fc
+    n11 = fbc - fabc
+    n10 = fb - fab - n11
+    n01 = fc - fac - n11
+    n00 = na - n11 - n10 - n01
+    num = 0
+    for a11 in range(min(ua, n11) + 1):
+        for a10 in range(min(ua - a11, n10) + 1):
+            w_10 = comb(n11, a11) * comb(n10, a10)
+            for a01 in range(min(ua - a11 - a10, n01) + 1):
+                a00 = ua - a11 - a10 - a01
+                w1 = w_10 * comb(n01, a01) * comb(n00, a00)
+                if w1 == 0:
+                    continue
+                in_b = fab + a11 + a10  # |X_a ^ F_b|
+                in_c = fac + a11 + a01  # |X_a ^ F_c|
+                g_xa = size - in_b  # X_a \ F_b, reachable by R_b
+                g_newc = n01 - a01  # F_c \ (F_b u X_a), fresh coverage for R_b
+                g_other = nb - g_xa - g_newc
+                if g_other < 0:
+                    continue
+                fixed_bc = fbc - fabc - a11  # F_b ^ F_c outside X_a
+                for b1 in range(min(ub, g_xa) + 1):
+                    for b2 in range(min(ub - b1, g_newc) + 1):
+                        w2 = comb(g_xa, b1) * comb(g_newc, b2) * comb(g_other, ub - b1 - b2)
+                        if w2 == 0:
+                            continue
+                        k_ab = in_b + b1  # |X_a ^ X_b|
+                        u2c = in_c + fixed_bc + b2  # |(X_a u X_b) ^ F_c|
+                        union2 = 2 * size - k_ab
+                        succ = union2 - u2c
+                        assert succ >= 0
+                        need = 3 - k_ab - u2c
+                        num += w1 * w2 * _reference_tail(nc, succ, uc, need)
+    return num
+
+
+def reference_collection_numerator(q: int, size: int, fixed: Sequence[frozenset[int]]) -> int:
+    """The collection numerator from the hand-derived overlap kernels the
+    package used before its union-size chain: a pair fails when its sets
+    share two values, a triple when its overlap excess reaches 3."""
+    if len(fixed) == 2:
+        a, b = fixed
+        return _reference_pair(q, size, len(a), len(b), len(a & b))
+    if len(fixed) == 3:
+        a, b, c = fixed
+        return _reference_triple(
+            q, size, len(a), len(b), len(c), len(a & b), len(a & c), len(b & c), len(a & b & c)
+        )
+    raise ValueError("only collections of 2 or 3 sets are supported")
+
+
 def reference_derandomized_pool(q: int, r: int, t: int) -> tuple[list[frozenset[int]], int]:
     """The 2m tracked sets of derandomized_family before violation removal:
     every value of range(q) outside the pivot set gets a membership
@@ -202,7 +308,9 @@ def reference_derandomized_pool(q: int, r: int, t: int) -> tuple[list[frozenset[
         total = Fraction(0)
         for s in range(2, t + 1):
             for rest in itertools.combinations(others, s - 1):
-                total += kernel_probability(q, size, [parts[pivot]] + [parts[k] for k in rest])
+                fixed = [parts[pivot]] + [parts[k] for k in rest]
+                denom = prod(comb(q - len(f), size - len(f)) for f in fixed)
+                total += Fraction(reference_collection_numerator(q, size, fixed), denom)
         return total
 
     parts: list[frozenset[int]] = [frozenset() for _ in range(nsets)]

@@ -93,6 +93,20 @@ def test_gen_family_refuses_an_empty_target_and_a_negative_budget(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["random", "greedy", "derandomized"])
+@pytest.mark.parametrize("q", [65537, 1000000])
+def test_gen_family_refuses_an_order_above_any_field(tmp_path, capsys, method, q):
+    # GF refuses q > 65536, so no such family can become a code; at q = 10^6
+    # the random method would otherwise draw 13.9M sets first
+    out = tmp_path / "x.txt"
+    argv = ["gen-family", "--q", str(q), "--r", "1", "--d", "7", "--method", method, "--out", str(out)]
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == f"error: --q {q} exceeds 65536, the largest field order a code can use\n"
+    assert not out.exists()
+
+
 def test_gen_family_derandomized_keeps_the_first_n_over_r_plus_1_sets(tmp_path, capsys):
     base = ["gen-family", "--q", "64", "--r", "2", "--d", "7", "--method", "derandomized"]
     whole, cut, long = tmp_path / "whole.txt", tmp_path / "cut.txt", tmp_path / "long.txt"

@@ -1,7 +1,8 @@
-"""The conditional-probability kernels are the core of the deterministic
-construction; their integer numerators, over the product of the sets'
+"""The conditional-probability kernel is the core of the deterministic
+construction; its integer numerators, over the product of the sets'
 weights, are checked here for exact rational equality against full
-enumeration of completions, which is the strongest oracle available.  The
+enumeration of completions, which is the strongest oracle available, and
+against the hand-derived pair and triple kernels it replaced.  The
 construction itself is checked against the loop it replaced, which scored
 every membership signature of range(q) with a `Fraction` estimator."""
 
@@ -11,15 +12,18 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrckit import derand
-from lrckit.derand import _pair_numerator, _weight, derandomized_family
+from lrckit.derand import _collection_numerator, _weight, derandomized_family
 from lrckit.gf import prime_power
 from lrckit.setfam import target_family_size, verify_union_condition
 
 from conftest import (
     collision_probability,
     kernel_probability,
+    reference_collection_numerator,
     reference_derandomized_family,
     reference_derandomized_pool,
 )
@@ -91,12 +95,33 @@ def test_martingale_identity(fixed, idx):
 
 
 def test_probabilities_lie_in_unit_interval():
+    first = (frozenset(), frozenset({0}), frozenset({0, 1}))
+    second = (frozenset(), frozenset({1}), frozenset({0, 2}))
     for q, size in ((9, 3), (16, 4)):
-        for fa in (frozenset(), frozenset({0}), frozenset({0, 1})):
-            for fb in (frozenset(), frozenset({1}), frozenset({0, 2})):
-                num = _pair_numerator(q, size, len(fa), len(fb), len(fa & fb))
-                p = Fraction(num, _weight(q, size, len(fa)) * _weight(q, size, len(fb)))
-                assert 0 <= p <= 1
+        for fixed in [*itertools.product(first, second), *itertools.product(first, second, first)]:
+            num = _collection_numerator(q, size, list(fixed))
+            p = Fraction(num, prod(_weight(q, size, len(f)) for f in fixed))
+            assert 0 <= p <= 1
+
+
+@st.composite
+def overlapping_collections(draw):
+    # fixed parts drawn from a few small values, so that they overlap
+    size = draw(st.integers(2, 8))
+    q = draw(st.integers(size, 512))
+    pool = list(range(min(q, size + 3)))
+    fixed = [
+        frozenset(draw(st.sets(st.sampled_from(pool), max_size=size)))
+        for _ in range(draw(st.integers(2, 3)))
+    ]
+    return q, size, fixed
+
+
+@given(overlapping_collections())
+@settings(max_examples=300, deadline=None)
+def test_chain_matches_the_overlap_kernels(case):
+    q, size, fixed = case
+    assert _collection_numerator(q, size, fixed) == reference_collection_numerator(q, size, fixed)
 
 
 @pytest.mark.parametrize("t", [2, 3])
@@ -216,11 +241,12 @@ def test_envelope_families_are_pinned():
 
 
 def test_an_increasing_estimator_is_an_error(monkeypatch):
-    # a pair probability that grows with the fixed elements makes Phi rise
-    # at the first position; the check is a raise, so `python -O` keeps it
-    def rising(q, size, fa, fb, c0):
-        return (fa + fb + 1) * _weight(q, size, fa) * _weight(q, size, fb)
+    # a collection probability that grows with the fixed elements makes Phi
+    # rise at the first position; the check is a raise, so `python -O` keeps it
+    def rising(q, size, fixed):
+        counts = [len(f) for f in fixed]
+        return (sum(counts) + 1) * prod(_weight(q, size, f) for f in counts)
 
-    monkeypatch.setattr(derand, "_pair_numerator", rising)
+    monkeypatch.setattr(derand, "_collection_numerator", rising)
     with pytest.raises(RuntimeError, match="estimator increased"):
         derandomized_family(64, 2, 3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrckit import setfam
 from lrckit.derand import derandomized_family
 from lrckit.rng import SplitMix64
 from lrckit.setfam import (
@@ -394,11 +395,13 @@ def test_random_family_rejects_t2():
         random_family(997, 5, 2, seed=1)
 
 
-def test_random_family_pigeonhole_failure():
+def test_random_family_pigeonhole_failure(monkeypatch):
     # 35 six-element subsets of [30] cannot pairwise intersect in <= 1
-    # element (packing ceiling is 29); every attempt must fail
-    with pytest.raises(GenerationError):
-        random_family(30, 5, 3, seed=5, max_attempts=3, target_m=35)
+    # element (packing ceiling is 29); every attempt must fail.  Three
+    # attempts show it; the CLI's generation-failure test runs all twenty
+    monkeypatch.setattr(setfam, "_MAX_ATTEMPTS", 3)
+    with pytest.raises(GenerationError, match="within 3 attempts"):
+        random_family(30, 5, 3, seed=5, target_m=35)
     assert packing_ceiling(30, 5) == 29
 
 
