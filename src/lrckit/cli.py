@@ -28,6 +28,11 @@ def _locality_from_d(d: int) -> int:
     return (d - 1) // 2
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise formats.FormatError(f"--budget {budget} must be non-negative")
+
+
 def cmd_gen_family(args: argparse.Namespace) -> int:
     t = _locality_from_d(args.d)
     if args.q > MAX_ORDER:
@@ -36,8 +41,7 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
         )
     if args.r < 1:
         raise formats.FormatError(f"--r {args.r} must be at least 1")
-    if args.budget is not None and args.budget < 0:
-        raise formats.FormatError(f"--budget {args.budget} must be non-negative")
+    _check_budget(args.budget)
     target: Optional[int] = None
     if args.n is not None:
         if args.n < args.r + 1:
@@ -82,6 +86,7 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_budget(args.budget)
     family = formats.read_family(args.infile)
     violations = setfam.verify_union_condition(family)
     if violations:
@@ -140,6 +145,7 @@ def cmd_build_code(args: argparse.Namespace) -> int:
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
+    _check_budget(args.budget)
     rows, q = formats.read_matrix(args.infile)
     field = GF(q)
     if args.d is not None:

@@ -48,6 +48,13 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (p, e) if x == 1 else None
 
 
+def _mod(x, m: int):
+    # x % m with floor semantics, for ints and int64 arrays alike; numpy
+    # divides an int64 array by a scalar much faster than it takes the
+    # remainder, so the remainder is taken through the quotient
+    return x - x // m * m
+
+
 def _digits(x, p: int, width: int) -> np.ndarray:
     # the `width` lowest base-p digits of x, least significant first, on a
     # new leading axis
@@ -181,7 +188,7 @@ class GF:
 
     def _digitwise(self, combine, xor, *xs):
         # combine(*xs) in the field, for ints and int64 arrays alike.  combine
-        # is Z-linear (+, - or a sum along an axis), so combine(*xs) % p is
+        # is Z-linear (+, - or a sum along an axis), so combine(*xs) mod p is
         # the combined lowest base-p digit, and each higher digit is the same
         # after dividing the operands by p; with e = 1 this is the prime
         # field's formula.  In characteristic 2 the digits are bits and
@@ -189,11 +196,11 @@ class GF:
         if self.p == 2:
             return xor(*xs)
         p = self.p
-        out, place = combine(*xs) % p, 1
+        out, place = _mod(combine(*xs), p), 1
         for _ in range(self.e - 1):
             xs = [x // p for x in xs]
             place *= p
-            out = out + combine(*xs) % p * place
+            out = out + _mod(combine(*xs), p) * place
         return out
 
     def add(self, a: int, b: int) -> int:
@@ -250,8 +257,8 @@ class GF:
     def mul_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise product of broadcastable arrays of elements."""
         if self.e == 1:
-            return (x * y) % self.p
-        out = self.exp_table[(self.log_table[x] + self.log_table[y]) % (self.q - 1)]
+            return _mod(x * y, self.p)
+        out = self.exp_table[_mod(self.log_table[x] + self.log_table[y], self.q - 1)]
         return np.where((x != 0) & (y != 0), out, 0)  # log[0] = -1 is masked out here
 
     def pow_array(self, x: np.ndarray, n: int) -> np.ndarray:
@@ -266,11 +273,11 @@ class GF:
             out, base = 1, x
             while k:
                 if k & 1:
-                    out = out * base % self.p
-                base = base * base % self.p
+                    out = _mod(out * base, self.p)
+                base = _mod(base * base, self.p)
                 k >>= 1
             return out
-        out = self.exp_table[self.log_table[x] * k % (self.q - 1)]
+        out = self.exp_table[_mod(self.log_table[x] * k, self.q - 1)]
         return np.where(x != 0, out, 0)
 
     def sub_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -10,12 +10,15 @@ when the leading m rows are block indicators (as in every code `lrc`
 builds) each of them sums that codeword over its block, and the support
 meets every block in 0 or >= 2 columns: only such supports are scanned.
 Solving each touched block's indicator row for its first chosen column
-turns the test of W columns touching k blocks into one of the W - k other
-columns minus their block's first column, on the R - m remaining rows, and
-W - k > R - m is dependent without elimination.  Candidates are unranked
-in chunks in lexicographic order, so the returned witness is always the
-lexicographically least dependent subset of the smallest size, independent
-of chunk boundaries.
+turns the test of a support into one of its other columns minus their
+block's first column, on the rows below the block rows; these differences
+are computed once per scan.  The supports of one size are walked as a tree
+of their sorted prefixes.  Each node carries the annihilator of its
+prefix's tested vectors, so a new column costs one matrix-vector product
+and one rank-one update, and a dependent prefix settles its whole subtree.
+Leaves come in lexicographic order, a slice of ranks at a time, so the
+returned witness is always the lexicographically least dependent subset of
+the smallest size, independent of slice boundaries.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from .gf import GF
 
 Matrix = Sequence[Sequence[int]]
 
-_CHUNK = 16384  # candidate supports unranked and tested per batch in smallest_dependent_subset
-_CAP = 1 << 62  # unranking tables saturate here so ranks fit int64; no scan gets this far
+_CHUNK = 16384  # leaf ranks walked per slice in smallest_dependent_subset
 
 
 def rref(field: GF, rows: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -122,32 +124,6 @@ def solve(field: GF, a_rows: Matrix, b: Sequence[int]) -> tuple[str, Optional[li
     return status, x
 
 
-def _dependent_mask(field: GF, batch: np.ndarray) -> np.ndarray:
-    """batch has shape (B, R, W), W <= R; True where the W columns are dependent."""
-    nb, nrows, ncols = batch.shape
-    dep = np.zeros(nb, dtype=bool)
-    idx = np.arange(nb)
-    for j in range(ncols):
-        colpart = batch[:, j:, j]
-        nzmask = colpart != 0
-        has = nzmask.any(axis=1)
-        dep |= ~has
-        if dep.all():
-            return dep
-        piv = j + np.argmax(nzmask, axis=1)
-        saved = batch[idx, j, :].copy()
-        batch[idx, j, :] = batch[idx, piv, :]
-        batch[idx, piv, :] = saved
-        if j + 1 >= nrows:
-            continue
-        inv_piv = field.inv_table[batch[:, j, j]]
-        factors = field.mul_array(batch[:, j + 1 :, j], inv_piv[:, None])
-        batch[:, j + 1 :, j:] = field.sub_array(
-            batch[:, j + 1 :, j:], field.mul_array(factors[:, :, None], batch[:, j : j + 1, j:])
-        )
-    return dep
-
-
 def subset_search_cost(n: int, max_size: int) -> int:
     """Number of column subsets of sizes 1..max_size: what a scan blind to
     block rows would examine, and a bound on what smallest_dependent_subset
@@ -200,14 +176,15 @@ def _support_counts(n: int, blocks: int):
         yield rows[v]
 
 
-def _unrank_tables(counts: list, n: int, blocks: int) -> np.ndarray:
-    """Completion counts for unranking supports of size len(counts) - 1,
-    saturated at _CAP; `counts` are the first rows of _support_counts.
+def _completion_tables(counts: list, n: int, blocks: int) -> np.ndarray:
+    """Completion counts of the supports of sizes up to len(counts) - 1,
+    saturated where a frontier's rank arithmetic stays within int64;
+    `counts` are the first rows of _support_counts.
 
     Entry [kind, v, y] counts the ways to make the last v picks with the
     first of them at column y or later: kind 0 when y's block holds no
-    earlier pick, kind 1 + need when it does and needs `need` more.
-    Column n stands for past the end.
+    earlier pick, kind 1 + need when it does and needs `need` more.  It is
+    the same for every support size.  Column n stands for past the end.
     """
     groups, width, least = _groups(n, blocks)
     w = len(counts) - 1
@@ -223,89 +200,126 @@ def _unrank_tables(counts: list, n: int, blocks: int) -> np.ndarray:
             table[0, e:, :n] += term
         for need in range(min(e, least - 1) + 1):
             table[1 + need, e:, :n] += term
-    return np.minimum(table, _CAP).astype(np.int64)
+    # a node's children number at most 2n and each count is at most the cap,
+    # so the leaf ranks summed over a frontier never reach 2**62
+    return np.minimum(table, (1 << 59) // (n + 1)).astype(np.int64)
 
 
-def _unrank(table: np.ndarray, width: int, least: int, ranks: np.ndarray) -> np.ndarray:
-    """The supports of lexicographic rank `ranks`, one sorted row each.
+def _completions(table: np.ndarray, width: int, v, x: np.ndarray, need: int) -> np.ndarray:
+    """Ways to make the last v picks of a support after a pick at x that
+    leaves `need` more owed to x's block: the picks from x + 1 on, inside
+    x's block or, once it needs none, after it (table[0] at the block end).
+    v and x broadcast."""
+    inside = x + 1 < (x // width + 1) * width
+    return np.where(inside, table[1 + need, v, x + 1], np.where(need == 0, table[0, v, x + 1], 0))
 
-    Columns are picked left to right.  After a pick at x, with c picks in
-    its block, the completions whose next pick lies at y or later number
-    table[1 + need, v, y] for y inside x's block, need = max(least - c, 0),
-    and, only when need is 0, table[0, v, y] from the end of the block on.
-    Both fall as y grows, so the next pick is the last y whose count is
-    still at least the completions at x + 1 less the rank.
+
+def _children(width, least, level, x, c, first, lo, hi):
+    """The children, in order, of the frontier nodes whose leaves meet ranks
+    lo..hi-1, as (parent, column, whether it continues its parent's block,
+    picks in its block, rank of its first leaf).
+
+    A frontier node is its last pick x, the c picks in x's block and the
+    rank of its first leaf.  A child may take a later column of its
+    parent's block or, once that block owes no more picks, any column after
+    it.  `level` holds, for a child that continues a block and for one that
+    opens a block, the columns it may end in with leaves left below it,
+    ascending and padded with n, and its leaf count by column.
     """
-    n, w = table.shape[2] - 1, table.shape[1] - 1
-    picks = np.empty((len(ranks), w), dtype=np.int64)
-    x = np.full(len(ranks), -1, dtype=np.int64)
-    c = np.full(len(ranks), least, dtype=np.int64)
-    rank = ranks
-    for i in range(w):
-        count = table[:, w - i]
-        end = (x // width + 1) * width
-        need = np.maximum(least - c, 0)
-        free = need == 0
-        inside = x + 1 < end
-        target = np.where(inside, count[1 + need, x + 1], np.where(free, count[0, x + 1], 0)) - rank
-        leave = free & (count[0, end] >= target)
-        y = np.searchsorted(-count[0], -target, side="right") - 1  # row 0 never rises
-        stay = np.flatnonzero(~leave)
-        if stay.size:
-            lo, hi, kind, tgt = x[stay] + 1, end[stay], 1 + need[stay], target[stay]
-            while (hi - lo > 1).any():
-                mid = (lo + hi) // 2
-                ok = count[kind, mid] >= tgt
-                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-            y[stay] = lo
-        rank = np.where(leave, count[0, y], count[1 + need, y]) - target
-        c = np.where(leave, 1, c + 1)
-        x = picks[:, i] = y
-    return picks
+    cont, opens, below_cont, below_open = level
+    end = (x // width + 1) * width
+    at = np.searchsorted(cont, x + 1)
+    k_in = np.searchsorted(cont, end) - at
+    op = np.searchsorted(opens, end)
+    kids = k_in + np.where(c >= least, np.searchsorted(opens, len(opens)) - op, 0)
+    parent = np.repeat(np.arange(len(x)), kids)
+    starts = np.cumsum(kids) - kids
+    off = np.arange(len(parent)) - starts[parent]
+    inside = off < k_in[parent]
+    y = np.where(inside, cont.take(at[parent] + off, mode="clip"),
+                 opens.take(op[parent] + off - k_in[parent], mode="clip"))
+    leaves = np.where(inside, below_cont[y], below_open[y])
+    # a child's first leaf rank: its parent's plus its elder siblings' leaves
+    ranks = np.cumsum(leaves) - leaves
+    fst = first[parent] + ranks - ranks[starts][parent]
+    keep = np.flatnonzero((fst < hi) & (fst + leaves > lo))
+    parent, y, inside = parent[keep], y[keep], inside[keep]
+    return parent, y, inside, np.where(inside, c[parent] + 1, 1), fst[keep]
 
 
-def _supports(counts: list, n: int, blocks: int):
-    """Chunks of every support of size len(counts) - 1 meeting each block in
-    0 or >= 2 columns, as sorted index rows in lexicographic order; `counts`
-    are the first rows of _support_counts."""
-    total = int(counts[-1][-1])
-    if total == 0:
-        return
-    _, width, least = _groups(n, blocks)
-    table = _unrank_tables(counts, n, blocks)
-    for start in range(0, total, _CHUNK):
-        yield _unrank(table, width, least, np.arange(start, min(start + _CHUNK, total), dtype=np.int64))
+def _leaves(field: GF, diffs: np.ndarray, table: np.ndarray, width: int, least: int):
+    """Walk the tree of prefixes of the supports of size w = table.shape[1] - 1
+    and yield its leaves in lexicographic order, in slices of consecutive
+    ranks, as (picks, dependent): one sorted support per row and whether its
+    columns are dependent.  Slices grow from _CHUNK / 64 leaves to _CHUNK, so
+    a scan whose witness comes early walks few leaves.  A slice ends at its
+    first dependent leaf.
 
-
-def _dependent_supports(field: GF, cols: np.ndarray, blocks: int, sel: np.ndarray) -> np.ndarray:
-    """True for each support row of `sel` whose columns of `cols` are dependent.
-
-    With block rows, each column other than the first of its block is tested
-    as itself minus that first column on the rows below the block rows."""
-    nsel, w = sel.shape
-    rest = cols[:, blocks:]
-    free_rows = rest.shape[1]
-    first = np.zeros((nsel, w), dtype=bool)
-    if blocks:
-        block = sel // (len(cols) // blocks)
-        first[:, 0] = True
-        first[:, 1:] = block[:, 1:] != block[:, :-1]
-        anchor = np.maximum.accumulate(np.where(first, np.arange(w), 0), axis=1)
-    touched = first.sum(axis=1)
-    dep = np.empty(nsel, dtype=bool)
-    for k in np.unique(touched):
-        at = np.flatnonzero(touched == k)
-        tested = w - int(k)
-        if tested > free_rows:
-            dep[at] = True  # more columns than rows
-            continue
-        other = ~first[at]
-        batch = rest[sel[at][other].reshape(len(at), tested)]
-        if blocks:
-            base = np.take_along_axis(sel[at], anchor[at], axis=1)
-            batch = field.sub_array(batch, rest[base[other].reshape(len(at), tested)])
-        dep[at] = _dependent_mask(field, batch.transpose(0, 2, 1).copy())
-    return dep
+    A node is a prefix of picks; its children (_children) are the later
+    columns from which the support can still be completed, in ascending
+    order, so each level lists its nodes in the order of their leaves.  Each
+    node carries N, whose rows span the annihilator of its tested vectors:
+    diffs[y, o] for a pick y whose block's first pick is y - o (o = 0 is
+    that first pick, tested only with no block rows).  A child's vector is
+    tested by u = N v: u = 0 means it lies in the prefix's span, which
+    makes the child and its whole subtree dependent; otherwise N takes one
+    rank-one update that clears the row of u's first nonzero entry.  Once N
+    has no rows left, every tested vector gives u = 0.
+    """
+    n, w, nrows = table.shape[2] - 1, table.shape[1] - 1, diffs.shape[2]
+    total = int(table[0, w, 0])
+    # row i of each: the leaves below a node at depth i + 1 by the column it
+    # ends in, continuing a block (which owes no more picks) or opening one,
+    # and the columns with any leaves, ascending and padded with n
+    left = np.arange(w - 1, -1, -1)[:, None]
+    below = [_completions(table, width, left, np.arange(n), need) for need in (0, least - 1)]
+    ends = [np.argsort(b == 0, axis=1, kind="stable") for b in below]
+    for e, b in zip(ends, below):
+        e[np.arange(n) >= (b > 0).sum(axis=1, keepdims=True)] = n
+    lo, size = 0, max(_CHUNK >> 6, 1)
+    while lo < total:
+        hi = min(lo + size, total)
+        # the root: no picks, a block that owes nothing, leaf ranks from 0
+        picks = np.empty((1, 0), dtype=np.int64)
+        x, c, anchor, first, dim = (np.array([v], dtype=np.int64) for v in (-1, least, -1, 0, 0))
+        ann = np.eye(nrows, dtype=np.int64)[None]
+        dep = np.zeros(1, dtype=bool)
+        for i in range(w):
+            level = (ends[0][i], ends[1][i], below[0][i], below[1][i])
+            parent, y, inside, cc, fst = _children(width, least, level, x, c, first, lo, hi)
+            anc = np.where(inside, anchor[parent], y)
+            sub = ann[parent]
+            u = field.sum_array(field.mul_array(sub, diffs[y, y - anc][:, None, :]), axis=2)
+            dep = dep[parent] | (~u.any(axis=1) & (inside | (least == 1)))
+            if dep.any():
+                # every later node's leaves follow the first dependent leaf
+                cut = int(np.argmax(dep)) + 1
+                parent, y, cc, anc, fst, sub, u, dep = (
+                    a[:cut] for a in (parent, y, cc, anc, fst, sub, u, dep)
+                )
+            picks = np.concatenate([picks[parent], y[:, None]], axis=1)
+            x, c, anchor, first, dim = y, cc, anc, fst, dim[parent]
+            if i + 1 == w:
+                break
+            # N's rows are nonzero exactly above row nrows - dim, dim the rank
+            # of the tested vectors: the update clears the pivot's row and
+            # moves the last nonzero row into it
+            hit = np.flatnonzero(u.any(axis=1))
+            if hit.size:
+                uh, row = u[hit], np.arange(hit.size)
+                piv = np.argmax(uh != 0, axis=1)
+                scale = field.mul_array(uh, field.inv_table[uh[row, piv]][:, None])
+                upd = field.sub_array(sub[hit], field.mul_array(scale[:, :, None], sub[hit, piv][:, None, :]))
+                last = nrows - 1 - dim[hit]
+                upd[row, piv] = upd[row, last]
+                upd[row, last] = 0
+                sub[hit] = upd
+                dim[hit] += 1
+            ann = sub[:, : nrows - dim.min()]
+        yield picks, dep
+        if dep.any():
+            return
+        lo, size = hi, min(2 * size, _CHUNK)
 
 
 def smallest_dependent_subset(
@@ -320,13 +334,19 @@ def smallest_dependent_subset(
     lexicographic order, so the result is the lexicographically least
     witness of the smallest dependent size.  Only supports that meet every
     block of the leading block-indicator rows (detect_block_locality) in 0
-    or >= 2 columns are candidates; with no block rows every subset is.  A
-    size where every candidate has more columns to test than rows to test
-    them on is answered by its first candidate without elimination (with
-    no block rows: any nrows + 1 columns).  `budget` caps the candidates
-    examined: before any is tested, ValueError as soon as the running
-    count of candidates over the sizes that need elimination passes it.
+    or >= 2 columns are candidates; with no block rows every subset is.
+    Each size walks the prefix tree of its candidates (_leaves): a column
+    is tested against the annihilator of the vectors its prefix has tested,
+    and a dependent prefix marks its whole subtree.  Once those vectors span
+    the rows below the block rows every later tested column is dependent,
+    so a size where every candidate has more columns to test than rows is
+    answered by its first candidate (with no block rows: any nrows + 1
+    columns).  `budget` caps the candidates examined: ValueError when it is
+    negative and, before any is tested, as soon as the running count of
+    candidates over the sizes that need a test passes it.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget {budget} must be non-negative")
     n = len(columns)
     if n == 0 or max_size < 1:
         return None
@@ -337,22 +357,29 @@ def smallest_dependent_subset(
     sizes = range(1, min(max_size, n) + 1)
     more_counts = _support_counts(n, blocks)
     counts = [next(more_counts)]
-    if budget is not None:
-        cost = 0
-        for w in sizes:
-            # a w-support touches at most min(blocks, w // 2) blocks, and
-            # each touched block takes one column off the test
-            if w - min(blocks, w // 2) > nrows - blocks:
-                break  # this size and every larger one is answered untested
-            counts.append(next(more_counts))
-            cost += int(counts[w][-1])
-            if cost > budget:
-                raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
+    cost = 0
+    for w in sizes:
+        # a w-support touches at most min(blocks, w // 2) blocks, and
+        # each touched block takes one column off the test
+        if w - min(blocks, w // 2) > nrows - blocks:
+            break  # this size and every larger one is dependent by counting
+        counts.append(next(more_counts))
+        cost += int(counts[w][-1])
+        if budget is not None and cost > budget:
+            raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
+    _, width, least = _groups(n, blocks)
+    # the vector tested for column y when its block's first pick is y - o:
+    # their difference on the rows below the block rows, or y itself with
+    # no block rows
+    rest = cols[:, blocks:]
+    base = rest if blocks else np.zeros_like(rest)
+    diffs = field.sub_array(rest[:, None, :], base[np.maximum(np.arange(n)[:, None] - np.arange(width), 0)])
+    table = _completion_tables(counts, n, blocks)
     for w in sizes:
         if len(counts) == w:
             counts.append(next(more_counts))
-        for sel in _supports(counts[: w + 1], n, blocks):
-            dep = _dependent_supports(field, cols, blocks, sel)
+            table = _completion_tables(counts, n, blocks)
+        for picks, dep in _leaves(field, diffs, table[:, : w + 1], width, least):
             if dep.any():
-                return tuple(int(v) for v in sel[int(np.argmax(dep))])
+                return tuple(int(v) for v in picks[int(np.argmax(dep))])
     return None

@@ -7,8 +7,10 @@ probabilities through bare enumeration of completions.  The coverage
 verifier and the greedy generator are checked against exhaustive walks over
 every index collection of size <= t, the array row reduction against a
 row-by-row elimination through the field's scalar operations, and the
-block-aware distance scan against the loop over every column subset in
-`itertools.combinations` order that it replaced.  `ReferenceSplitMix64`
+prefix-tree distance scan against two slower routes: the loop over every
+column subset in `itertools.combinations` order, and `reference_block_scan`,
+the block-aware scan as it was before it walked a prefix tree (it unranks
+each support and eliminates it on its own).  `ReferenceSplitMix64`
 computes the seeded stream one output at a time with Python integers, as
 the package did before it drew its outputs in numpy blocks; it feeds
 `reference_greedy` and the differential tests of `lrckit.rng`.  Field
@@ -439,6 +441,141 @@ def reference_rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[list[list[
     return work, pivots
 
 
+_REFERENCE_CHUNK = 16384  # supports unranked and eliminated per batch by reference_block_scan
+
+
+def _reference_dependent_mask(field: GF, batch: np.ndarray) -> np.ndarray:
+    """batch has shape (B, R, W), W <= R; True where the W columns are dependent."""
+    nb, nrows, ncols = batch.shape
+    dep = np.zeros(nb, dtype=bool)
+    idx = np.arange(nb)
+    for j in range(ncols):
+        colpart = batch[:, j:, j]
+        nzmask = colpart != 0
+        has = nzmask.any(axis=1)
+        dep |= ~has
+        if dep.all():
+            return dep
+        piv = j + np.argmax(nzmask, axis=1)
+        saved = batch[idx, j, :].copy()
+        batch[idx, j, :] = batch[idx, piv, :]
+        batch[idx, piv, :] = saved
+        if j + 1 >= nrows:
+            continue
+        inv_piv = field.inv_table[batch[:, j, j]]
+        factors = field.mul_array(batch[:, j + 1 :, j], inv_piv[:, None])
+        batch[:, j + 1 :, j:] = field.sub_array(
+            batch[:, j + 1 :, j:], field.mul_array(factors[:, :, None], batch[:, j : j + 1, j:])
+        )
+    return dep
+
+
+def _reference_unrank(table: np.ndarray, width: int, least: int, ranks: np.ndarray) -> np.ndarray:
+    """The supports of lexicographic rank `ranks`, one sorted row each.
+
+    Columns are picked left to right.  After a pick at x, with c picks in
+    its block, the completions whose next pick lies at y or later number
+    table[1 + need, v, y] for y inside x's block, need = max(least - c, 0),
+    and, only when need is 0, table[0, v, y] from the end of the block on.
+    Both fall as y grows, so the next pick is the last y whose count is
+    still at least the completions at x + 1 less the rank.
+    """
+    n, w = table.shape[2] - 1, table.shape[1] - 1
+    picks = np.empty((len(ranks), w), dtype=np.int64)
+    x = np.full(len(ranks), -1, dtype=np.int64)
+    c = np.full(len(ranks), least, dtype=np.int64)
+    rank = ranks
+    for i in range(w):
+        count = table[:, w - i]
+        end = (x // width + 1) * width
+        need = np.maximum(least - c, 0)
+        free = need == 0
+        inside = x + 1 < end
+        target = np.where(inside, count[1 + need, x + 1], np.where(free, count[0, x + 1], 0)) - rank
+        leave = free & (count[0, end] >= target)
+        y = np.searchsorted(-count[0], -target, side="right") - 1  # row 0 never rises
+        stay = np.flatnonzero(~leave)
+        if stay.size:
+            lo, hi, kind, tgt = x[stay] + 1, end[stay], 1 + need[stay], target[stay]
+            while (hi - lo > 1).any():
+                mid = (lo + hi) // 2
+                ok = count[kind, mid] >= tgt
+                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+            y[stay] = lo
+        rank = np.where(leave, count[0, y], count[1 + need, y]) - target
+        c = np.where(leave, 1, c + 1)
+        x = picks[:, i] = y
+    return picks
+
+
+def _reference_supports(counts: list, n: int, blocks: int):
+    """Chunks of every support of size len(counts) - 1 meeting each block in
+    0 or >= 2 columns, as sorted index rows in lexicographic order; `counts`
+    are the first rows of _support_counts."""
+    total = int(counts[-1][-1])
+    if total == 0:
+        return
+    _, width, least = linalg._groups(n, blocks)
+    table = linalg._completion_tables(counts, n, blocks)
+    for start in range(0, total, _REFERENCE_CHUNK):
+        ranks = np.arange(start, min(start + _REFERENCE_CHUNK, total), dtype=np.int64)
+        yield _reference_unrank(table, width, least, ranks)
+
+
+def _reference_dependent_supports(field: GF, cols: np.ndarray, blocks: int, sel: np.ndarray) -> np.ndarray:
+    """True for each support row of `sel` whose columns of `cols` are dependent.
+
+    With block rows, each column other than the first of its block is tested
+    as itself minus that first column on the rows below the block rows."""
+    nsel, w = sel.shape
+    rest = cols[:, blocks:]
+    free_rows = rest.shape[1]
+    first = np.zeros((nsel, w), dtype=bool)
+    if blocks:
+        block = sel // (len(cols) // blocks)
+        first[:, 0] = True
+        first[:, 1:] = block[:, 1:] != block[:, :-1]
+        anchor = np.maximum.accumulate(np.where(first, np.arange(w), 0), axis=1)
+    touched = first.sum(axis=1)
+    dep = np.empty(nsel, dtype=bool)
+    for k in np.unique(touched):
+        at = np.flatnonzero(touched == k)
+        tested = w - int(k)
+        if tested > free_rows:
+            dep[at] = True  # more columns than rows
+            continue
+        other = ~first[at]
+        batch = rest[sel[at][other].reshape(len(at), tested)]
+        if blocks:
+            base = np.take_along_axis(sel[at], anchor[at], axis=1)
+            batch = field.sub_array(batch, rest[base[other].reshape(len(at), tested)])
+        dep[at] = _reference_dependent_mask(field, batch.transpose(0, 2, 1).copy())
+    return dep
+
+
+def reference_block_scan(
+    field: GF, columns: Sequence[Sequence[int]], max_size: int
+) -> Optional[tuple[int, ...]]:
+    """Least dependent column subset of size <= max_size, or None, as the
+    block-aware scan found it before it walked a prefix tree: the supports
+    that meet each block in 0 or >= 2 columns are unranked in lexicographic
+    order, and each is eliminated on its own, its non-first columns minus
+    their block's first column below the block rows."""
+    n = len(columns)
+    if n == 0 or max_size < 1:
+        return None
+    cols = np.array(columns, dtype=np.int64)
+    r = linalg.detect_block_locality(cols.T)
+    blocks = 0 if r is None else n // (r + 1)
+    counts = list(itertools.islice(linalg._support_counts(n, blocks), min(max_size, n) + 1))
+    for w in range(1, len(counts)):
+        for sel in _reference_supports(counts[: w + 1], n, blocks):
+            dep = _reference_dependent_supports(field, cols, blocks, sel)
+            if dep.any():
+                return tuple(int(v) for v in sel[int(np.argmax(dep))])
+    return None
+
+
 def reference_smallest_dependent_subset(
     field: GF, columns: Sequence[Sequence[int]], max_size: int
 ) -> Optional[tuple[int, ...]]:
@@ -460,7 +597,7 @@ def reference_smallest_dependent_subset(
             if not block:
                 break
             batch = cols[np.array(block, dtype=np.intp)].transpose(0, 2, 1).copy()
-            dep = linalg._dependent_mask(field, batch)
+            dep = _reference_dependent_mask(field, batch)
             if dep.any():
                 return block[int(np.argmax(dep))]
     return None

@@ -155,6 +155,22 @@ def test_build_code_and_distance(tmp_path, fam_file, capsys):
     assert main(["build-code", "--in", str(bad), "--d", "5", "--out", str(h)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["distance", "--in", "{h}"],
+    ["distance", "--in", "{h}", "--d", "5"],
+    ["verify", "--in", "{fam}", "--full", "--d", "5"],
+])
+def test_scans_refuse_a_negative_budget(tmp_path, fam_file, capsys, argv):
+    h = tmp_path / "H.txt"
+    assert main(["build-code", "--in", str(fam_file), "--d", "5", "--out", str(h)]) == 0
+    capsys.readouterr()
+    args = [a.format(h=h, fam=fam_file) for a in argv]
+    assert main(args + ["--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --budget -1 must be non-negative\n"
+
+
 def test_encode_erase_repair_cycle(tmp_path, code_files, capsys):
     h, w = code_files
     erased = tmp_path / "e.txt"

@@ -1,7 +1,9 @@
+import functools
 import gc
 import itertools
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from lrckit.setfam import SetFamily
 from conftest import (
     minors_dependent,
     minors_min_distance,
+    reference_block_scan,
     reference_rref,
     reference_smallest_dependent_subset,
 )
@@ -219,24 +222,53 @@ def test_support_counts_match_a_filter_of_combinations():
         assert _counts_up_to(n, 0, n) == [math.comb(n, w) for w in range(n + 1)]
 
 
+def _walked_leaves(n, blocks, w):
+    # every leaf of the size-w prefix tree, slice by slice; each picked
+    # column (with its offset from its block's first pick) gets a unit vector
+    # of its own, so no support is dependent and no slice is cut short
+    _, width, least = linalg._groups(n, blocks)
+    counts = list(itertools.islice(linalg._support_counts(n, blocks), w + 1))
+    table = linalg._completion_tables(counts, n, blocks)
+    diffs = np.eye(n * width, dtype=np.int64).reshape(n, width, n * width)
+    got = []
+    for picks, dep in linalg._leaves(GF(2), diffs, table, width, least):
+        assert 0 < len(picks) <= linalg._CHUNK and not dep.any()
+        got += [tuple(s) for s in picks.tolist()]
+    return got
+
+
 @pytest.mark.parametrize("m,width", [(1, 4), (2, 2), (2, 5), (3, 3), (4, 2)])
 def test_support_generator_yields_the_filtered_combinations_in_order(monkeypatch, m, width):
     monkeypatch.setattr(linalg, "_CHUNK", 7)
     n = m * width
     rows = list(itertools.islice(linalg._support_counts(n, m), n + 1))
     for w in range(1, n + 1):
-        got = [tuple(s) for chunk in linalg._supports(rows[: w + 1], n, m) for s in chunk.tolist()]
+        got = _walked_leaves(n, m, w)
         assert len(got) == int(rows[w][-1])
         assert got == _block_respecting(n, width, w)
 
 
-SCAN_QS = [4, 8, 9, 13, 16, 25, 27]
+def test_leaf_walk_without_block_rows_yields_every_combination_in_order(monkeypatch):
+    monkeypatch.setattr(linalg, "_CHUNK", 7)
+    for n in range(1, 8):
+        for w in range(1, n + 1):
+            assert _walked_leaves(n, 0, w) == list(itertools.combinations(range(n), w))
 
 
-def _draw_scan_matrix(data, q):
+SCAN_QS = [2, 4, 8, 9, 13, 16, 25, 27, 101, 65536]
+
+
+@functools.lru_cache(maxsize=None)
+def _field(q):
+    return GF(q)
+
+
+def _draw_scan_matrix(data, f):
     """One of: the parity-check matrix of a random family (violating ones
-    included), block-indicator rows stacked on arbitrary rows, or arbitrary
-    rows alone; the last two with zero entries and repeated columns."""
+    included), block-indicator rows stacked on up to four arbitrary rows, or
+    arbitrary rows alone; the last two with zero entries and repeated
+    columns."""
+    q = f.q
     entry = st.integers(0, q - 1) | st.just(0)
     shape = data.draw(st.sampled_from(["code", "stacked", "plain"]))
     if shape == "code":
@@ -246,13 +278,15 @@ def _draw_scan_matrix(data, q):
             st.lists(st.lists(st.integers(0, q - 1), min_size=r + 1, max_size=r + 1, unique=True),
                      min_size=1, max_size=3)
         )
-        return [list(row) for row in build_parity_check(SetFamily(q, r, (d - 1) // 2, sets), d).rows]
+        return [list(row) for row in build_parity_check(SetFamily(q, r, (d - 1) // 2, sets), d, f).rows]
     if shape == "stacked":
         m, width = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
         top, n = _block_rows(m, width), m * width
     else:
         top, n = [], data.draw(st.integers(1, 8))
-    below = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(data.draw(st.integers(1, 4)))]
+    # block rows may stand alone: then every tested column is dependent
+    nbelow = data.draw(st.integers(0 if top else 1, 4))
+    below = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(nbelow)]
     for _ in range(data.draw(st.integers(0, 2))):
         # repeat a column's entries below the block rows, so block rows still tile
         src, dst = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
@@ -264,16 +298,26 @@ def _draw_scan_matrix(data, q):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_block_scan_matches_the_subset_loop(data):
+    # the prefix walk against three slower routes: the block-aware scan it
+    # replaced, the loop over every subset and, for prime q <= 13 and up to
+    # 8 columns, sympy minors
     q = data.draw(st.sampled_from(SCAN_QS))
-    f = GF(q)
-    rows = _draw_scan_matrix(data, q)
+    f = _field(q)
+    rows = _draw_scan_matrix(data, f)
     cols = _columns(rows)
-    # the loop scans sizes in ascending order, so one run up to the largest
-    # max_size answers every smaller one
-    want = reference_smallest_dependent_subset(f, cols, len(rows) + 2)
-    for max_size in range(1, len(rows) + 3):
-        expect = want if want is not None and len(want) <= max_size else None
-        assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
+    # the oracles scan sizes in ascending order, so one run up to the
+    # largest max_size answers every smaller one
+    top = len(rows) + 2
+    want = reference_smallest_dependent_subset(f, cols, top)
+    assert reference_block_scan(f, cols, top) == want
+    if f.e == 1 and q <= 13 and len(cols) <= 8:
+        minors = minors_min_distance(rows, len(cols), q, min(top, len(cols)))
+        assert want == (None if minors is None else minors[1])
+    chunk = data.draw(st.sampled_from([1, 7, linalg._CHUNK]))
+    with mock.patch.object(linalg, "_CHUNK", chunk):
+        for max_size in range(1, top + 1):
+            expect = want if want is not None and len(want) <= max_size else None
+            assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
 
 
 @pytest.mark.parametrize("q", [5, 7, 13])
@@ -291,7 +335,7 @@ def test_block_scan_matches_minor_oracle(q):
 
 
 def test_wide_subsets_short_circuit():
-    # any nrows+1 columns are dependent without any elimination
+    # any nrows+1 columns are dependent by counting
     f = GF(7)
     cols = [(1,), (2,), (3,)]
     assert linalg.smallest_dependent_subset(f, cols, 2) == (0, 1)
@@ -316,6 +360,15 @@ def test_budget_guard():
         with pytest.raises(ValueError, match="budget exceeded") as exc:
             linalg.smallest_dependent_subset(f, cols, max_size, budget=budget)
         assert len(str(exc.value)) < 200
+
+
+def test_negative_budget_is_refused():
+    for cols in ([(1, 0), (0, 1)], []):
+        with pytest.raises(ValueError, match="budget -1 must be non-negative"):
+            linalg.smallest_dependent_subset(GF(7), cols, 2, budget=-1)
+    # a budget of 0 is a budget: it passes at the first candidate
+    with pytest.raises(ValueError, match="budget exceeded: 2 columns pass 0 subsets at size 1"):
+        linalg.smallest_dependent_subset(GF(7), [(1, 2), (3, 4)], 2, budget=0)
 
 
 def test_budget_counts_the_candidates_of_the_sizes_that_need_elimination(singleton_code):
