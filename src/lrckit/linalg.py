@@ -12,13 +12,13 @@ meets every block in 0 or >= 2 columns: only such supports are scanned.
 Solving each touched block's indicator row for its first chosen column
 turns the test of a support into one of its other columns minus their
 block's first column, on the rows below the block rows; these differences
-are computed once per scan.  The supports of one size are walked as a tree
-of their sorted prefixes.  Each node carries the annihilator of its
-prefix's tested vectors, so a new column costs one matrix-vector product
-and one rank-one update, and a dependent prefix settles its whole subtree.
-Leaves come in lexicographic order, a slice of ranks at a time, so the
-returned witness is always the lexicographically least dependent subset of
-the smallest size, independent of slice boundaries.
+are computed once per scan.  The supports of one size are walked once as a
+tree of their sorted prefixes, each prefix made once.  Each node carries
+the annihilator of its prefix's tested vectors, so a new column costs one
+matrix-vector product and one rank-one update.  Leaves come in
+lexicographic order, a batch at a time, so the returned witness is always
+the lexicographically least dependent subset of the smallest size,
+independent of batch sizes.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .gf import GF
 
 Matrix = Sequence[Sequence[int]]
 
-_CHUNK = 16384  # leaf ranks walked per slice in smallest_dependent_subset
+_CHUNK = 16384  # most leaves made per step of the walk in smallest_dependent_subset
 
 
 def rref(field: GF, rows: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -176,134 +176,111 @@ def _support_counts(n: int, blocks: int):
         yield rows[v]
 
 
-def _completion_tables(counts: list, n: int, blocks: int) -> np.ndarray:
-    """Completion counts of the supports of sizes up to len(counts) - 1,
-    saturated where a frontier's rank arithmetic stays within int64;
-    `counts` are the first rows of _support_counts.
-
-    Entry [kind, v, y] counts the ways to make the last v picks with the
-    first of them at column y or later: kind 0 when y's block holds no
-    earlier pick, kind 1 + need when it does and needs `need` more.  It is
-    the same for every support size.  Column n stands for past the end.
-    """
+def _reachable(counts: list, n: int, blocks: int) -> np.ndarray:
+    """The columns a pick may take with v picks still to come, for each
+    v < len(counts), ascending and padded with n: entry [0, v] for a pick
+    that continues its block, which then owes no more picks, and [1, v] for
+    one that opens a block.  A column qualifies when enough columns follow
+    it in its block for the picks its block still owes and the rest fit the
+    later groups, whose support counts are the first rows of
+    _support_counts."""
     groups, width, least = _groups(n, blocks)
-    w = len(counts) - 1
     y = np.arange(n)
-    after = np.stack(counts)[:, groups - 1 - y // width]  # [v, y]: in the groups after y's
-    table = np.zeros((1 + least, w + 1, n + 1), dtype=object)
-    table[0, 0, n] = 1
-    for e in range(min(w, width) + 1):
-        # e picks among the columns from y to the end of its block
-        ways = np.array([comb(width - o, e) for o in range(width)], dtype=object)[y % width]
-        term = ways * after[: w + 1 - e]
-        if e == 0 or e >= least:
-            table[0, e:, :n] += term
-        for need in range(min(e, least - 1) + 1):
-            table[1 + need, e:, :n] += term
-    # a node's children number at most 2n and each count is at most the cap,
-    # so the leaf ranks summed over a frontier never reach 2**62
-    return np.minimum(table, (1 << 59) // (n + 1)).astype(np.int64)
+    later = np.stack(counts)[:, groups - 1 - y // width] > 0  # [v, y]
+    reach = np.zeros((2, len(counts), n), dtype=bool)
+    for e in range(min(len(counts), width)):
+        # e more picks among the columns after y in its block
+        fits = (y % width + e < width) & later[: len(counts) - e]
+        reach[0, e:] |= fits
+        if e >= least - 1:
+            reach[1, e:] |= fits
+    ends = np.argsort(~reach, axis=2, kind="stable")
+    ends[y >= reach.sum(axis=2, keepdims=True)] = n
+    return ends
 
 
-def _completions(table: np.ndarray, width: int, v, x: np.ndarray, need: int) -> np.ndarray:
-    """Ways to make the last v picks of a support after a pick at x that
-    leaves `need` more owed to x's block: the picks from x + 1 on, inside
-    x's block or, once it needs none, after it (table[0] at the block end).
-    v and x broadcast."""
-    inside = x + 1 < (x // width + 1) * width
-    return np.where(inside, table[1 + need, v, x + 1], np.where(need == 0, table[0, v, x + 1], 0))
+def _children(level, width, least, x, c, limit):
+    """Expand the first nodes of a depth, as many as keep their children
+    within `limit` and at least one.  Returns how many were expanded and
+    their children in order, as (parent, column, whether it continues its
+    parent's block).
 
-
-def _children(width, least, level, x, c, first, lo, hi):
-    """The children, in order, of the frontier nodes whose leaves meet ranks
-    lo..hi-1, as (parent, column, whether it continues its parent's block,
-    picks in its block, rank of its first leaf).
-
-    A frontier node is its last pick x, the c picks in x's block and the
-    rank of its first leaf.  A child may take a later column of its
-    parent's block or, once that block owes no more picks, any column after
-    it.  `level` holds, for a child that continues a block and for one that
-    opens a block, the columns it may end in with leaves left below it,
-    ascending and padded with n, and its leaf count by column.
+    A node is its last pick x and the c picks in x's block.  A child may
+    take a later column of its parent's block or, once that block owes no
+    more picks, any column after it.  `level` holds the columns a child may
+    end in (_reachable), continuing a block and opening one.
     """
-    cont, opens, below_cont, below_open = level
+    cont, opens = level
     end = (x // width + 1) * width
     at = np.searchsorted(cont, x + 1)
     k_in = np.searchsorted(cont, end) - at
     op = np.searchsorted(opens, end)
     kids = k_in + np.where(c >= least, np.searchsorted(opens, len(opens)) - op, 0)
-    parent = np.repeat(np.arange(len(x)), kids)
-    starts = np.cumsum(kids) - kids
-    off = np.arange(len(parent)) - starts[parent]
+    upto = np.cumsum(kids)
+    take = max(int(np.searchsorted(upto, limit, side="right")), 1)
+    parent = np.repeat(np.arange(take), kids[:take])
+    off = np.arange(len(parent)) - (upto - kids)[parent]
     inside = off < k_in[parent]
     y = np.where(inside, cont.take(at[parent] + off, mode="clip"),
                  opens.take(op[parent] + off - k_in[parent], mode="clip"))
-    leaves = np.where(inside, below_cont[y], below_open[y])
-    # a child's first leaf rank: its parent's plus its elder siblings' leaves
-    ranks = np.cumsum(leaves) - leaves
-    fst = first[parent] + ranks - ranks[starts][parent]
-    keep = np.flatnonzero((fst < hi) & (fst + leaves > lo))
-    parent, y, inside = parent[keep], y[keep], inside[keep]
-    return parent, y, inside, np.where(inside, c[parent] + 1, 1), fst[keep]
+    return take, parent, y, inside
 
 
-def _leaves(field: GF, diffs: np.ndarray, table: np.ndarray, width: int, least: int):
-    """Walk the tree of prefixes of the supports of size w = table.shape[1] - 1
-    and yield its leaves in lexicographic order, in slices of consecutive
-    ranks, as (picks, dependent): one sorted support per row and whether its
-    columns are dependent.  Slices grow from _CHUNK / 64 leaves to _CHUNK, so
-    a scan whose witness comes early walks few leaves.  A slice ends at its
-    first dependent leaf.
+def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: int):
+    """Walk the tree of prefixes of the supports of size w = ends.shape[1]
+    once and yield its leaves in lexicographic order, in batches, as (picks,
+    dependent): one sorted support per row and whether its columns are
+    dependent.  The walk stops after the first batch with a dependent leaf.
 
     A node is a prefix of picks; its children (_children) are the later
     columns from which the support can still be completed, in ascending
-    order, so each level lists its nodes in the order of their leaves.  Each
-    node carries N, whose rows span the annihilator of its tested vectors:
-    diffs[y, o] for a pick y whose block's first pick is y - o (o = 0 is
-    that first pick, tested only with no block rows).  A child's vector is
-    tested by u = N v: u = 0 means it lies in the prefix's span, which
-    makes the child and its whole subtree dependent; otherwise N takes one
-    rank-one update that clears the row of u's first nonzero entry.  Once N
-    has no rows left, every tested vector gives u = 0.
+    order.  Each depth keeps its unexpanded nodes in order, and each step
+    expands the first nodes of the deepest depth that has any.  Every node
+    waiting at a depth then precedes, in leaf order, every node waiting at a
+    shallower one, so leaves come in lexicographic order and each prefix is
+    made once.  A step makes at most a batch of children, which grows from
+    _CHUNK / 64 to _CHUNK so that a scan whose witness comes early walks few
+    leaves; below the leaves it makes at most an eighth of a batch (and at
+    least _CHUNK / 64), so few nodes wait.
+
+    Each node carries N, whose rows span the annihilator of its tested
+    vectors: diffs[y, o] for a pick y whose block's first pick is y - o
+    (o = 0 is that first pick, tested only with no block rows).  A child's
+    vector is tested by u = N v: u = 0 means it lies in the prefix's span;
+    otherwise N takes one rank-one update that clears the row of u's first
+    nonzero entry.  Once N has no rows left, every tested vector gives
+    u = 0.  Only leaves are judged: a proper prefix tests the vectors of a
+    support of a smaller size (less its last pick when that opens a block),
+    and smallest_dependent_subset walks a size only once every smaller one
+    has no dependent support.
     """
-    n, w, nrows = table.shape[2] - 1, table.shape[1] - 1, diffs.shape[2]
-    total = int(table[0, w, 0])
-    # row i of each: the leaves below a node at depth i + 1 by the column it
-    # ends in, continuing a block (which owes no more picks) or opening one,
-    # and the columns with any leaves, ascending and padded with n
-    left = np.arange(w - 1, -1, -1)[:, None]
-    below = [_completions(table, width, left, np.arange(n), need) for need in (0, least - 1)]
-    ends = [np.argsort(b == 0, axis=1, kind="stable") for b in below]
-    for e, b in zip(ends, below):
-        e[np.arange(n) >= (b > 0).sum(axis=1, keepdims=True)] = n
-    lo, size = 0, max(_CHUNK >> 6, 1)
-    while lo < total:
-        hi = min(lo + size, total)
-        # the root: no picks, a block that owes nothing, leaf ranks from 0
-        picks = np.empty((1, 0), dtype=np.int64)
-        x, c, anchor, first, dim = (np.array([v], dtype=np.int64) for v in (-1, least, -1, 0, 0))
-        ann = np.eye(nrows, dtype=np.int64)[None]
-        dep = np.zeros(1, dtype=bool)
-        for i in range(w):
-            level = (ends[0][i], ends[1][i], below[0][i], below[1][i])
-            parent, y, inside, cc, fst = _children(width, least, level, x, c, first, lo, hi)
-            anc = np.where(inside, anchor[parent], y)
-            sub = ann[parent]
-            u = field.sum_array(field.mul_array(sub, diffs[y, y - anc][:, None, :]), axis=2)
-            dep = dep[parent] | (~u.any(axis=1) & (inside | (least == 1)))
+    w, nrows = ends.shape[1], diffs.shape[2]
+    # the root: no picks, a block that owes nothing, N the identity
+    root = (np.empty((1, 0), dtype=np.int64), np.array([-1]), np.array([least]), np.array([-1]),
+            np.eye(nrows, dtype=np.int64)[None], np.zeros(1, dtype=np.int64))
+    waiting = [root] + [None] * (w - 1)
+    size, i = max(_CHUNK >> 6, 1), 0
+    while i >= 0:
+        picks, x, c, anchor, ann, dim = waiting[i]
+        leaf = i + 1 == w
+        limit = size if leaf else max(size >> 3, _CHUNK >> 6)
+        take, parent, y, inside = _children(ends[:, w - 1 - i], width, least, x, c, limit)
+        waiting[i] = tuple(a[take:] for a in waiting[i]) if take < len(x) else None
+        anc = np.where(inside, anchor[parent], y)
+        sub = ann[parent]
+        u = field.sum_array(field.mul_array(sub, diffs[y, y - anc][:, None, :]), axis=2)
+        picks = np.concatenate([picks[parent], y[:, None]], axis=1)
+        if leaf:
+            # a leaf never opens a block, so each one's vector is tested
+            dep = ~u.any(axis=1)
+            yield picks, dep
             if dep.any():
-                # every later node's leaves follow the first dependent leaf
-                cut = int(np.argmax(dep)) + 1
-                parent, y, cc, anc, fst, sub, u, dep = (
-                    a[:cut] for a in (parent, y, cc, anc, fst, sub, u, dep)
-                )
-            picks = np.concatenate([picks[parent], y[:, None]], axis=1)
-            x, c, anchor, first, dim = y, cc, anc, fst, dim[parent]
-            if i + 1 == w:
-                break
+                return
+        elif len(y):
             # N's rows are nonzero exactly above row nrows - dim, dim the rank
             # of the tested vectors: the update clears the pivot's row and
             # moves the last nonzero row into it
+            dim = dim[parent]
             hit = np.flatnonzero(u.any(axis=1))
             if hit.size:
                 uh, row = u[hit], np.arange(hit.size)
@@ -315,11 +292,10 @@ def _leaves(field: GF, diffs: np.ndarray, table: np.ndarray, width: int, least: 
                 upd[row, last] = 0
                 sub[hit] = upd
                 dim[hit] += 1
-            ann = sub[:, : nrows - dim.min()]
-        yield picks, dep
-        if dep.any():
-            return
-        lo, size = hi, min(2 * size, _CHUNK)
+            cc = np.where(inside, c[parent] + 1, 1)
+            waiting[i + 1] = (picks, y, cc, anc, sub[:, : nrows - dim.min()], dim)
+        size = min(2 * size, _CHUNK)
+        i = max((k for k in range(w) if waiting[k] is not None), default=-1)
 
 
 def smallest_dependent_subset(
@@ -335,9 +311,10 @@ def smallest_dependent_subset(
     witness of the smallest dependent size.  Only supports that meet every
     block of the leading block-indicator rows (detect_block_locality) in 0
     or >= 2 columns are candidates; with no block rows every subset is.
-    Each size walks the prefix tree of its candidates (_leaves): a column
-    is tested against the annihilator of the vectors its prefix has tested,
-    and a dependent prefix marks its whole subtree.  Once those vectors span
+    Each size walks the prefix tree of its candidates once (_leaves): a
+    column is tested against the annihilator of the vectors its prefix has
+    tested, and only whole candidates are judged, since a proper prefix
+    tests the vectors of a smaller candidate.  Once those vectors span
     the rows below the block rows every later tested column is dependent,
     so a size where every candidate has more columns to test than rows is
     answered by its first candidate (with no block rows: any nrows + 1
@@ -374,12 +351,12 @@ def smallest_dependent_subset(
     rest = cols[:, blocks:]
     base = rest if blocks else np.zeros_like(rest)
     diffs = field.sub_array(rest[:, None, :], base[np.maximum(np.arange(n)[:, None] - np.arange(width), 0)])
-    table = _completion_tables(counts, n, blocks)
+    ends = _reachable(counts, n, blocks)
     for w in sizes:
-        if len(counts) == w:
+        if len(counts) < w:
             counts.append(next(more_counts))
-            table = _completion_tables(counts, n, blocks)
-        for picks, dep in _leaves(field, diffs, table[:, : w + 1], width, least):
+            ends = _reachable(counts, n, blocks)
+        for picks, dep in _leaves(field, diffs, ends[:, :w], width, least):
             if dep.any():
                 return tuple(int(v) for v in picks[int(np.argmax(dep))])
     return None

@@ -9,8 +9,9 @@ every index collection of size <= t, the array row reduction against a
 row-by-row elimination through the field's scalar operations, and the
 prefix-tree distance scan against two slower routes: the loop over every
 column subset in `itertools.combinations` order, and `reference_block_scan`,
-the block-aware scan as it was before it walked a prefix tree (it unranks
-each support and eliminates it on its own).  `ReferenceSplitMix64`
+the block-aware scan as it was before it walked a prefix tree (it
+generates the supports pick by pick, without the package's support
+counts, and eliminates each on its own).  `ReferenceSplitMix64`
 computes the seeded stream one output at a time with Python integers, as
 the package did before it drew its outputs in numpy blocks; it feeds
 `reference_greedy` and the differential tests of `lrckit.rng`.  Field
@@ -441,7 +442,7 @@ def reference_rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[list[list[
     return work, pivots
 
 
-_REFERENCE_CHUNK = 16384  # supports unranked and eliminated per batch by reference_block_scan
+_REFERENCE_CHUNK = 16384  # supports generated and eliminated per batch by reference_block_scan
 
 
 def _reference_dependent_mask(field: GF, batch: np.ndarray) -> np.ndarray:
@@ -470,56 +471,25 @@ def _reference_dependent_mask(field: GF, batch: np.ndarray) -> np.ndarray:
     return dep
 
 
-def _reference_unrank(table: np.ndarray, width: int, least: int, ranks: np.ndarray) -> np.ndarray:
-    """The supports of lexicographic rank `ranks`, one sorted row each.
+def _reference_supports(n: int, blocks: int, w: int):
+    """Every w-subset of range(n) that meets each of `blocks` equal blocks
+    of consecutive columns in 0 or >= 2 columns (every w-subset when blocks
+    is 0), as sorted tuples in lexicographic order.  Columns are picked left
+    to right, and a pick that is alone in its block so far may only be
+    followed by another pick in that block."""
+    width = n // blocks if blocks else n
 
-    Columns are picked left to right.  After a pick at x, with c picks in
-    its block, the completions whose next pick lies at y or later number
-    table[1 + need, v, y] for y inside x's block, need = max(least - c, 0),
-    and, only when need is 0, table[0, v, y] from the end of the block on.
-    Both fall as y grows, so the next pick is the last y whose count is
-    still at least the completions at x + 1 less the rank.
-    """
-    n, w = table.shape[2] - 1, table.shape[1] - 1
-    picks = np.empty((len(ranks), w), dtype=np.int64)
-    x = np.full(len(ranks), -1, dtype=np.int64)
-    c = np.full(len(ranks), least, dtype=np.int64)
-    rank = ranks
-    for i in range(w):
-        count = table[:, w - i]
-        end = (x // width + 1) * width
-        need = np.maximum(least - c, 0)
-        free = need == 0
-        inside = x + 1 < end
-        target = np.where(inside, count[1 + need, x + 1], np.where(free, count[0, x + 1], 0)) - rank
-        leave = free & (count[0, end] >= target)
-        y = np.searchsorted(-count[0], -target, side="right") - 1  # row 0 never rises
-        stay = np.flatnonzero(~leave)
-        if stay.size:
-            lo, hi, kind, tgt = x[stay] + 1, end[stay], 1 + need[stay], target[stay]
-            while (hi - lo > 1).any():
-                mid = (lo + hi) // 2
-                ok = count[kind, mid] >= tgt
-                lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-            y[stay] = lo
-        rank = np.where(leave, count[0, y], count[1 + need, y]) - target
-        c = np.where(leave, 1, c + 1)
-        x = picks[:, i] = y
-    return picks
+    def extend(picks):
+        x = picks[-1] if picks else -1
+        alone = bool(blocks and picks) and (len(picks) < 2 or picks[-2] // width != x // width)
+        if len(picks) == w:
+            if not alone:
+                yield picks
+            return
+        for y in range(x + 1, (x // width + 1) * width if alone else n):
+            yield from extend(picks + (y,))
 
-
-def _reference_supports(counts: list, n: int, blocks: int):
-    """Chunks of every support of size len(counts) - 1 meeting each block in
-    0 or >= 2 columns, as sorted index rows in lexicographic order; `counts`
-    are the first rows of _support_counts."""
-    total = int(counts[-1][-1])
-    if total == 0:
-        return
-    _, width, least = linalg._groups(n, blocks)
-    table = linalg._completion_tables(counts, n, blocks)
-    for start in range(0, total, _REFERENCE_CHUNK):
-        ranks = np.arange(start, min(start + _REFERENCE_CHUNK, total), dtype=np.int64)
-        yield _reference_unrank(table, width, least, ranks)
+    return extend(())
 
 
 def _reference_dependent_supports(field: GF, cols: np.ndarray, blocks: int, sel: np.ndarray) -> np.ndarray:
@@ -558,18 +528,20 @@ def reference_block_scan(
 ) -> Optional[tuple[int, ...]]:
     """Least dependent column subset of size <= max_size, or None, as the
     block-aware scan found it before it walked a prefix tree: the supports
-    that meet each block in 0 or >= 2 columns are unranked in lexicographic
-    order, and each is eliminated on its own, its non-first columns minus
-    their block's first column below the block rows."""
+    that meet each block in 0 or >= 2 columns come in lexicographic order
+    from a generator of its own, and each is eliminated on its own, its
+    non-first columns minus their block's first column below the block
+    rows."""
     n = len(columns)
     if n == 0 or max_size < 1:
         return None
     cols = np.array(columns, dtype=np.int64)
     r = linalg.detect_block_locality(cols.T)
     blocks = 0 if r is None else n // (r + 1)
-    counts = list(itertools.islice(linalg._support_counts(n, blocks), min(max_size, n) + 1))
-    for w in range(1, len(counts)):
-        for sel in _reference_supports(counts[: w + 1], n, blocks):
+    for w in range(1, min(max_size, n) + 1):
+        supports = _reference_supports(n, blocks, w)
+        while batch := list(itertools.islice(supports, _REFERENCE_CHUNK)):
+            sel = np.array(batch, dtype=np.int64)
             dep = _reference_dependent_supports(field, cols, blocks, sel)
             if dep.any():
                 return tuple(int(v) for v in sel[int(np.argmax(dep))])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import lrckit
 
 
@@ -8,3 +10,11 @@ def test_every_public_name_resolves_once():
     namespace: dict = {}
     exec("from lrckit import *", namespace)
     assert set(lrckit.__all__) <= set(namespace)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's library example as written, with the outputs its comments name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert capsys.readouterr().out.split() == ["5", "local", "True"]

@@ -223,16 +223,17 @@ def test_support_counts_match_a_filter_of_combinations():
 
 
 def _walked_leaves(n, blocks, w):
-    # every leaf of the size-w prefix tree, slice by slice; each picked
+    # every leaf of the size-w prefix tree, batch by batch; each picked
     # column (with its offset from its block's first pick) gets a unit vector
-    # of its own, so no support is dependent and no slice is cut short
+    # of its own, so no support is dependent and the walk runs to its end
     _, width, least = linalg._groups(n, blocks)
-    counts = list(itertools.islice(linalg._support_counts(n, blocks), w + 1))
-    table = linalg._completion_tables(counts, n, blocks)
+    counts = list(itertools.islice(linalg._support_counts(n, blocks), w))
+    ends = linalg._reachable(counts, n, blocks)
     diffs = np.eye(n * width, dtype=np.int64).reshape(n, width, n * width)
     got = []
-    for picks, dep in linalg._leaves(GF(2), diffs, table, width, least):
-        assert 0 < len(picks) <= linalg._CHUNK and not dep.any()
+    for picks, dep in linalg._leaves(GF(2), diffs, ends, width, least):
+        # a batch holds at most _CHUNK leaves, or the children of one node
+        assert len(picks) <= max(linalg._CHUNK, n) and not dep.any()
         got += [tuple(s) for s in picks.tolist()]
     return got
 
@@ -253,6 +254,64 @@ def test_leaf_walk_without_block_rows_yields_every_combination_in_order(monkeypa
     for n in range(1, 8):
         for w in range(1, n + 1):
             assert _walked_leaves(n, 0, w) == list(itertools.combinations(range(n), w))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_leaf_walk_makes_each_prefix_once(monkeypatch, chunk):
+    # a walk with no dependent support makes one node per distinct prefix
+    # of its supports, leaves included, however small its batches
+    monkeypatch.setattr(linalg, "_CHUNK", chunk)
+    made = []
+    children = linalg._children
+
+    def counted(*args):
+        out = children(*args)
+        made.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(linalg, "_children", counted)
+    for m, width in [(0, 7), (2, 3), (2, 5), (3, 3), (4, 2)]:
+        n = m * width if m else width
+        for w in range(1, n + 1):
+            supports = _block_respecting(n, width, w) if m else list(itertools.combinations(range(n), w))
+            made.clear()
+            _walked_leaves(n, m, w)
+            assert sum(made) == len({s[:k] for s in supports for k in range(1, w + 1)})
+
+
+def test_scan_stops_at_the_least_witness_with_nodes_still_waiting(monkeypatch):
+    # with _CHUNK = 1 a step expands one node, so when the witness's batch
+    # comes its parent's later siblings and nodes at every shallower depth
+    # are still waiting: the walk must have yielded every earlier candidate
+    # of the witness's size in order, none of them dependent, and stop there
+    monkeypatch.setattr(linalg, "_CHUNK", 1)
+    # Vandermonde columns over GF(101), any four independent, but column 6
+    # is 1 * column 1 + 2 * column 3 + 3 * column 5
+    f = GF(101)
+    plain = [[pow(x, e, 101) for e in range(4)] for x in range(1, 9)]
+    plain[6] = [(a + 2 * b + 3 * c) % 101 for a, b, c in zip(plain[1], plain[3], plain[5])]
+    g = GF(16)
+    powers = [[g.pow(x, e) for x in range(1, 15)] + [g.pow(14, e)] for e in (1, 2, 3)]
+    block = _columns(_block_rows(5, 3) + powers)
+    walk = linalg._leaves
+    for field, cols, witness, blocks, width in ((f, plain, (1, 3, 5, 6), 0, 8), (g, block, (13, 14), 5, 3)):
+        batches = []
+
+        def recorded(*args):
+            for picks, dep in walk(*args):
+                batches.append((picks.tolist(), dep.tolist()))
+                yield picks, dep
+
+        monkeypatch.setattr(linalg, "_leaves", recorded)
+        got = linalg.smallest_dependent_subset(field, cols, len(witness))
+        assert got == witness == reference_smallest_dependent_subset(field, cols, len(witness))
+        assert reference_block_scan(field, cols, len(witness)) == witness
+        w = len(witness)
+        walked = [tuple(p) for picks, _ in batches for p in picks if len(p) == w]
+        want = _block_respecting(len(cols), width, w) if blocks else list(itertools.combinations(range(len(cols)), w))
+        assert walked == want[: len(walked)]
+        assert walked.index(witness) >= len(walked) - len(batches[-1][0])
+        assert not any(any(dep) for _, dep in batches[:-1]) and any(batches[-1][1])
 
 
 SCAN_QS = [2, 4, 8, 9, 13, 16, 25, 27, 101, 65536]
