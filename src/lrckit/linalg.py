@@ -4,6 +4,16 @@ Row reduction, rank, nullspace and solving take and return plain lists of
 ints but eliminate on numpy arrays through the field's array operations
 (table lookups for extension fields, modular arithmetic for prime ones).
 
+The rank projects instead of eliminating the block rows.  When the leading
+m rows B are block indicators above rows P, rank [B; P] = m + rank(P K)
+for K whose columns e_j - e_f (f the first column of j's block) span ker B:
+B has rank m, and a combination of P's rows lies in B's row space exactly
+when it vanishes on ker B.  P K is each column of P less its block's first
+column, the same differences the distance scan tests, made by one helper.
+For the 96 x 546 parity-check matrix of a 91-block code only a 546 x 5
+matrix is eliminated, and the block rows are read as tuples, never
+converted to an array.
+
 The search for small dependent column sets is the hot path of distance
 verification.  A smallest dependent set is the support of one codeword, so
 when the leading m rows are block indicators (as in every code `lrc`
@@ -78,7 +88,25 @@ def rref(field: GF, rows: Matrix) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(field: GF, rows: Matrix) -> int:
-    return len(rref(field, rows)[1])
+    """Rank of `rows`, eliminating only what the block rows leave open.
+
+    When the leading m rows B are block indicators (_block_layout) above
+    rows P, rank [B; P] = m + rank(P K) for any K whose columns span ker B.
+    B has rank m, and a combination of P's rows lies in B's row space
+    exactly when it vanishes on ker B, so the identity is exact for every
+    P.  K's columns are e_j - e_f for each column j and the first column f
+    of j's block, so P K is each column of P less its block's first column
+    (_block_differences, the vectors the distance scan tests): zero for the
+    first columns, which span nothing.  Only that (n x rows - m) matrix is
+    eliminated.  With no block rows m = 0, and the matrix is P itself.
+    """
+    blocks, width = _block_layout(rows)
+    if len(rows) == blocks:
+        return blocks
+    below = field.array(rows[blocks:]).T
+    n = len(below)
+    diffs = _block_differences(field, below, blocks, width)
+    return blocks + len(rref(field, diffs[np.arange(n), np.arange(n) % width])[1])
 
 
 def nullspace_basis(field: GF, rows: Matrix) -> list[list[int]]:
@@ -131,6 +159,30 @@ def subset_search_cost(n: int, max_size: int) -> int:
     return sum(comb(n, w) for w in range(1, min(max_size, n) + 1))
 
 
+def _block_layout(rows: Matrix) -> tuple[int, int]:
+    """(m, width) when the leading m rows mark m equal-width contiguous
+    blocks that tile the columns left to right, row i the i-th block with
+    1 on its columns and 0 elsewhere; (0, 1) otherwise.
+
+    The rows are compared as tuples, so no more of the matrix than the
+    block rows is read, and none of it is converted to an array.
+    """
+    if len(rows) == 0:
+        return 0, 1
+    first = tuple(rows[0])
+    n = len(first)
+    width = next((j for j, v in enumerate(first) if v != 1), n)
+    if width == 0 or n % width or len(rows) < n // width:
+        return 0, 1
+    ones, m = (1,) * width, n // width
+    for i in range(m):
+        # ones on its block and n - width zeros leave no other entry
+        row = tuple(rows[i])
+        if len(row) != n or row[i * width : (i + 1) * width] != ones or row.count(0) != n - width:
+            return 0, 1
+    return m, width
+
+
 def detect_block_locality(rows: Matrix) -> Optional[int]:
     """Recover r from leading block-indicator rows, or None.
 
@@ -139,15 +191,19 @@ def detect_block_locality(rows: Matrix) -> Optional[int]:
     less one.  Matrices written by `build-code` always match; hand-made ones
     may need r given explicitly.
     """
-    a = np.asarray(rows)
-    if a.ndim != 2 or a.size == 0:
-        return None
-    n = a.shape[1]
-    width = int(np.argmin(a[0] == 1)) if (a[0] != 1).any() else n
-    if width == 0 or n % width or a.shape[0] < n // width:
-        return None
-    tiling = np.arange(n) // width == np.arange(n // width)[:, None]
-    return width - 1 if np.array_equal(a[: n // width], tiling) else None
+    blocks, width = _block_layout(rows)
+    return width - 1 if blocks else None
+
+
+def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) -> np.ndarray:
+    """diffs[y, o] for o < width: column y of the rows below the block rows
+    (`below`, one row per column) less column y - o, clamped at column 0;
+    column y itself when there are no block rows (width 1).  A block row
+    sums a codeword over its block, so solving it for one column of the
+    block turns each other column into its difference from that one."""
+    n = len(below)
+    base = below if blocks else np.zeros_like(below)
+    return field.sub_array(below[:, None, :], base[np.maximum(np.arange(n)[:, None] - np.arange(width), 0)])
 
 
 def _groups(n: int, blocks: int) -> tuple[int, int, int]:
@@ -329,8 +385,7 @@ def smallest_dependent_subset(
         return None
     cols = np.array(columns, dtype=np.int64)
     nrows = cols.shape[1]
-    r = detect_block_locality(cols.T)
-    blocks = 0 if r is None else n // (r + 1)
+    blocks, width = _block_layout(cols.T.tolist())
     sizes = range(1, min(max_size, n) + 1)
     more_counts = _support_counts(n, blocks)
     counts = [next(more_counts)]
@@ -344,13 +399,9 @@ def smallest_dependent_subset(
         cost += int(counts[w][-1])
         if budget is not None and cost > budget:
             raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
-    _, width, least = _groups(n, blocks)
-    # the vector tested for column y when its block's first pick is y - o:
-    # their difference on the rows below the block rows, or y itself with
-    # no block rows
-    rest = cols[:, blocks:]
-    base = rest if blocks else np.zeros_like(rest)
-    diffs = field.sub_array(rest[:, None, :], base[np.maximum(np.arange(n)[:, None] - np.arange(width), 0)])
+    least = _groups(n, blocks)[2]
+    # the vector tested for column y when its block's first pick is y - o
+    diffs = _block_differences(field, cols[:, blocks:], blocks, width)
     ends = _reachable(counts, n, blocks)
     for w in sizes:
         if len(counts) < w:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .rng import SplitMix64
 
@@ -398,9 +398,7 @@ def random_family(
         raise ValueError("target family size must be positive")
     base = SplitMix64(seed)
     for _ in range(_MAX_ATTEMPTS):
-        rng = base.spawn()
-        sets = [rng.subset(q, r + 1) for _ in range(2 * m)]
-        pool = SetFamily(q, r, t, tuple(sets))
+        pool = SetFamily(q, r, t, tuple(base.spawn().subsets(q, r + 1, 2 * m)))
         survivors = remove_violations(pool, verify_union_condition(pool))
         if survivors.m >= m:
             return SetFamily(q, r, t, survivors.sets[:m])
@@ -408,6 +406,18 @@ def random_family(
         f"no verifying family of {m} sets within {_MAX_ATTEMPTS} attempts "
         f"(q={q}, r={r}, t={t}, seed={seed})"
     )
+
+
+def _draws(rng: SplitMix64, q: int, k: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """`budget` k-subsets of [0, q) from `rng`, drawn in batches of 16, 64,
+    256 and then 1024: a run that stops after a few draws computes few, and
+    a long one pays a batch's fixed cost rarely."""
+    size = 16
+    while budget > 0:
+        batch = rng.subsets(q, k, min(size, budget))
+        yield from batch
+        budget -= len(batch)
+        size = min(4 * size, 1024)
 
 
 def greedy_family(
@@ -448,12 +458,10 @@ def greedy_family(
         raise ValueError("target family size must be positive")
     if candidate_budget < 0:
         raise ValueError("candidate budget must be non-negative")
-    rng = SplitMix64(seed)
     accepted: list[tuple[int, ...]] = []
     adj: dict[int, set[int]] = {}  # the 2-section graph of the accepted sets
     pairs: set[tuple[int, int]] = set()  # value pairs inside accepted sets
-    for _ in range(candidate_budget):
-        drawn = rng.subset(q, r + 1)
+    for drawn in _draws(SplitMix64(seed), q, r + 1, candidate_budget):
         # a failing pair shares two values, so the pair set settles size 2
         if not pairs.isdisjoint(combinations(drawn, 2)):
             continue

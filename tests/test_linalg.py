@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from lrckit import linalg
 from lrckit.gf import GF
-from lrckit.lrc import DEFAULT_SUBSET_BUDGET, build_parity_check
+from lrckit.lrc import DEFAULT_SUBSET_BUDGET, build_parity_check, code_params_from_family
 from lrckit.rng import SplitMix64
-from lrckit.setfam import SetFamily
+from lrckit.setfam import SetFamily, greedy_family, random_family
 
 from conftest import (
     minors_dependent,
@@ -475,3 +475,67 @@ def test_rank_of_product_bounded(data):
         for j in range(nc):
             combo[j] = f.add(combo[j], f.mul(cf, row[j]))
     assert linalg.rank(f, rows + [combo]) == rk
+
+
+RANK_QS = [2, 4, 13, 27, 4999]
+
+
+def _draw_rank_matrix(data, q):
+    """Block-indicator rows (widths from 1, where they form an identity, to
+    the whole row, where they are one all-ones row) above 0 to 4 arbitrary
+    rows, or arbitrary rows alone; zero entries and repeated columns below."""
+    entry = st.integers(0, q - 1) | st.just(0)
+    shape = data.draw(st.sampled_from(["blocks", "identity", "all-ones", "plain"]))
+    if shape == "plain":
+        top, n = [], data.draw(st.integers(1, 7))
+    else:
+        m = 1 if shape == "all-ones" else data.draw(st.integers(1, 4))
+        width = 1 if shape == "identity" else data.draw(st.integers(1, 4))
+        top, n = _block_rows(m, width), m * width
+    below = [data.draw(st.lists(entry, min_size=n, max_size=n))
+             for _ in range(data.draw(st.integers(0 if top else 1, 4)))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        src, dst = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        for row in below:
+            row[dst] = row[src]
+    return top + below
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_rank_through_the_block_rows_matches_full_elimination(data):
+    q = data.draw(st.sampled_from(RANK_QS))
+    f = _field(q)
+    rows = _draw_rank_matrix(data, q)
+    want = len(linalg.rref(f, rows)[1])
+    assert len(reference_rref(f, rows)[1]) == want
+    for form in (rows, tuple(tuple(row) for row in rows), np.array(rows)):
+        assert linalg.rank(f, form) == want
+    if f.e == 1 and len(rows) * len(rows[0]) <= 30:
+        assert _minors_rank(rows, q) == want
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rank_of_the_construction_codes_matches_full_elimination(seed):
+    for fam in (random_family(4999, 5, 3, seed), greedy_family(101, 5, 3, 4096, seed)):
+        pcm = build_parity_check(fam, 7)
+        assert linalg.rank(pcm.field, pcm.rows) == len(linalg.rref(pcm.field, pcm.rows)[1]) == fam.m + 5
+
+
+@pytest.mark.parametrize(
+    "q,sets,message",
+    [
+        # messages recorded from the full-elimination rank gate
+        (8, ((0, 1, 2, 3), (4, 5, 6, 7)), "parity-check rank 6 is below m + d - 2 = 7"),
+        (11, ((0, 1, 2, 4), (3, 6, 8, 9)), "parity-check rank 6 is below m + d - 2 = 7"),
+    ],
+)
+def test_rank_gate_refuses_a_deficient_code_with_the_full_rank(q, sets, message):
+    # r = 3 < d - 2: two verifying sets give k = 1, and H's 7 rows have rank 6
+    fam = SetFamily(q, 3, 3, sets)
+    pcm = build_parity_check(fam, 7)
+    assert len(linalg.rref(pcm.field, pcm.rows)[1]) == 6
+    with pytest.raises(ValueError) as err:
+        code_params_from_family(fam, 7)
+    assert str(err.value) == message
+

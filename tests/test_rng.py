@@ -139,3 +139,101 @@ def test_bounds_up_to_two_to_the_64_are_accepted():
 def test_bad_arguments_raise_a_named_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call(SplitMix64(1))
+
+
+# ------------------------------------------------------- batched subsets
+
+BATCH_BOUNDS = (1, 2, 5, 11, 13, 101, 4999, 65536, 1 << 64)
+
+
+@st.composite
+def _batch_args(draw):
+    n = draw(st.sampled_from(BATCH_BOUNDS))
+    k = draw(st.sampled_from([0, min(n, 12)]) | st.integers(0, min(n, 12)))
+    # up to about 600 draws: several refills of 1024 outputs at large k
+    count = draw(st.sampled_from([0, 1, 2, 16, 64]) | st.integers(0, 600))
+    return n, k, count
+
+
+_BATCH_OPS = st.one_of(
+    st.tuples(st.just("subsets"), _batch_args()),
+    st.tuples(st.just("next64"), st.integers(1, 1100)),
+    st.tuples(st.just("below"), st.sampled_from(BATCH_BOUNDS), st.integers(1, 5)),
+)
+
+
+def _apply_batch(gen, op):
+    if op[0] == "subsets":
+        n, k, count = op[1]
+        if isinstance(gen, ReferenceSplitMix64):
+            return [gen.subset(n, k) for _ in range(count)]
+        return gen.subsets(n, k, count)
+    return _apply(gen, op)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.sampled_from(SEEDS) | st.integers(0, (1 << 64) - 1),
+    ops=st.lists(_BATCH_OPS, min_size=1, max_size=8),
+)
+def test_batched_subsets_match_one_draw_at_a_time(seed, ops):
+    # every batch equals that many reference draws, and the single draws
+    # after it read on from where those draws leave the stream
+    gen, ref = SplitMix64(seed), ReferenceSplitMix64(seed)
+    for op in ops:
+        assert _apply_batch(gen, op) == _apply_batch(ref, op), op
+    assert gen.next64() == ref.next64()
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (11, 6), (13, 5), (101, 6), (1 << 64, 3), (5, 5)])
+def test_batches_too_small_for_their_draws_still_match(monkeypatch, n, k):
+    # a window of k values and one start per run: nearly every draw outgrows
+    # its window and every run ends after one draw
+    from lrckit import rng
+
+    monkeypatch.setattr(rng, "_CELLS", 1)
+    plan = rng._plan(n, k)
+    monkeypatch.setattr(rng, "_plan", lambda n_, k_: (*plan[:2], k_, *plan[3:]))
+    gen, ref = SplitMix64(99), ReferenceSplitMix64(99)
+    assert gen.subsets(n, k, 40) == [ref.subset(n, k) for _ in range(40)]
+    assert gen.next64() == ref.next64()
+
+
+def test_batched_subsets_at_two_to_the_64_do_not_overflow():
+    # shift 0: every output is in range, and the largest ones compare as such
+    gen, ref = SplitMix64(5), ReferenceSplitMix64(5)
+    got = gen.subsets(1 << 64, 4, 300)
+    assert got == [ref.subset(1 << 64, 4) for _ in range(300)]
+    assert max(max(s) for s in got) > (1 << 63)
+
+
+def test_batches_that_need_no_output_consume_nothing():
+    gen = SplitMix64(3)
+    assert gen.subsets(1, 1, 5) == [(0,)] * 5
+    assert gen.subsets(9, 0, 3) == [()] * 3
+    assert gen.subsets(7, 3, 0) == []
+    assert gen.next64() == SplitMix64(3).next64()
+
+
+def test_a_negative_count_is_refused():
+    with pytest.raises(ValueError, match="count -1"):
+        SplitMix64(1).subsets(5, 2, -1)
+
+
+def test_refills_start_at_one_output_and_double_to_a_block(monkeypatch):
+    from lrckit import rng
+
+    sizes = []
+    outputs = rng._outputs
+
+    def recorded(counter, count):
+        sizes.append(count)
+        return outputs(counter, count)
+
+    monkeypatch.setattr(rng, "_outputs", recorded)
+    gen, ref = SplitMix64(8), ReferenceSplitMix64(8)
+    assert gen.below(13) == ref.below(13)
+    assert sizes[0] == 1
+    assert [gen.next64() for _ in range(5000)] == [ref.next64() for _ in range(5000)]
+    assert sizes[:12] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1024]
+    assert max(sizes) == rng._BLOCK

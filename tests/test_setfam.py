@@ -185,10 +185,12 @@ def test_greedy_matches_exhaustive_admissibility(q, r, t, budget, seed):
 
 @st.composite
 def greedy_cases(draw):
+    # q just above r + 1 makes most draws repeat values; budgets past 16 + 64
+    # span several of greedy_family's batches, so a target can stop it mid-batch
     r = draw(st.integers(1, 5))
-    q = draw(st.integers(r + 1, 60))
+    q = draw(st.integers(r + 1, r + 6) | st.integers(r + 1, 60))
     t = draw(st.integers(2, 6))
-    budget = draw(st.integers(0, 200))
+    budget = draw(st.integers(0, 200) | st.integers(80, 400))
     target_m = draw(st.none() | st.integers(1, 12))
     return q, r, t, budget, draw(st.integers(0, 2**32)), target_m
 
