@@ -87,7 +87,12 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_budget(args.budget)
+    if args.full and args.d is None:
+        raise formats.FormatError("--full needs --d to pick the code distance")
     family = formats.read_family(args.infile)
+    d = args.d
+    if d is not None and _locality_from_d(d) > family.t:
+        raise formats.FormatError(f"family was built for t={family.t}; d={d} needs t >= {_locality_from_d(d)}")
     violations = setfam.verify_union_condition(family)
     if violations:
         first = violations[0]
@@ -99,11 +104,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.full:
         return 0
 
-    if args.d is None:
-        raise formats.FormatError("--full needs --d to pick the code distance")
-    d = args.d
-    if _locality_from_d(d) > family.t:
-        raise formats.FormatError(f"family was built for t={family.t}; d={d} needs t >= {_locality_from_d(d)}")
     field = GF(family.q)
     pcm = lrc.build_parity_check(family, d, field)
     params = lrc.code_params_from_family(family, d, pcm)
@@ -146,6 +146,8 @@ def cmd_build_code(args: argparse.Namespace) -> int:
 
 def cmd_distance(args: argparse.Namespace) -> int:
     _check_budget(args.budget)
+    if args.d is not None and args.d < 1:
+        raise formats.FormatError(f"--d {args.d} must be at least 1")
     rows, q = formats.read_matrix(args.infile)
     field = GF(q)
     if args.d is not None:

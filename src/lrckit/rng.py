@@ -9,12 +9,10 @@ keeps the stream layout independent of the bound's bit pattern.
 Output i (from 0) of the generator seeded with s is
 `mix(s + (i + 1) * GAMMA mod 2**64)`: a pure function of its position, with
 no state carried from one output to the next.  So the generator's state is
-one position, and it computes any run of outputs at once in numpy `uint64`
-arithmetic, which wraps mod 2**64 exactly as the definition does.  Single
-draws (`next64`, `below`) are handed out from a buffer of Python ints whose
-first refill holds one output and each next one twice as many, up to
-`_BLOCK`: a generator that draws once computes one output, and a long
-stream pays one numpy call per `_BLOCK` outputs.
+one counter.  A single draw (`next64`, `below`) advances it by GAMMA and
+mixes it in Python ints; `subsets` computes a run of outputs at once in
+numpy `uint64` arithmetic, which wraps mod 2**64 exactly as the definition
+does.  Both paths go through the one mixer, `_mix`.
 
 `subsets` draws many k-subsets in one call.  It computes a run of outputs,
 shifts it and drops the values out of range as arrays, and marks each kept
@@ -42,17 +40,18 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_BLOCK = 1024  # largest refill of the single-draw buffer
 _CELLS = 1 << 15  # most (start, offset) cells one run of subsets examines
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 avalanche mixer, in place on a uint64 array (wrapping
-    products)."""
+def _mix(z):
+    """The SplitMix64 avalanche mixer on a Python int, or in place on a
+    uint64 array, whose products already wrap so the masks change nothing."""
     z ^= z >> 30
-    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z *= 0xBF58476D1CE4E5B9
+    z &= _MASK
     z ^= z >> 27
-    z *= np.uint64(0x94D049BB133111EB)
+    z *= 0x94D049BB133111EB
+    z &= _MASK
     z ^= z >> 31
     return z
 
@@ -88,23 +87,11 @@ def _shift(n: int) -> int:
 
 class SplitMix64:
     def __init__(self, seed: int):
-        self._counter = seed & _MASK  # the counter of the last output computed
-        self._buf: list[int] = []
-        self._pos = 0
-        self._size = 1  # outputs the next refill computes
-
-    def _refill(self) -> None:
-        self._buf = _outputs(self._counter, self._size).tolist()
-        self._pos = 0
-        self._counter = (self._counter + self._size * _GAMMA) & _MASK
-        self._size = min(2 * self._size, _BLOCK)
+        self._counter = seed & _MASK  # the counter of the last output drawn
 
     def next64(self) -> int:
-        if self._pos == len(self._buf):
-            self._refill()
-        pos = self._pos
-        self._pos = pos + 1
-        return self._buf[pos]
+        self._counter = (self._counter + _GAMMA) & _MASK
+        return _mix(self._counter)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -139,13 +126,12 @@ class SplitMix64:
         if shift == 64:
             return [(0,)] * count
         mean, spread, width, per_value, top, down, value = _plan(n, k)
-        counter = (self._counter - (len(self._buf) - self._pos) * _GAMMA) & _MASK
         rows: list[tuple[int, ...]] = []
         while len(rows) < count:
             need = count - len(rows)
             starts = int((need - 1) * mean + 4 * spread * (need - 1) ** 0.5) + 1
             starts = min(starts, max(_CELLS // width, 1))
-            vals = _outputs(counter, int((starts + width) * per_value * 1.1) + 8)
+            vals = _outputs(self._counter, int((starts + width) * per_value * 1.1) + 8)
             at = np.flatnonzero(np.right_shift(vals, down, out=vals) <= top)
             vals = vals[at].astype(value)
             # gap[i]: i less the last j < i with the value of i, or i + 1 when
@@ -186,10 +172,9 @@ class SplitMix64:
                 keep = fresh.T[c] & (distinct.T[c] <= k)
                 picked = vals.take(c[:, None] + offsets, mode="clip")[keep]
                 rows.extend(map(tuple, np.sort(picked.reshape(-1, k), axis=1).tolist()))
-                counter = (counter + (int(at[i - 1]) + 1) * _GAMMA) & _MASK
+                self._counter = (self._counter + (int(at[i - 1]) + 1) * _GAMMA) & _MASK
             if not chosen or (len(chosen) < need and i < len(spans)):
                 width *= 2  # a draw outgrew the window, or the run held none
-        self._counter, self._buf, self._pos = counter, [], 0
         return rows
 
     def spawn(self) -> "SplitMix64":

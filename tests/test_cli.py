@@ -172,6 +172,25 @@ def test_scans_refuse_a_negative_budget(tmp_path, fam_file, capsys, argv):
     assert captured.err == "error: --budget -1 must be non-negative\n"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["verify", "--in", "{fam}", "--d", "7"], "family was built for t=2; d=7 needs t >= 3"),
+    (["verify", "--in", "{fam}", "--d", "4"], "d=4 too small: need d >= 5 so that t = (d-1)//2 >= 2"),
+    (["verify", "--in", "{fam}", "--full", "--d", "7"], "family was built for t=2; d=7 needs t >= 3"),
+    (["distance", "--in", "{h}", "--d", "0"], "--d 0 must be at least 1"),
+    (["distance", "--in", "{h}", "--d", "-1"], "--d -1 must be at least 1"),
+])
+def test_a_d_the_command_cannot_honour_is_a_usage_error(tmp_path, fam_file, capsys, argv, error):
+    # a t = 2 family and its code: verify applies the checks of --full to
+    # any --d, and distance refuses a bound below 1
+    h = tmp_path / "H.txt"
+    assert main(["build-code", "--in", str(fam_file), "--d", "5", "--out", str(h)]) == 0
+    capsys.readouterr()
+    assert main([a.format(h=h, fam=fam_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def test_encode_erase_repair_cycle(tmp_path, code_files, capsys):
     h, w = code_files
     erased = tmp_path / "e.txt"

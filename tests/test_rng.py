@@ -1,6 +1,7 @@
-"""The block-computed SplitMix64 stream against the one-output-at-a-time
-reference: same values for every seed and every mix of calls, wherever
-the block boundaries fall."""
+"""The SplitMix64 stream, single draws from its counter and batched ones
+from numpy runs of outputs, against the one-output-at-a-time reference:
+same values for every seed and every mix of calls, wherever a run starts
+or ends."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 from conftest import ReferenceSplitMix64
 from lrckit.rng import SplitMix64
 
-SEEDS = (0, 1, 42, (1 << 64) - 1, -1, -(1 << 70) + 3, (1 << 64) + 5, 20260814)
+# -GAMMA: the first step wraps the counter to 0, whose output is 0
+SEEDS = (
+    0, 1, 42, (1 << 64) - 1, -1, -(1 << 70) + 3, (1 << 64) + 5, 20260814, -0x9E3779B97F4A7C15,
+)
 # n = 1, 2, powers of two and their neighbours, up to 2**64
 SPECIAL_BOUNDS = sorted(
     {1, 2, 3}
@@ -150,7 +154,7 @@ BATCH_BOUNDS = (1, 2, 5, 11, 13, 101, 4999, 65536, 1 << 64)
 def _batch_args(draw):
     n = draw(st.sampled_from(BATCH_BOUNDS))
     k = draw(st.sampled_from([0, min(n, 12)]) | st.integers(0, min(n, 12)))
-    # up to about 600 draws: several refills of 1024 outputs at large k
+    # up to about 600 draws: several runs of outputs at large k
     count = draw(st.sampled_from([0, 1, 2, 16, 64]) | st.integers(0, 600))
     return n, k, count
 
@@ -220,20 +224,25 @@ def test_a_negative_count_is_refused():
         SplitMix64(1).subsets(5, 2, -1)
 
 
-def test_refills_start_at_one_output_and_double_to_a_block(monkeypatch):
+def test_single_draws_compute_no_run_of_outputs(monkeypatch):
+    # next64, below and spawn step the counter alone; a batch after them
+    # reads on from where they leave it
     from lrckit import rng
 
-    sizes = []
-    outputs = rng._outputs
+    def refused(counter, count):
+        raise AssertionError("a single draw computed a run of outputs")
 
-    def recorded(counter, count):
-        sizes.append(count)
-        return outputs(counter, count)
-
-    monkeypatch.setattr(rng, "_outputs", recorded)
+    monkeypatch.setattr(rng, "_outputs", refused)
     gen, ref = SplitMix64(8), ReferenceSplitMix64(8)
+    assert gen.next64() == ref.next64()
     assert gen.below(13) == ref.below(13)
-    assert sizes[0] == 1
-    assert [gen.next64() for _ in range(5000)] == [ref.next64() for _ in range(5000)]
-    assert sizes[:12] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 1024]
-    assert max(sizes) == rng._BLOCK
+    assert gen.spawn().next64() == ref.spawn().next64()
+    monkeypatch.undo()
+    assert gen.subsets(101, 6, 50) == [ref.subset(101, 6) for _ in range(50)]
+    assert gen.next64() == ref.next64()
+
+
+def test_the_counter_that_wraps_to_zero_outputs_zero():
+    # the mixer maps 0 to 0, on its int path and on its array path
+    assert SplitMix64(-0x9E3779B97F4A7C15).next64() == 0
+    assert SplitMix64(-0x9E3779B97F4A7C15).subsets(1 << 64, 1, 1) == [(0,)]
