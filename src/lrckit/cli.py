@@ -12,6 +12,7 @@ error, 3 generation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Optional, Sequence
@@ -263,6 +264,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once per process: each main call only parses with it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrckit",

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .gf import GF
-from .setfam import SetFamily, verify_union_condition
+from .setfam import SetFamily, find_berge_cycle
 
 DEFAULT_SUBSET_BUDGET = 30_000_000
 
@@ -193,8 +193,8 @@ def code_params_from_family(
     rejected.
     """
     t_needed = (d - 1) // 2
-    check = SetFamily(family.q, family.r, max(t_needed, 2), family.sets)
-    if verify_union_condition(check):
+    # no Berge cycle of length <= t is the coverage condition at t
+    if find_berge_cycle(family, max(t_needed, 2)) is not None:
         raise ValueError("family fails the coverage condition for this distance")
     if pcm is None:
         pcm = build_parity_check(family, d)

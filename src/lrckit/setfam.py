@@ -19,13 +19,12 @@ plus the connected collections of small union, not C(m, t).
 The greedy generator asks a distance question instead.  In the 2-section
 graph of the accepted sets (values adjacent when one set holds both), a
 candidate fails iff two of its values are joined by a path of length
-<= t - 1.  `_closing_edge` answers it by one breadth-first search from all
-the candidate's values, at the cost of their balls of radius floor(t/2).
-The path behind its answer, traced back through the search's layers, takes
-each step in a different set, so with the candidate it forms a Berge cycle
-of length <= t, and every failing collection holds such a cycle.
-`find_berge_cycle` asks the same question of each set in turn, against the
-sets before it, and traces that path; a `SetFamily` is the hypergraph.
+<= t - 1: a shortest one takes each step in a different set, so with the
+candidate it forms a Berge cycle of length <= t, and every failing
+collection holds such a cycle.  `_admitted` answers with one int per value,
+its closed neighbourhood as a bitmask over labels given in order of first
+acceptance; `find_berge_cycle` asks each set in turn, and only for the
+first that fails does `_closing_edge` trace the path breadth-first.
 
 `remove_violations` is the one violation-removal step, shared by the
 randomized and derandomized constructions: it drops the lowest-index set of
@@ -38,9 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, zip_longest
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rng import SplitMix64
 
@@ -194,21 +193,81 @@ def is_berge_cycle(family: SetFamily, cyc: BergeCycle) -> bool:
     return v[0] in edges[0] and v[k - 1] in edges[0]
 
 
+def _joins(label: dict[int, int], near: list[int], values: Sequence[int], t: int) -> bool:
+    """Whether `_admitted`'s graph joins two of the distinct `values` by a
+    path of length <= t - 1: whether a value's ball, grown by ORing its
+    newest members' masks, meets the union of the earlier values' balls of
+    radius floor(t/2) at a radius up to floor((t-1)/2)."""
+    seen = 0
+    for i in [label[v] for v in values if v in label]:
+        ball = frontier = 1 << i
+        for _ in range(t // 2):
+            if ball & seen:
+                return True
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= near[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & ~ball
+            ball |= grown
+        if t % 2 and ball & seen:
+            return True
+        seen |= ball
+    return False
+
+
+def _admitted(candidates: Iterable[tuple[int, ...]], t: int) -> Iterator[tuple[int, ...]]:
+    """The candidates, in order, no two of whose values a path of length
+    <= t - 1 joins in the 2-section graph of those admitted before; t >= 2.
+
+    A pair set answers t = 2.  Otherwise near[label[v]] is v's closed
+    neighbourhood as a mask over labels, given in order of first admission;
+    a value without a label has no neighbour, so it is skipped.  One AND per
+    value answers distance <= 2, all of t = 3, before `_joins` grows balls.
+    """
+    if t == 2:
+        pairs: set[tuple[int, int]] = set()
+        for c in candidates:
+            if pairs.isdisjoint(combinations(c, 2)):
+                pairs.update(combinations(c, 2))
+                yield c
+        return
+    label: dict[int, int] = {}
+    near: list[int] = []
+    for c in candidates:
+        seen = 0
+        for v in c:
+            i = label.get(v)
+            if i is not None:
+                if near[i] & seen:
+                    break
+                seen |= near[i]
+        else:
+            if t > 3 and _joins(label, near, c, t):
+                continue
+            old = [label[v] for v in c if v in label]
+            fresh = [v for v in c if v not in label]  # they take the next bits
+            mask = sum(1 << i for i in old) | ((1 << len(fresh)) - 1) << len(near)
+            for i in old:
+                near[i] |= mask
+            label.update(zip(fresh, range(len(near), len(near) + len(fresh))))
+            near += [mask] * len(fresh)
+            yield c
+
+
 def _closing_edge(
     adj: dict[int, set[int]], values: Sequence[int], t: int
-) -> Optional[tuple[int, int, dict[int, int], dict[int, int]]]:
-    """Whether the graph `adj` has a path of length <= t - 1 joining two of
-    the distinct `values`: None when it has none, else the edge u-w that
-    closes one, with the search's source and depth labels.
+) -> tuple[int, int, dict[int, int], dict[int, int]]:
+    """The edge u-w that closes a path of length <= t - 1 in the graph `adj`
+    joining two of the distinct `values`, with the search's source and depth
+    labels; the caller has found that such a path exists.
 
     One breadth-first search of floor(t/2) layers runs from all of `values`
     at once: each value is its own source at depth 0, and an edge between
     vertices of different sources closes a path of length
     depth_u + depth_w + 1.  A shortest joining path has such an edge with
-    one end at depth < floor(t/2), so that many layers suffice.  The path
-    itself, a shortest path from `values` to u, the edge, and one from w back
-    to its source, is left to `find_berge_cycle`, so `greedy_family` pays
-    nothing for it.
+    one end at depth < floor(t/2), so that many layers suffice.
     """
     source = {v: v for v in values}
     depth = dict.fromkeys(values, 0)
@@ -226,53 +285,59 @@ def _closing_edge(
                 elif sw != su and d + depth[w] < t - 1:
                     return u, w, source, depth
         layer = grown
-    return None
+    raise AssertionError(f"no path of length <= {t - 1} joins two of {values}")
 
 
 def find_berge_cycle(family: SetFamily, max_len: int) -> Optional[BergeCycle]:
     """A Berge cycle of length 2..max_len among the family's sets, or None.
 
     The sets enter the 2-section graph in index order, and each is first
-    asked for a path of length <= max_len - 1 between two of its values
-    through the earlier sets (`_closing_edge`, the query `greedy_family`
-    runs).  The first set that has one closes the returned cycle, so
+    asked whether a path of length <= max_len - 1 joins two of its values
+    through the earlier sets (`_admitted`, the test `greedy_family` runs).
+    The first set that has one closes the returned cycle, so
     `edge_indices[0]` is the least i for which sets[:i+1] holds a cycle of
     length <= max_len.  The earlier sets hold none, so no two of them share
     two values: each step of the path lies in exactly one earlier set.  The
     cycle need not be a shortest one; the verdict is exact.
 
-    The path is u's half reversed, then w's half, where a vertex's half
-    steps to a neighbour of the same source one layer nearer it, down to
-    the source: a shortest path from the set's values.  No set holds two of
-    the path's steps.  One holding two steps of a half would shorten
-    that half.  One holding a step of each half holds an edge between the
-    two sources that the search meets before u-w: at an earlier layer, or,
-    for u and a parent of w, earlier in u's layer, whose vertices sit
-    grouped by source in the order of the set's values.
+    Only that set's path is traced (`_closing_edge`, on the earlier sets):
+    u's half reversed, then w's half, where a vertex's half steps to a
+    neighbour of the same source one layer nearer it, down to the source: a
+    shortest path from the set's values.  No set holds two of the path's
+    steps.  One holding two steps of a half would shorten that half.  One
+    holding a step of each half holds an edge between the two sources that
+    the search meets before u-w: at an earlier layer, or, for u and a parent
+    of w, earlier in u's layer, whose vertices sit grouped by source in the
+    order of the set's values.
     """
+    if max_len < 2:
+        return None  # a Berge cycle has at least two edges
+    # the admitted sets part from the family at the first refused set (a later
+    # set with the same values cannot be admitted in its place: the graph grows)
+    kept = zip_longest(family.sets, _admitted(family.sets, max_len))
+    i = next((i for i, (s, a) in enumerate(kept) if s != a), None)
+    if i is None:
+        return None
     adj: dict[int, set[int]] = {}
-    for i, s in enumerate(family.sets):
-        hit = _closing_edge(adj, s, max_len)
-        if hit is not None:
-            u, w, source, depth = hit
+    for e in family.sets[:i]:
+        for v in e:
+            adj.setdefault(v, set()).update(w for w in e if w != v)
+    u, w, source, depth = _closing_edge(adj, family.sets[i], max_len)
 
-            def half(x: int) -> list[int]:
-                path = [x]
-                while depth[x]:
-                    nearer, sx = depth[x] - 1, source[x]
-                    x = next(y for y in adj[x] if depth.get(y) == nearer and source[y] == sx)
-                    path.append(x)
-                return path
+    def half(x: int) -> list[int]:
+        path = [x]
+        while depth[x]:
+            nearer, sx = depth[x] - 1, source[x]
+            x = next(y for y in adj[x] if depth.get(y) == nearer and source[y] == sx)
+            path.append(x)
+        return path
 
-            path = half(u)[::-1] + half(w)
-            steps = [
-                next(j for j in range(i) if a in family.sets[j] and b in family.sets[j])
-                for a, b in zip(path, path[1:])
-            ]
-            return BergeCycle(tuple(path), (i, *steps))
-        for v in s:
-            adj.setdefault(v, set()).update(w for w in s if w != v)
-    return None
+    path = half(u)[::-1] + half(w)
+    steps = [
+        next(j for j in range(i) if a in family.sets[j] and b in family.sets[j])
+        for a, b in zip(path, path[1:])
+    ]
+    return BergeCycle(tuple(path), (i, *steps))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -442,13 +507,14 @@ def greedy_family(
     The test is a distance query in the 2-section graph of the accepted
     sets, where two values are adjacent when an accepted set holds both: a
     candidate is refused iff two of its values are joined by a path of
-    length <= t - 1.  The path behind `_closing_edge`'s answer, traced as
-    `find_berge_cycle` traces it, takes each step in a different set, so
-    with the candidate it forms a Berge cycle of length <= t; conversely a
-    failing collection with the candidate holds such a cycle through it.  A
-    pair set settles length 1, and so all of t = 2; longer paths cost
-    `_closing_edge`, the query `find_berge_cycle` also runs, the balls of
-    radius floor(t/2) around the candidate's values.
+    length <= t - 1.  Such a path, traced as `find_berge_cycle` traces it,
+    takes each step in a different set, so with the candidate it forms a
+    Berge cycle of length <= t; conversely a failing collection with the
+    candidate holds such a cycle through it.  A pair set settles t = 2.
+    Otherwise `_admitted` gives each value a bit when an accepted set first
+    holds it and keeps its closed neighbourhood as a bitmask: at t = 3 a
+    candidate costs one AND per value against the union of the earlier
+    values' masks, and for t >= 4 balls grow by ORing their members' masks.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -458,22 +524,8 @@ def greedy_family(
         raise ValueError("target family size must be positive")
     if candidate_budget < 0:
         raise ValueError("candidate budget must be non-negative")
-    accepted: list[tuple[int, ...]] = []
-    adj: dict[int, set[int]] = {}  # the 2-section graph of the accepted sets
-    pairs: set[tuple[int, int]] = set()  # value pairs inside accepted sets
-    for drawn in _draws(SplitMix64(seed), q, r + 1, candidate_budget):
-        # a failing pair shares two values, so the pair set settles size 2
-        if not pairs.isdisjoint(combinations(drawn, 2)):
-            continue
-        if t > 2 and _closing_edge(adj, drawn, t) is not None:
-            continue
-        for v in drawn:
-            adj.setdefault(v, set()).update(w for w in drawn if w != v)
-        pairs.update(combinations(drawn, 2))
-        accepted.append(drawn)
-        if target_m is not None and len(accepted) >= target_m:
-            break
-    return SetFamily(q, r, t, tuple(accepted))
+    draws = _draws(SplitMix64(seed), q, r + 1, candidate_budget)
+    return SetFamily(q, r, t, tuple(islice(_admitted(draws, t), target_m)))
 
 
 def packing_ceiling(q: int, r: int) -> int:

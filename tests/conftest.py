@@ -24,11 +24,20 @@ as it was before it scored only competing values in integers: it scores
 the least value of every membership signature over all of range(q) and
 sums the estimator as `Fraction`s, each term from
 `reference_collection_numerator`, the hand-derived pair and triple kernels
-the package used before its union-size chain.  Tests compare package
-output against these slower routes.
+the package used before its union-size chain.  `reference_bfs_greedy` is
+the greedy construction as it was before its bitmask test: a pair set and a
+breadth-first search over adjacency sets.  Tests compare package output
+against these slower routes.
+
+Bytecode writing is off for the whole run, before any `lrckit` import, so
+a tested checkout holds no `__pycache__` under `src/`.
 """
 
 from __future__ import annotations
+
+import sys
+
+sys.dont_write_bytecode = True
 
 import itertools
 from fractions import Fraction
@@ -408,6 +417,53 @@ def reference_greedy(
             if target_m is not None and len(accepted) >= target_m:
                 break
     return SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in accepted))
+
+
+def _reference_bfs_joins(adj: dict[int, set[int]], values: Sequence[int], t: int) -> bool:
+    """Whether a path of length <= t - 1 in `adj` joins two of the distinct
+    `values`: floor(t/2) breadth-first layers grown from all of them at
+    once, each value its own source, until an edge meets two sources."""
+    source = {v: v for v in values}
+    depth = dict.fromkeys(values, 0)
+    layer = list(values)
+    for d in range(t // 2):
+        grown = []
+        for u in layer:
+            for w in adj.get(u, ()):
+                sw = source.get(w)
+                if sw is None:
+                    source[w], depth[w] = source[u], d + 1
+                    grown.append(w)
+                elif sw != source[u] and d + depth[w] < t - 1:
+                    return True
+        layer = grown
+    return False
+
+
+def reference_bfs_greedy(
+    q: int, r: int, t: int, candidate_budget: int, seed: int, target_m: Optional[int] = None
+) -> SetFamily:
+    """greedy_family as it was before its bitmask test, from the same draws
+    taken one at a time: a pair set refuses a shared pair of values, and for
+    t >= 3 the breadth-first search above, over the accepted sets' 2-section
+    graph kept as adjacency sets, refuses any longer path of length <= t - 1."""
+    rng = ReferenceSplitMix64(seed)
+    accepted: list[tuple[int, ...]] = []
+    adj: dict[int, set[int]] = {}
+    pairs: set[tuple[int, int]] = set()
+    for _ in range(candidate_budget):
+        drawn = rng.subset(q, r + 1)
+        if not pairs.isdisjoint(itertools.combinations(drawn, 2)):
+            continue
+        if t > 2 and _reference_bfs_joins(adj, drawn, t):
+            continue
+        for v in drawn:
+            adj.setdefault(v, set()).update(w for w in drawn if w != v)
+        pairs.update(itertools.combinations(drawn, 2))
+        accepted.append(drawn)
+        if len(accepted) == target_m:
+            break
+    return SetFamily(q, r, t, tuple(accepted))
 
 
 def reference_rref(field: GF, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

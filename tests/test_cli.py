@@ -1,12 +1,18 @@
 """End-to-end command tests, run in-process through main(argv)."""
 
 import hashlib
+import os
+import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import lrckit
+from lrckit import cli
 from lrckit.cli import main
 from lrckit.formats import read_family, read_matrix, read_word, write_word
 
@@ -412,3 +418,51 @@ def test_seeded_commands_write_pinned_bytes(tmp_path):
     for name, (argv, digest) in PINNED_FILES.items():
         assert main([a.format(**paths) for a in argv] + ["--out", paths[name]]) == 0
         assert hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest() == digest, name
+
+
+# one session of commands, usage errors among them: exit 2 from argparse
+# (an unknown option, an unknown command) and from a refused value
+SESSION = [
+    ["gen-family", "--q", "13", "--r", "4", "--d", "5", "--method", "greedy", "--seed", "5",
+     "--out", "fam.txt"],
+    ["build-code", "--in", "fam.txt", "--d", "5", "--out", "H.txt", "--oops"],
+    ["build-code", "--in", "fam.txt", "--d", "5", "--out", "H.txt"],
+    ["gen-family", "--q", "13", "--r", "4", "--d", "5", "--out", "x.txt"],
+    ["encode", "--matrix", "H.txt", "--seed", "11", "--out", "w.txt"],
+    ["frobnicate"],
+    ["erase", "--in", "w.txt", "--count", "2", "--seed", "12", "--out", "e.txt"],
+    ["repair", "--matrix", "H.txt", "--in", "e.txt", "--out", "r.txt"],
+]
+
+
+def _settled(out: str) -> str:
+    return re.sub(r"wall time: \S+", "wall time: -", out)
+
+
+def test_one_process_answers_a_session_as_separate_processes_do(tmp_path, monkeypatch, capsys):
+    # main parses with one parser built per process; reusing it must change
+    # no exit code, output line or written byte
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to this
+    pkg_root = str(Path(lrckit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+    alone, together = tmp_path / "alone", tmp_path / "together"
+    alone.mkdir()
+    together.mkdir()
+    want = []
+    for argv in SESSION:
+        done = subprocess.run(
+            [sys.executable, "-m", "lrckit.cli", *argv], cwd=alone, env=env, capture_output=True, text=True
+        )
+        want.append((done.returncode, _settled(done.stdout), done.stderr))
+    monkeypatch.chdir(together)
+    got = []
+    for argv in SESSION:
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        got.append((rc, _settled(out), err))
+    assert [g[0] for g in got] == [0, 2, 0, 2, 0, 2, 0, 0]
+    assert got == want
+    assert cli._build_parser.cache_info().currsize == 1
+    for f in sorted(alone.iterdir()):
+        assert (together / f.name).read_bytes() == f.read_bytes(), f.name

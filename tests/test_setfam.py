@@ -1,9 +1,10 @@
 import hashlib
 import itertools
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, getcontext
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lrckit import setfam
@@ -25,7 +26,12 @@ from lrckit.setfam import (
     verify_union_condition,
 )
 
-from conftest import berge_cycle_exists, reference_greedy, reference_violations
+from conftest import (
+    berge_cycle_exists,
+    reference_bfs_greedy,
+    reference_greedy,
+    reference_violations,
+)
 
 
 # ------------------------------------------------------------ validation
@@ -203,6 +209,28 @@ def test_greedy_matches_exhaustive_admissibility_at_random(case):
     assert fam.sets == reference_greedy(q, r, t, budget, seed, target_m=target_m).sets
 
 
+@st.composite
+def bfs_cases(draw):
+    # sizes the exhaustive walk of reference_greedy cannot reach in time:
+    # large q, paths up to length 5 and budgets past all of _draws' batches
+    q = draw(st.sampled_from([13, 101, 4999, 65536]))
+    r = draw(st.integers(1, 5))
+    t = draw(st.integers(2, 6))
+    budget = draw(st.integers(0, 1500))
+    target_m = draw(st.none() | st.integers(1, 300))
+    return q, r, t, budget, draw(st.integers(0, 2**64 - 1)), target_m
+
+
+@given(case=bfs_cases())
+@example(case=(4999, 5, 6, 1500, 7, None))
+@example(case=(65536, 5, 5, 1500, 11, 600))
+@settings(max_examples=100, deadline=None)
+def test_greedy_matches_the_breadth_first_search_it_replaced(case):
+    q, r, t, budget, seed, target_m = case
+    fam = greedy_family(q, r, t, budget, seed, target_m=target_m)
+    assert fam.sets == reference_bfs_greedy(q, r, t, budget, seed, target_m=target_m).sets
+
+
 def _digest(fam: SetFamily) -> str:
     return hashlib.sha256(repr(fam.sets).encode()).hexdigest()[:16]
 
@@ -281,6 +309,37 @@ def test_find_berge_cycle_matches_brute_force(fam):
         assert is_berge_cycle(fam, got)
         least = next(i for i in range(fam.m) if berge_cycle_exists(edges[: i + 1], fam.t))
         assert got.edge_indices[0] == least
+
+
+def test_greedy_and_cycle_free_verdicts_never_trace(monkeypatch):
+    def trace(*args):
+        raise AssertionError("the breadth-first tracer ran")
+
+    monkeypatch.setattr(setfam, "_closing_edge", trace)
+    # the greedy digests of test_seeded_families_are_pinned
+    assert [_digest(greedy_family(101, 5, 3, 4096, s)) for s in range(1, 4)] == [
+        "3a0d452d641b5262",
+        "bfa36cb17dec58d1",
+        "4a0b3998f253e4e5",
+    ]
+    for t in (2, 3, 4, 5, 6):
+        fam = greedy_family(101, 3, t, 1024, seed=t)
+        assert fam.m > 0 and find_berge_cycle(fam, t) is None
+
+
+@given(fam=small_families(max_sets=7, max_r=3, max_t=5))
+@settings(max_examples=200, deadline=None)
+def test_find_berge_cycle_traces_once_and_only_a_cycle(fam):
+    calls = []
+    original = setfam._closing_edge
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    with mock.patch.object(setfam, "_closing_edge", spy):
+        find_berge_cycle(fam, fam.t)
+    assert len(calls) == int(berge_cycle_exists([frozenset(s) for s in fam.sets], fam.t))
 
 
 def test_equivalence_check_on_known_cases():
