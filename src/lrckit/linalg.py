@@ -359,6 +359,7 @@ def smallest_dependent_subset(
     columns: Sequence[Sequence[int]],
     max_size: int,
     budget: Optional[int] = None,
+    start: int = 1,
 ) -> Optional[tuple[int, ...]]:
     """Least dependent column subset of size <= max_size, or None.
 
@@ -377,9 +378,17 @@ def smallest_dependent_subset(
     columns).  `budget` caps the candidates examined: ValueError when it is
     negative and, before any is tested, as soon as the running count of
     candidates over the sizes that need a test passes it.
+
+    `start` skips the walk of the sizes below it, for a caller that has
+    proven them free of dependent sets; the walk relies on that, and with a
+    dependent set below `start` its answer is undefined.  The budget still
+    counts every size from 1, so `start` never changes whether or where a
+    call is refused.  ValueError when `start` is below 1.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget {budget} must be non-negative")
+    if start < 1:
+        raise ValueError(f"start {start} must be at least 1")
     n = len(columns)
     if n == 0 or max_size < 1:
         return None
@@ -403,8 +412,8 @@ def smallest_dependent_subset(
     # the vector tested for column y when its block's first pick is y - o
     diffs = _block_differences(field, cols[:, blocks:], blocks, width)
     ends = _reachable(counts, n, blocks)
-    for w in sizes:
-        if len(counts) < w:
+    for w in sizes[start - 1 :]:
+        while len(counts) < w:
             counts.append(next(more_counts))
             ends = _reachable(counts, n, blocks)
         for picks, dep in _leaves(field, diffs, ends[:, :w], width, least):

@@ -10,6 +10,16 @@ the column sets that meet each block in 0 or >= 2 columns because H's own
 block-indicator rows rule the others out.  The pruning reads H, never the
 coverage verdict, and nothing here relies on the coverage condition being
 sufficient, so the two verdicts stay independent.
+
+A `ParityCheckMatrix` remembers what its completed scans proved: the
+largest s such that no s or fewer of its columns are dependent, and its
+rank once computed.  The distance functions share one scan body, which
+resumes a matrix's scan at s + 1, so finding the exact distance after the
+design-distance verdict walks no size twice.  Every remembered value is a
+proven fact about H, so a call's result never depends on what ran before
+it.  The budget still counts the candidates of every size from 1, so a
+call is refused, with the same message, whatever ran before it, and a
+refused call proves nothing and changes nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +35,16 @@ from .setfam import SetFamily, find_berge_cycle
 DEFAULT_SUBSET_BUDGET = 30_000_000
 
 
+@dataclass
+class _Proven:
+    """Facts about one matrix, each set only by a completed computation:
+    no `clear` or fewer columns are dependent, and the rank (None until
+    computed)."""
+
+    clear: int = 0
+    rank: Optional[int] = None
+
+
 @dataclass(frozen=True)
 class ParityCheckMatrix:
     q: int
@@ -33,13 +53,14 @@ class ParityCheckMatrix:
     d: int
     rows: tuple[tuple[int, ...], ...]
     field: GF = dc_field(repr=False, compare=False)
+    _proven: _Proven = dc_field(default_factory=_Proven, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.m * (self.r + 1)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [tuple(row[j] for row in self.rows) for j in range(self.n)]
+        return list(zip(*self.rows))
 
 
 def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) -> ParityCheckMatrix:
@@ -71,6 +92,36 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
     return ParityCheckMatrix(family.q, m, r, d, tuple(tuple(rw) for rw in rows), fld)
 
 
+def _rank(field: GF, rows: Sequence[Sequence[int]], proven: _Proven) -> int:
+    if proven.rank is None:
+        proven.rank = linalg.rank(field, rows)
+    return proven.rank
+
+
+def _scan(
+    field: GF, rows: Sequence[Sequence[int]], max_size: Optional[int], budget: int, proven: _Proven
+) -> Optional[tuple[int, ...]]:
+    """The one distance scan: the least dependent column set of size <=
+    max_size, or None.  With max_size None the scan is exact: capped at
+    rank + 1, since any rank + 1 columns are dependent, and ValueError when
+    every column is independent.  The walk resumes after the sizes
+    `proven` has cleared (the budget still counts them), and a completed
+    walk clears the sizes below its witness, or up to max_size."""
+    exact = max_size is None
+    if exact:
+        max_size = _rank(field, rows, proven) + 1
+    columns = list(zip(*rows))
+    witness = linalg.smallest_dependent_subset(
+        field, columns, max_size, budget=budget, start=proven.clear + 1
+    )
+    proven.clear = max(proven.clear, max_size if witness is None else len(witness) - 1)
+    if exact and witness is None:
+        raise ValueError(
+            f"all {len(columns)} columns are independent: the code is {{0}} and has no minimum distance"
+        )
+    return witness
+
+
 def verify_distance_at_least(
     pcm: ParityCheckMatrix, d: Optional[int] = None, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> Optional[tuple[int, ...]]:
@@ -80,10 +131,11 @@ def verify_distance_at_least(
     circuits at the first dependency, so a witness is always one of minimum
     size (and lexicographically least among those).  It doubles as the
     support of a minimum-weight codeword when the verdict is negative at
-    the true distance.
+    the true distance.  The walk resumes after the sizes earlier scans of
+    `pcm` cleared; the budget counts candidates from size 1 regardless.
     """
     dd = pcm.d if d is None else d
-    return linalg.smallest_dependent_subset(pcm.field, pcm.columns(), dd - 1, budget=budget)
+    return _scan(pcm.field, pcm.rows, dd - 1, budget, pcm._proven)
 
 
 def least_dependent_columns(
@@ -95,25 +147,23 @@ def least_dependent_columns(
     whose candidate count exceeds `budget` are rejected up front.  A matrix of
     full column rank has no dependent set (its code is {0}): ValueError.
     """
-    cap = linalg.rank(field, rows) + 1
-    columns = list(zip(*rows))
-    witness = linalg.smallest_dependent_subset(field, columns, cap, budget=budget)
-    if witness is None:
-        raise ValueError(
-            f"all {len(columns)} columns are independent: the code is {{0}} and has no minimum distance"
-        )
-    return witness
+    return _scan(field, rows, None, budget, _Proven())
 
 
 def min_distance_witness(
     pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> tuple[int, ...]:
-    """Lexicographically least dependent column set of minimum size."""
-    return least_dependent_columns(pcm.field, pcm.rows, budget)
+    """Lexicographically least dependent column set of minimum size, as
+    least_dependent_columns finds it.  The scan resumes after the sizes
+    earlier scans of `pcm` cleared, and the rank cap is computed once per
+    matrix; the budget counts candidates from size 1 regardless."""
+    return _scan(pcm.field, pcm.rows, None, budget, pcm._proven)
 
 
 def exact_min_distance(pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
-    """Exhaustive minimum distance: the smallest number of dependent columns."""
+    """Exhaustive minimum distance: the smallest number of dependent columns,
+    through min_distance_witness, so the scan resumes and the budget counts
+    as there."""
     return len(min_distance_witness(pcm, budget))
 
 
@@ -202,7 +252,7 @@ def code_params_from_family(
     k = n - family.m - (d - 2)
     if k < 1:
         raise ValueError(f"parameters give dimension k={k}; need k >= 1")
-    got_rank = linalg.rank(pcm.field, pcm.rows)
+    got_rank = _rank(pcm.field, pcm.rows, pcm._proven)
     if got_rank < family.m + d - 2:
         raise ValueError(
             f"parity-check rank {got_rank} is below m + d - 2 = {family.m + d - 2}"

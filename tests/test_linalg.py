@@ -1,5 +1,6 @@
 import functools
 import gc
+import inspect
 import itertools
 import math
 import weakref
@@ -12,11 +13,19 @@ from hypothesis import strategies as st
 
 from lrckit import linalg
 from lrckit.gf import GF
-from lrckit.lrc import DEFAULT_SUBSET_BUDGET, build_parity_check, code_params_from_family
+from lrckit.lrc import (
+    DEFAULT_SUBSET_BUDGET,
+    ParityCheckMatrix,
+    build_parity_check,
+    code_params_from_family,
+    min_distance_witness,
+    verify_distance_at_least,
+)
 from lrckit.rng import SplitMix64
 from lrckit.setfam import SetFamily, greedy_family, random_family
 
 from conftest import (
+    SINGLETON_FAMILY,
     minors_dependent,
     minors_min_distance,
     reference_block_scan,
@@ -373,10 +382,14 @@ def test_block_scan_matches_the_subset_loop(data):
         minors = minors_min_distance(rows, len(cols), q, min(top, len(cols)))
         assert want == (None if minors is None else minors[1])
     chunk = data.draw(st.sampled_from([1, 7, linalg._CHUNK]))
+    # a start past 1 skips sizes with no dependent set, up to the witness's
+    # own size, which may be one dependent by counting
+    start = data.draw(st.integers(1, top + 1 if want is None else len(want)))
     with mock.patch.object(linalg, "_CHUNK", chunk):
         for max_size in range(1, top + 1):
             expect = want if want is not None and len(want) <= max_size else None
             assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
+            assert linalg.smallest_dependent_subset(f, cols, max_size, start=start) == expect
 
 
 @pytest.mark.parametrize("q", [5, 7, 13])
@@ -428,6 +441,8 @@ def test_negative_budget_is_refused():
     # a budget of 0 is a budget: it passes at the first candidate
     with pytest.raises(ValueError, match="budget exceeded: 2 columns pass 0 subsets at size 1"):
         linalg.smallest_dependent_subset(GF(7), [(1, 2), (3, 4)], 2, budget=0)
+    with pytest.raises(ValueError, match="start 0 must be at least 1"):
+        linalg.smallest_dependent_subset(GF(7), [(1, 2), (3, 4)], 2, start=0)
 
 
 def test_budget_counts_the_candidates_of_the_sizes_that_need_elimination(singleton_code):
@@ -436,12 +451,29 @@ def test_budget_counts_the_candidates_of_the_sizes_that_need_elimination(singlet
     # 3 blocks of 5 on 3 more rows: a size-6 candidate can touch 3 blocks
     # and leave 3 columns to test, from size 7 on none fits 3 rows; with no
     # block rows, sizes up to the row count need an elimination
+    # the count runs from size 1 whatever `start` skips, so refusal begins
+    # at the same budget and size for every start
     for f, cols, blocks, last in ((pcm.field, pcm.columns(), 3, 6), (GF(13), plain, 0, 3)):
         need = sum(_counts_up_to(len(cols), blocks, last)[1:])
         want = reference_smallest_dependent_subset(f, cols, last + 1)
-        assert linalg.smallest_dependent_subset(f, cols, last + 1, budget=need) == want
-        with pytest.raises(ValueError, match=f"at size {last}$"):
-            linalg.smallest_dependent_subset(f, cols, last + 1, budget=need - 1)
+        for start in range(1, last + 2):
+            if start <= len(want):
+                assert linalg.smallest_dependent_subset(f, cols, last + 1, budget=need, start=start) == want
+            with pytest.raises(ValueError, match=f"at size {last}$"):
+                linalg.smallest_dependent_subset(f, cols, last + 1, budget=need - 1, start=start)
+
+
+def test_a_scanned_matrix_stays_equal_to_an_unscanned_one():
+    # what a matrix remembers of its scans is no constructor parameter and
+    # no part of its value, equality, hash or repr
+    fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    scanned, fresh = build_parity_check(fam, 5), build_parity_check(fam, 5)
+    assert verify_distance_at_least(scanned, 5) is None
+    assert min_distance_witness(scanned) == (0, 1, 2, 3, 4)
+    code_params_from_family(fam, 5, scanned)
+    assert scanned._proven != fresh._proven
+    assert scanned == fresh and hash(scanned) == hash(fresh) and repr(scanned) == repr(fresh)
+    assert list(inspect.signature(ParityCheckMatrix).parameters) == ["q", "m", "r", "d", "rows", "field"]
 
 
 def test_vectorized_tables_live_and_die_with_their_field():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrckit.gf import GF
 from lrckit.linalg import rank
@@ -18,7 +20,7 @@ from lrckit.lrc import (
 )
 from lrckit.setfam import SetFamily, greedy_family
 
-from conftest import minors_dependent, minors_min_distance
+from conftest import _forced_triple, minors_dependent, minors_min_distance, reference_block_scan
 
 
 def test_build_parity_check_layout(singleton_code):
@@ -185,3 +187,57 @@ def test_passing_families_with_large_r_meet_singleton_bound():
         pcm = build_parity_check(fam, d)
         params = code_params_from_family(fam, d, pcm)
         assert exact_min_distance(pcm) == d == singleton_bound(params.n, params.k, r)
+
+
+def _outcome(call, pcm):
+    """What one distance call on `pcm` gives: its result, or its error."""
+    name, arg, budget = call
+    kwargs = {} if budget is None else {"budget": budget}
+    try:
+        if name == "verify":
+            return verify_distance_at_least(pcm, arg, **kwargs)
+        return (min_distance_witness if name == "witness" else exact_min_distance)(pcm, **kwargs)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_distance_calls_answer_alike_in_any_order(data):
+    # a matrix resumes its scan after the sizes earlier calls cleared: any
+    # sequence of calls on one matrix must answer as each call does on a
+    # fresh one, refuse a budget whatever ran before, and a refusal must
+    # leave what the matrix remembers unchanged
+    q = data.draw(st.sampled_from([8, 9, 13, 16, 25, 27]))
+    d = data.draw(st.sampled_from([5, 6, 7]))
+    t = (d - 1) // 2
+    r = data.draw(st.integers(2, min(5, q // 3)))
+    kind = data.draw(st.sampled_from(["random", "greedy", "triple"]))
+    fam = _forced_triple(q, r, t) if kind == "triple" and t >= 3 else None
+    if kind == "greedy":
+        fam = greedy_family(q, r, t, 64, seed=data.draw(st.integers(0, 2**16)), target_m=3)
+    elif fam is None:
+        sets = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=r + 1, max_size=r + 1, unique=True),
+                                  min_size=1, max_size=3))
+        fam = SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in sets))
+    f = GF(q)
+    pcm = build_parity_check(fam, d, f)
+    least = reference_block_scan(f, pcm.columns(), len(pcm.rows) + 1)
+    calls = data.draw(st.lists(
+        st.tuples(st.sampled_from(["verify", "witness", "exact"]), st.integers(2, d + 1),
+                  st.sampled_from([None, None, 0, 30, 300, 3000])),
+        min_size=1, max_size=6))
+    for call in calls:
+        before = pcm._proven.clear
+        got = _outcome(call, pcm)
+        assert got == _outcome(call, build_parity_check(fam, d, f))
+        if isinstance(got, tuple) and got[0] == "error" and got[1].startswith("budget exceeded"):
+            assert pcm._proven.clear == before
+            continue
+        name, arg, _ = call
+        if name == "verify":
+            assert got == (least if least is not None and len(least) < arg else None)
+        elif least is None:
+            assert got[0] == "error" and "columns are independent" in got[1]
+        else:
+            assert got == (least if name == "witness" else len(least))

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts, in-process, with small arguments."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -30,3 +31,44 @@ def test_construction_sweep(monkeypatch, capsys):
     row = out.splitlines()[-1].split()
     assert row[:3] == ["101", "2", "3"]
     assert row[5] == "100%"  # both seeds reach the target size
+
+
+def _result_line(failed, setup_s, tail_ms, rss):
+    metrics = {"setup_s": (setup_s, "s"), "op_ms_tail": (tail_ms, "ms"), "peak_rss_mb": (rss, "MiB")}
+    return "workload: certify\n" + json.dumps({
+        "correct": failed == 0, "attempted": 100, "failed": failed,
+        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+    })
+
+
+def test_ab_pairs_summary_of_canned_results():
+    ab = runpy.run_path(str(SCRIPTS / "ab_pairs.py"))
+    assert ab["parse_seeds"]("11-14") == [11, 12, 13, 14] and ab["parse_seeds"]("7") == [7]
+    assert ab["result_of"]("Traceback\nValueError: boom") is None
+    bench = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+             {"name": "op_ms_tail", "better": "lower", "bound": 0.25},
+             {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    # the change's tail is lower in four pairs of five and ties the fifth;
+    # its peak RSS is 20% higher, past the 10% bound; one change run failed
+    # a unit and one parent run gave no result
+    parent = [(0.030, 40.0, 36.0), (0.031, 38.0, 36.2), (0.029, 41.0, 36.1), (0.030, 39.0, 36.0),
+              (0.030, 24.0, 36.0)]
+    change = [(0.030, 24.0, 43.2), (0.030, 25.0, 43.4), (0.031, 23.0, 43.3), (0.029, 24.5, 43.2),
+              (0.030, 24.0, 43.2)]
+    pairs = [
+        {"seed": 11 + i, "parent": ab["result_of"](_result_line(0, *a)),
+         "change": ab["result_of"](_result_line(int(i == 2), *b))}
+        for i, (a, b) in enumerate(zip(parent, change))
+    ]
+    pairs.append({"seed": 16, "parent": None, "change": ab["result_of"](_result_line(0, 0.03, 24.0, 43.2))})
+    lines = ab["summarize"](pairs, bench)
+    assert lines[0] == "pairs: 6"
+    tail = next(line for line in lines if line.startswith("op_ms_tail:"))
+    assert tail.startswith("op_ms_tail: parent 39 (quartiles 38-40), change 24 (-38.5%); change won 4/5")
+    assert "gain not met" in tail  # 4 of 5 is below nine tenths
+    rss = next(line for line in lines if line.startswith("peak_rss_mb:"))
+    assert "WORSE than the 10% bound" in rss
+    assert "within the 25% bound" in next(line for line in lines if line.startswith("setup_s:"))
+    assert lines[-2:] == ["parent: 0 of 500 units failed; no result for seeds [16]", "change: 1 of 600 units failed"]
+    # without the tie the change wins every pair, by more than the parent's spread
+    assert "change won 4/4; gain met" in ab["summarize"](pairs[:4], bench)[2]
