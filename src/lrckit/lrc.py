@@ -139,15 +139,21 @@ def verify_distance_at_least(
 
 
 def least_dependent_columns(
-    field: GF, rows: Sequence[Sequence[int]], budget: int = DEFAULT_SUBSET_BUDGET
-) -> tuple[int, ...]:
-    """Lexicographically least dependent column set of minimum size.
+    field: GF,
+    rows: Sequence[Sequence[int]],
+    max_size: Optional[int] = None,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically least dependent column set of minimum size, for
+    plain rows: the scan behind the matrix functions, from size 1.
 
-    Any rank+1 columns are dependent, so the scan is capped there; instances
-    whose candidate count exceeds `budget` are rejected up front.  A matrix of
-    full column rank has no dependent set (its code is {0}): ValueError.
+    With `max_size` it is the least such set of size <= max_size, or None.
+    Without, any rank+1 columns are dependent, so the scan is capped there,
+    and a matrix of full column rank, which has no dependent set (its code
+    is {0}), is a ValueError.  Instances whose candidate count exceeds
+    `budget` are rejected up front.
     """
-    return _scan(field, rows, None, budget, _Proven())
+    return _scan(field, rows, max_size, budget, _Proven())
 
 
 def min_distance_witness(
@@ -240,7 +246,7 @@ def code_params_from_family(
 
     n = m(r+1) and k = n - m - (d - 2), taking the parity-check matrix at
     full rank; a rank-deficient matrix, a failing family, or k < 1 is
-    rejected.
+    rejected, and so is a `pcm` built for another family or distance.
     """
     t_needed = (d - 1) // 2
     # no Berge cycle of length <= t is the coverage condition at t
@@ -248,6 +254,10 @@ def code_params_from_family(
         raise ValueError("family fails the coverage condition for this distance")
     if pcm is None:
         pcm = build_parity_check(family, d)
+    elif (pcm.q, pcm.m, pcm.r, pcm.d) != (family.q, family.m, family.r, d) or (
+        pcm.rows[pcm.m] != tuple(a for s in family.sets for a in s)  # the first powers
+    ):
+        raise ValueError("parity-check matrix was not built from this family at this distance")
     n = family.m * (family.r + 1)
     k = n - family.m - (d - 2)
     if k < 1:

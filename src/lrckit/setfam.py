@@ -256,34 +256,31 @@ def _admitted(candidates: Iterable[tuple[int, ...]], t: int) -> Iterator[tuple[i
             yield c
 
 
-def _closing_edge(
-    adj: dict[int, set[int]], values: Sequence[int], t: int
-) -> tuple[int, int, dict[int, int], dict[int, int]]:
-    """The edge u-w that closes a path of length <= t - 1 in the graph `adj`
-    joining two of the distinct `values`, with the search's source and depth
-    labels; the caller has found that such a path exists.
+def _closing_edge(adj: dict[int, dict[int, int]], values: Sequence[int], t: int) -> list[int]:
+    """A path of length <= t - 1 in the graph `adj` joining two of the
+    distinct `values`; the caller has found that such a path exists.
 
     One breadth-first search of floor(t/2) layers runs from all of `values`
-    at once: each value is its own source at depth 0, and an edge between
-    vertices of different sources closes a path of length
-    depth_u + depth_w + 1.  A shortest joining path has such an edge with
-    one end at depth < floor(t/2), so that many layers suffice.
+    at once, and each vertex it labels keeps its trail: the path by which
+    the search first reached it from its source value.  An edge u-w between
+    trails of different sources closes the path u's trail, then w's
+    reversed, whose length is one less than the trails' vertices.  A
+    shortest joining path has such an edge with one end at depth <
+    floor(t/2), so that many layers suffice.
     """
-    source = {v: v for v in values}
-    depth = dict.fromkeys(values, 0)
+    trail = {v: (v,) for v in values}
     layer: Sequence[int] = values
-    for d in range(t // 2):
+    for _ in range(t // 2):
         grown: list[int] = []
         for u in layer:
-            su = source[u]
+            tu = trail[u]
             for w in adj.get(u, ()):
-                sw = source.get(w)
-                if sw is None:
-                    source[w] = su
-                    depth[w] = d + 1
+                tw = trail.get(w)
+                if tw is None:
+                    trail[w] = tu + (w,)
                     grown.append(w)
-                elif sw != su and d + depth[w] < t - 1:
-                    return u, w, source, depth
+                elif tw[0] != tu[0] and len(tu) + len(tw) <= t:
+                    return [*tu, *reversed(tw)]
         layer = grown
     raise AssertionError(f"no path of length <= {t - 1} joins two of {values}")
 
@@ -297,18 +294,18 @@ def find_berge_cycle(family: SetFamily, max_len: int) -> Optional[BergeCycle]:
     The first set that has one closes the returned cycle, so
     `edge_indices[0]` is the least i for which sets[:i+1] holds a cycle of
     length <= max_len.  The earlier sets hold none, so no two of them share
-    two values: each step of the path lies in exactly one earlier set.  The
-    cycle need not be a shortest one; the verdict is exact.
+    two values: each step of the path lies in exactly one earlier set, the
+    one the graph records on that edge.  The cycle need not be a shortest
+    one; the verdict is exact.
 
     Only that set's path is traced (`_closing_edge`, on the earlier sets):
-    u's half reversed, then w's half, where a vertex's half steps to a
-    neighbour of the same source one layer nearer it, down to the source: a
-    shortest path from the set's values.  No set holds two of the path's
-    steps.  One holding two steps of a half would shorten that half.  One
-    holding a step of each half holds an edge between the two sources that
-    the search meets before u-w: at an earlier layer, or, for u and a parent
-    of w, earlier in u's layer, whose vertices sit grouped by source in the
-    order of the set's values.
+    u's trail, then w's reversed, each a shortest path from one of the
+    set's values.  No set holds two of the path's steps.  One holding two
+    steps of a trail would shorten that trail.  One holding a step of each
+    trail holds an edge between the two sources that the search meets
+    before u-w: at an earlier layer, or, for u and w's parent on its trail,
+    earlier in u's layer, whose vertices sit grouped by source in the order
+    of the set's values.
     """
     if max_len < 2:
         return None  # a Berge cycle has at least two edges
@@ -318,26 +315,12 @@ def find_berge_cycle(family: SetFamily, max_len: int) -> Optional[BergeCycle]:
     i = next((i for i, (s, a) in enumerate(kept) if s != a), None)
     if i is None:
         return None
-    adj: dict[int, set[int]] = {}
-    for e in family.sets[:i]:
+    adj: dict[int, dict[int, int]] = {}  # value -> {neighbour: the set holding both}
+    for j, e in enumerate(family.sets[:i]):
         for v in e:
-            adj.setdefault(v, set()).update(w for w in e if w != v)
-    u, w, source, depth = _closing_edge(adj, family.sets[i], max_len)
-
-    def half(x: int) -> list[int]:
-        path = [x]
-        while depth[x]:
-            nearer, sx = depth[x] - 1, source[x]
-            x = next(y for y in adj[x] if depth.get(y) == nearer and source[y] == sx)
-            path.append(x)
-        return path
-
-    path = half(u)[::-1] + half(w)
-    steps = [
-        next(j for j in range(i) if a in family.sets[j] and b in family.sets[j])
-        for a, b in zip(path, path[1:])
-    ]
-    return BergeCycle(tuple(path), (i, *steps))
+            adj.setdefault(v, {}).update((w, j) for w in e if w != v)
+    path = _closing_edge(adj, family.sets[i], max_len)
+    return BergeCycle(tuple(path), (i, *(adj[a][b] for a, b in zip(path, path[1:]))))
 
 
 def _iroot(n: int, k: int) -> int:

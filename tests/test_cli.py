@@ -15,6 +15,7 @@ import lrckit
 from lrckit import cli
 from lrckit.cli import main
 from lrckit.formats import read_family, read_matrix, read_word, write_word
+from lrckit.rng import SplitMix64
 
 FAMILY = "13 4 2 3\n0 1 2 3 4\n0 5 6 7 8\n1 5 9 10 11\n"
 BROKEN = "13 4 2 2\n0 1 2 3 4\n0 1 5 6 7\n"
@@ -160,6 +161,33 @@ def test_build_code_and_distance(tmp_path, fam_file, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text(BROKEN)
     assert main(["build-code", "--in", str(bad), "--d", "5", "--out", str(h)]) == 1
+
+
+def test_distance_with_and_without_d_agree(tmp_path, fam_file, capsys):
+    # --d k passes while the exact distance is at least k, and below it
+    # names the witness the plain command names
+    matrices = [tmp_path / "plain.txt", tmp_path / "random.txt"]
+    matrices[0].write_text("3 6 13\n1 0 0 1 1 1\n0 1 0 1 2 4\n0 0 1 1 3 9\n")
+    rng = SplitMix64(11)
+    matrices[1].write_text("3 7 7\n" + "".join(
+        " ".join(str(rng.below(7)) for _ in range(7)) + "\n" for _ in range(3)))
+    for fam, q, r, d in ((fam_file, 13, 4, 5), ("g1", 13, 4, 5), ("g2", 16, 5, 7)):
+        if fam in ("g1", "g2"):
+            fam = tmp_path / f"{fam}.txt"
+            assert main(["gen-family", "--q", str(q), "--r", str(r), "--d", str(d), "--method",
+                         "greedy", "--seed", "4", "--out", str(fam)]) == 0
+        matrices.append(tmp_path / f"H-{len(matrices)}.txt")
+        assert main(["build-code", "--in", str(fam), "--d", str(d), "--out", str(matrices[-1])]) == 0
+    for h in matrices:
+        capsys.readouterr()
+        assert main(["distance", "--in", str(h)]) == 0
+        dist, witness = (line.split(": ")[1] for line in capsys.readouterr().out.splitlines())
+        for k in range(1, int(dist) + 3):
+            passes = int(dist) >= k
+            assert main(["distance", "--in", str(h), "--d", str(k)]) == int(not passes)
+            out = capsys.readouterr().out
+            assert out == (f"distance >= {k}: pass\n" if passes
+                           else f"distance >= {k}: FAIL  dependent columns {witness}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrckit.gf import GF
-from lrckit.linalg import rank
+from lrckit.linalg import rank, smallest_dependent_subset
 from lrckit.lrc import (
     CodeParams,
     OptimalityKind,
@@ -13,6 +13,7 @@ from lrckit.lrc import (
     build_parity_check,
     code_params_from_family,
     exact_min_distance,
+    least_dependent_columns,
     min_distance_witness,
     optimality_check,
     singleton_bound,
@@ -20,7 +21,13 @@ from lrckit.lrc import (
 )
 from lrckit.setfam import SetFamily, greedy_family
 
-from conftest import _forced_triple, minors_dependent, minors_min_distance, reference_block_scan
+from conftest import (
+    _forced_triple,
+    minors_dependent,
+    minors_min_distance,
+    reference_block_scan,
+    reference_smallest_dependent_subset,
+)
 
 
 def test_build_parity_check_layout(singleton_code):
@@ -177,6 +184,21 @@ def test_code_params_rejects_small_locality():
         code_params_from_family(fam, 6)  # r=3 < d-2=4
 
 
+def test_code_params_rejects_a_matrix_of_another_distance_or_family():
+    fam = greedy_family(101, 5, 3, 4096, 1, target_m=20)
+    assert code_params_from_family(fam, 7, build_parity_check(fam, 7)).k == 95
+    # built for d = 7, read at d = 5, it would give k = 97
+    with pytest.raises(ValueError, match="not built from this family at this distance"):
+        code_params_from_family(fam, 5, build_parity_check(fam, 7))
+    # same q, m, r and d, other sets: the first power row tells them apart
+    other = greedy_family(101, 5, 3, 4096, 2, target_m=20)
+    with pytest.raises(ValueError, match="not built from this family at this distance"):
+        code_params_from_family(fam, 7, build_parity_check(other, 7))
+    rotated = SetFamily(101, 5, 3, fam.sets[1:] + fam.sets[:1])
+    with pytest.raises(ValueError, match="not built from this family at this distance"):
+        code_params_from_family(fam, 7, build_parity_check(rotated, 7))
+
+
 def test_passing_families_with_large_r_meet_singleton_bound():
     # whenever r >= d-1 the designed distance is exactly the bound
     for q, r, d, seed in ((17, 4, 5, 3), (19, 5, 6, 4), (23, 5, 5, 5)):
@@ -241,3 +263,47 @@ def test_distance_calls_answer_alike_in_any_order(data):
             assert got[0] == "error" and "columns are independent" in got[1]
         else:
             assert got == (least if name == "witness" else len(least))
+
+
+def _scan_outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_least_dependent_columns_is_the_scan_for_plain_rows(data):
+    # the one entry point for rows: the least dependent set of size <=
+    # max_size, or with no max_size the exact one, capped at rank + 1, and
+    # the same budget refusals as the linalg scan it calls
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9, 13]))
+    blocks = data.draw(st.integers(0, 3))
+    width = data.draw(st.integers(2, 3))
+    n = blocks * width if blocks else data.draw(st.integers(1, 7))
+    extra = data.draw(st.integers(1, 3))
+    rows = [[int(j // width == i) for j in range(n)] for i in range(blocks)]
+    rows += data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                               min_size=extra, max_size=extra))
+    f = GF(q)
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
+    top = len(rows) + 1
+    least = reference_block_scan(f, cols, top)
+    assert least == reference_smallest_dependent_subset(f, cols, top)
+    max_size = data.draw(st.sampled_from([None, 0, 1, 2, 3, top]))
+    if max_size is None:
+        assert least is None or len(least) <= rank(f, rows) + 1
+        want = least if least is not None else ("error", f"all {n} columns are independent: "
+                                                "the code is {0} and has no minimum distance")
+    else:
+        want = least if least is not None and len(least) <= max_size else None
+    assert _scan_outcome(least_dependent_columns, f, rows, max_size) == want
+    budget = data.draw(st.integers(0, 40))
+    cap = rank(f, rows) + 1 if max_size is None else max_size
+    linalg_says = _scan_outcome(smallest_dependent_subset, f, cols, cap, budget=budget)
+    got = _scan_outcome(least_dependent_columns, f, rows, max_size, budget=budget)
+    if isinstance(linalg_says, tuple) and linalg_says[0] == "error":
+        assert got == linalg_says and got[1].startswith("budget exceeded")
+    else:
+        assert got == want
