@@ -17,16 +17,22 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from . import codec, formats, linalg, lrc, setfam
+from . import codec, derand, formats, linalg, lrc, setfam
 from .gf import GF, MAX_ORDER
 from .rng import SplitMix64
 
 
-def _locality_from_d(d: int) -> int:
+def _t_from_d(d: int) -> int:
     # t = floor((d-1)/2) must be >= 2, i.e. d >= 5.
     if d < 5:
         raise formats.FormatError(f"d={d} too small: need d >= 5 so that t = (d-1)//2 >= 2")
     return (d - 1) // 2
+
+
+def _check_d(d: int, family: setfam.SetFamily) -> None:
+    t = _t_from_d(d)
+    if t > family.t:
+        raise formats.FormatError(f"family was built for t={family.t}; d={d} needs t >= {t}")
 
 
 def _check_budget(budget: Optional[int]) -> None:
@@ -35,7 +41,7 @@ def _check_budget(budget: Optional[int]) -> None:
 
 
 def cmd_gen_family(args: argparse.Namespace) -> int:
-    t = _locality_from_d(args.d)
+    t = _t_from_d(args.d)
     if args.q > MAX_ORDER:
         raise formats.FormatError(
             f"--q {args.q} exceeds {MAX_ORDER}, the largest field order a code can use"
@@ -63,9 +69,7 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
         budget = args.budget if args.budget is not None else 4096
         family = setfam.greedy_family(args.q, args.r, t, budget, args.seed, target_m=target)
     else:
-        from .derand import derandomized_family
-
-        family = derandomized_family(args.q, args.r, t)
+        family = derand.derandomized_family(args.q, args.r, t)
         if target is not None:
             # any sub-family of a verifying family verifies
             family = setfam.SetFamily(args.q, args.r, t, family.sets[:target])
@@ -89,8 +93,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise formats.FormatError("--full needs --d to pick the code distance")
     family = formats.read_family(args.infile)
     d = args.d
-    if d is not None and _locality_from_d(d) > family.t:
-        raise formats.FormatError(f"family was built for t={family.t}; d={d} needs t >= {_locality_from_d(d)}")
+    if d is not None:
+        _check_d(d, family)
     violations = setfam.verify_union_condition(family)
     if violations:
         first = violations[0]
@@ -127,6 +131,7 @@ def _verdict_text(verdict: lrc.OptimalityVerdict, actual: int) -> str:
 
 def cmd_build_code(args: argparse.Namespace) -> int:
     family = formats.read_family(args.infile)
+    _check_d(args.d, family)
     violations = setfam.verify_union_condition(family)
     if violations:
         idx = ",".join(str(i) for i in violations[0].indices)

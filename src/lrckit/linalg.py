@@ -214,39 +214,37 @@ def _groups(n: int, blocks: int) -> tuple[int, int, int]:
 
 
 def _support_counts(n: int, blocks: int):
-    """Yield rows v = 0, 1, 2, ... of support counts: entry j of row v is
-    the number of v-column supports within the last j groups, that is the
-    coefficient of x**v in P(x)**j for P = 1 + sum C(width, s) x**s over
-    the sizes s a touched group may have.  Each row comes from J. C. P.
-    Miller's recurrence v a_v = sum_s ((j + 1) s - v) p_s a_(v-s), for all
-    j at once, in exact integers."""
+    """Yield, for v = 1, 2, ..., n, the number of v-column supports: the
+    coefficient of x**v in P(x)**groups for P = 1 + sum C(width, s) x**s
+    over the sizes s a touched group may have.  Each comes from J. C. P.
+    Miller's recurrence v a_v = sum_s ((groups + 1) s - v) p_s a_(v-s), in
+    exact integers.  Only the budget reads them; the walk decides by rule
+    which columns can complete a support (_reachable)."""
     groups, width, least = _groups(n, blocks)
-    j = np.arange(groups + 1, dtype=object)
-    rows = [np.ones(groups + 1, dtype=object)]
-    yield rows[0]
+    a = [1]
     for v in range(1, n + 1):
-        row = np.zeros(groups + 1, dtype=object)
-        for s in range(least, min(v, width) + 1):
-            row += ((j + 1) * s - v) * comb(width, s) * rows[v - s]
-        rows.append(row // v)
-        yield rows[v]
+        a.append(sum(((groups + 1) * s - v) * comb(width, s) * a[v - s]
+                     for s in range(least, min(v, width) + 1)) // v)
+        yield a[v]
 
 
-def _reachable(counts: list, n: int, blocks: int) -> np.ndarray:
-    """The columns a pick may take with v picks still to come, for each
-    v < len(counts), ascending and padded with n: entry [0, v] for a pick
-    that continues its block, which then owes no more picks, and [1, v] for
-    one that opens a block.  A column qualifies when enough columns follow
-    it in its block for the picks its block still owes and the rest fit the
-    later groups, whose support counts are the first rows of
-    _support_counts."""
+def _reachable(n: int, blocks: int, w: int) -> np.ndarray:
+    """The columns a pick of a w-support may take with v picks still to
+    come, for each v < w, ascending and padded with n: entry [0, v] for a
+    pick that continues its block, which then owes no more picks, and
+    [1, v] for one that opens a group, which then owes least - 1.  Column y
+    qualifies when, for some e no less than its group owes, e of the v
+    picks fit after y in its group and the other u = v - e fit the j groups
+    after y's: ceil(u / width), the fewest groups u columns need, is at
+    most both j and u // least, the most groups they can touch."""
     groups, width, least = _groups(n, blocks)
     y = np.arange(n)
-    later = np.stack(counts)[:, groups - 1 - y // width] > 0  # [v, y]
-    reach = np.zeros((2, len(counts), n), dtype=bool)
-    for e in range(min(len(counts), width)):
-        # e more picks among the columns after y in its block
-        fits = (y % width + e < width) & later[: len(counts) - e]
+    later = groups - 1 - y // width
+    reach = np.zeros((2, w, n), dtype=bool)
+    for e in range(min(w, width)):
+        # e more picks among the columns after y in its block, u for later groups
+        u = np.arange(w - e)[:, None]
+        fits = (y % width + e < width) & (-(-u // width) <= np.minimum(later, u // least))
         reach[0, e:] |= fits
         if e >= least - 1:
             reach[1, e:] |= fits
@@ -255,23 +253,23 @@ def _reachable(counts: list, n: int, blocks: int) -> np.ndarray:
     return ends
 
 
-def _children(level, width, least, x, c, limit):
+def _children(level, width, x, free, limit):
     """Expand the first nodes of a depth, as many as keep their children
     within `limit` and at least one.  Returns how many were expanded and
     their children in order, as (parent, column, whether it continues its
     parent's block).
 
-    A node is its last pick x and the c picks in x's block.  A child may
-    take a later column of its parent's block or, once that block owes no
-    more picks, any column after it.  `level` holds the columns a child may
-    end in (_reachable), continuing a block and opening one.
+    A node is its last pick x and whether x's group is free, owing no more
+    picks.  A child may take a later column of its parent's block or, once
+    that group is free, any column after it.  `level` holds the columns a
+    child may end in (_reachable), continuing a block and opening a group.
     """
     cont, opens = level
     end = (x // width + 1) * width
     at = np.searchsorted(cont, x + 1)
     k_in = np.searchsorted(cont, end) - at
     op = np.searchsorted(opens, end)
-    kids = k_in + np.where(c >= least, np.searchsorted(opens, len(opens)) - op, 0)
+    kids = k_in + np.where(free, np.searchsorted(opens, len(opens)) - op, 0)
     upto = np.cumsum(kids)
     take = max(int(np.searchsorted(upto, limit, side="right")), 1)
     parent = np.repeat(np.arange(take), kids[:take])
@@ -288,9 +286,10 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
     dependent): one sorted support per row and whether its columns are
     dependent.  The walk stops after the first batch with a dependent leaf.
 
-    A node is a prefix of picks; its children (_children) are the later
-    columns from which the support can still be completed, in ascending
-    order.  Each depth keeps its unexpanded nodes in order, and each step
+    A node is a prefix of picks and whether its last pick's group is free,
+    owing no more picks; its children (_children) are the later columns
+    from which the support can still be completed (_reachable), in
+    ascending order.  Each depth keeps its unexpanded nodes in order, and each step
     expands the first nodes of the deepest depth that has any.  Every node
     waiting at a depth then precedes, in leaf order, every node waiting at a
     shallower one, so leaves come in lexicographic order and each prefix is
@@ -311,16 +310,16 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
     has no dependent support.
     """
     w, nrows = ends.shape[1], diffs.shape[2]
-    # the root: no picks, a block that owes nothing, N the identity
-    root = (np.empty((1, 0), dtype=np.int64), np.array([-1]), np.array([least]), np.array([-1]),
+    # the root: no picks, a free group, N the identity
+    root = (np.empty((1, 0), dtype=np.int64), np.array([-1]), np.array([True]), np.array([-1]),
             np.eye(nrows, dtype=np.int64)[None], np.zeros(1, dtype=np.int64))
     waiting = [root] + [None] * (w - 1)
     size, i = max(_CHUNK >> 6, 1), 0
     while i >= 0:
-        picks, x, c, anchor, ann, dim = waiting[i]
+        picks, x, free, anchor, ann, dim = waiting[i]
         leaf = i + 1 == w
         limit = size if leaf else max(size >> 3, _CHUNK >> 6)
-        take, parent, y, inside = _children(ends[:, w - 1 - i], width, least, x, c, limit)
+        take, parent, y, inside = _children(ends[:, w - 1 - i], width, x, free, limit)
         waiting[i] = tuple(a[take:] for a in waiting[i]) if take < len(x) else None
         anc = np.where(inside, anchor[parent], y)
         sub = ann[parent]
@@ -348,8 +347,9 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
                 upd[row, last] = 0
                 sub[hit] = upd
                 dim[hit] += 1
-            cc = np.where(inside, c[parent] + 1, 1)
-            waiting[i + 1] = (picks, y, cc, anc, sub[:, : nrows - dim.min()], dim)
+            # a pick that continues a block frees it; one that opens a group
+            # frees it only when a group may hold one column (no block rows)
+            waiting[i + 1] = (picks, y, inside | (least == 1), anc, sub[:, : nrows - dim.min()], dim)
         size = min(2 * size, _CHUNK)
         i = max((k for k in range(w) if waiting[k] is not None), default=-1)
 
@@ -396,27 +396,20 @@ def smallest_dependent_subset(
     nrows = cols.shape[1]
     blocks, width = _block_layout(cols.T.tolist())
     sizes = range(1, min(max_size, n) + 1)
-    more_counts = _support_counts(n, blocks)
-    counts = [next(more_counts)]
     cost = 0
-    for w in sizes:
+    for w, count in zip(sizes, _support_counts(n, blocks)):
         # a w-support touches at most min(blocks, w // 2) blocks, and
         # each touched block takes one column off the test
         if w - min(blocks, w // 2) > nrows - blocks:
             break  # this size and every larger one is dependent by counting
-        counts.append(next(more_counts))
-        cost += int(counts[w][-1])
+        cost += count
         if budget is not None and cost > budget:
             raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
     least = _groups(n, blocks)[2]
     # the vector tested for column y when its block's first pick is y - o
     diffs = _block_differences(field, cols[:, blocks:], blocks, width)
-    ends = _reachable(counts, n, blocks)
     for w in sizes[start - 1 :]:
-        while len(counts) < w:
-            counts.append(next(more_counts))
-            ends = _reachable(counts, n, blocks)
-        for picks, dep in _leaves(field, diffs, ends[:, :w], width, least):
+        for picks, dep in _leaves(field, diffs, _reachable(n, blocks, w), width, least):
             if dep.any():
                 return tuple(int(v) for v in picks[int(np.argmax(dep))])
     return None

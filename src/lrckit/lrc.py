@@ -226,7 +226,7 @@ def optimality_check(params: CodeParams, actual_d: int) -> OptimalityVerdict:
     """
     n, k, r = params.n, params.k, params.r
     if (actual_d - 2) % (r + 1) == r:
-        bound = n - k - (-(-k // r)) + 1
+        bound = singleton_bound(n, k, r) - 1
         kind = OptimalityKind.ADJUSTED if actual_d == bound else OptimalityKind.NOT_OPTIMAL
     else:
         bound = singleton_bound(n, k, r)

@@ -291,6 +291,22 @@ def test_empty_matrix_is_a_usage_error(tmp_path, capsys, header, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", [FAMILY, BROKEN], ids=["passing", "failing"])
+@pytest.mark.parametrize("d", [3, 4, 7])
+def test_build_code_refuses_a_d_the_family_cannot_take_as_verify_does(tmp_path, capsys, family, d):
+    # d = 3 and 4 give t < 2, and d = 7 needs t = 3 of a t = 2 family: a
+    # usage error before the union check, whether or not the family passes it
+    fam = tmp_path / "fam.txt"
+    fam.write_text(family)
+    out = tmp_path / "H.txt"
+    assert main(["verify", "--in", str(fam), "--d", str(d)]) == 2
+    refusal = capsys.readouterr()
+    assert refusal.out == "" and refusal.err.startswith("error: ")
+    assert main(["build-code", "--in", str(fam), "--d", str(d), "--out", str(out)]) == 2
+    assert capsys.readouterr() == refusal
+    assert not out.exists()
+
+
 HUGE_PRIME = 1000000000000000003
 
 
@@ -306,7 +322,7 @@ def test_huge_field_order_is_refused_at_once(tmp_path, capsys, command):
     w.write_text(f"1 {HUGE_PRIME}\n?\n")
     out = tmp_path / "out.txt"
     argv = {
-        "build-code": ["build-code", "--in", str(fam), "--d", "3", "--out", str(out)],
+        "build-code": ["build-code", "--in", str(fam), "--d", "5", "--out", str(out)],
         "distance": ["distance", "--in", str(h)],
         "encode": ["encode", "--matrix", str(h), "--seed", "1", "--out", str(out)],
         "repair": ["repair", "--matrix", str(h), "--in", str(w), "--r", "1", "--out", str(out)],

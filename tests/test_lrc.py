@@ -307,3 +307,20 @@ def test_least_dependent_columns_is_the_scan_for_plain_rows(data):
         assert got == linalg_says and got[1].startswith("budget exceeded")
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_block_rows_alone_are_dependent_in_a_pair_past_the_counting_break(width):
+    # no row is left to test, so size 1 is dependent by counting, but no
+    # 1-column support meets its block in 0 or >= 2 columns: the scan must
+    # walk on to size 2
+    rows = [[int(j // width == i) for j in range(2 * width)] for i in range(2)]
+    assert least_dependent_columns(GF(5), rows) == (0, 1)
+    assert least_dependent_columns(GF(5), rows, max_size=1) is None
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 3, 4]]])
+def test_width_one_blocks_leave_no_candidate_at_any_size(rows):
+    # each block is one column, which no support can meet in >= 2 columns
+    with pytest.raises(ValueError, match=f"all {len(rows[0])} columns are independent"):
+        least_dependent_columns(GF(5), rows)
