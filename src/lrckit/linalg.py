@@ -22,17 +22,18 @@ meets every block in 0 or >= 2 columns: only such supports are scanned.
 Solving each touched block's indicator row for its first chosen column
 turns the test of a support into one of its other columns minus their
 block's first column, on the rows below the block rows; these differences
-are computed once per scan.  The supports of one size are walked once as a
-tree of their sorted prefixes, each prefix made once.  Each node carries
-the annihilator of its prefix's tested vectors, so a new column costs one
-matrix-vector product and one rank-one update.  Leaves come in
-lexicographic order, a batch at a time, so the returned witness is always
-the lexicographically least dependent subset of the smallest size,
-independent of batch sizes.
+are built once per matrix (_ScanState).  The supports of one size are
+walked once as a tree of their sorted prefixes, each prefix made once.
+Each node carries the annihilator of its prefix's tested vectors, so a
+new column costs one matrix-vector product and one rank-one update.
+Leaves come in lexicographic order, a batch at a time, so the returned
+witness is always the lexicographically least dependent subset of the
+smallest size, independent of batch sizes.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
@@ -100,13 +101,9 @@ def rank(field: GF, rows: Matrix) -> int:
     first columns, which span nothing.  Only that (n x rows - m) matrix is
     eliminated.  With no block rows m = 0, and the matrix is P itself.
     """
-    blocks, width = _block_layout(rows)
-    if len(rows) == blocks:
-        return blocks
-    below = field.array(rows[blocks:]).T
-    n = len(below)
-    diffs = _block_differences(field, below, blocks, width)
-    return blocks + len(rref(field, diffs[np.arange(n), np.arange(n) % width])[1])
+    state = _ScanState(field, rows)
+    n = len(state.diffs)
+    return state.blocks + len(rref(field, state.diffs[np.arange(n), np.arange(n) % state.width])[1])
 
 
 def nullspace_basis(field: GF, rows: Matrix) -> list[list[int]]:
@@ -204,6 +201,25 @@ def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) ->
     n = len(below)
     base = below if blocks else np.zeros_like(below)
     return field.sub_array(below[:, None, :], base[np.maximum(np.arange(n)[:, None] - np.arange(width), 0)])
+
+
+class _ScanState:
+    """The block structure of one matrix, built once from its rows: its
+    layout and block differences, which rank reads too, and for the scan the
+    columns as one (n, rows) array and `clear`, the most columns completed
+    walks proved independent (set by smallest_dependent_subset alone)."""
+
+    def __init__(self, field: GF, rows: Matrix):
+        self.field, self.rows, self.clear = field, rows, 0
+        self.blocks, self.width = _block_layout(rows)
+        n = np.shape(rows[:1])[-1]  # the column count, read from one row at most
+        below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n).T
+        self.diffs = _block_differences(field, below, self.blocks, self.width)
+        self.least = _groups(n, self.blocks)[2]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return np.array(self.rows, dtype=np.int64).reshape(len(self.rows), len(self.diffs)).T
 
 
 def _groups(n: int, blocks: int) -> tuple[int, int, int]:
@@ -359,7 +375,7 @@ def smallest_dependent_subset(
     columns: Sequence[Sequence[int]],
     max_size: int,
     budget: Optional[int] = None,
-    start: int = 1,
+    state: Optional[_ScanState] = None,
 ) -> Optional[tuple[int, ...]]:
     """Least dependent column subset of size <= max_size, or None.
 
@@ -379,37 +395,36 @@ def smallest_dependent_subset(
     negative and, before any is tested, as soon as the running count of
     candidates over the sizes that need a test passes it.
 
-    `start` skips the walk of the sizes below it, for a caller that has
-    proven them free of dependent sets; the walk relies on that, and with a
-    dependent set below `start` its answer is undefined.  The budget still
-    counts every size from 1, so `start` never changes whether or where a
-    call is refused.  ValueError when `start` is below 1.
+    `state`, the matrix's _ScanState passed with its own field and `columns`
+    (ValueError otherwise), starts the walk after the sizes it cleared; a
+    completed walk clears those below its witness, or up to max_size.  The
+    budget counts every size from 1, so the state never moves a refusal,
+    and a refused call clears nothing.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget {budget} must be non-negative")
-    if start < 1:
-        raise ValueError(f"start {start} must be at least 1")
-    n = len(columns)
-    if n == 0 or max_size < 1:
-        return None
-    cols = np.array(columns, dtype=np.int64)
-    nrows = cols.shape[1]
-    blocks, width = _block_layout(cols.T.tolist())
-    sizes = range(1, min(max_size, n) + 1)
-    cost = 0
-    for w, count in zip(sizes, _support_counts(n, blocks)):
+    if state is None:
+        state = _ScanState(field, np.array(columns, dtype=np.int64).T)
+    elif columns is not state.columns or field is not state.field:
+        raise ValueError("the scan state was built for another matrix")
+    n, nrows = state.columns.shape
+    blocks, top, cost = state.blocks, min(max_size, n), 0
+    for w, count in zip(range(1, top + 1), _support_counts(n, blocks)):
         # a w-support touches at most min(blocks, w // 2) blocks, and
         # each touched block takes one column off the test
-        if w - min(blocks, w // 2) > nrows - blocks:
-            break  # this size and every larger one is dependent by counting
+        if count and w - min(blocks, w // 2) > nrows - blocks:
+            top = w  # this size and every larger one is dependent by counting
+            break
         cost += count
         if budget is not None and cost > budget:
             raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
-    least = _groups(n, blocks)[2]
-    # the vector tested for column y when its block's first pick is y - o
-    diffs = _block_differences(field, cols[:, blocks:], blocks, width)
-    for w in sizes[start - 1 :]:
-        for picks, dep in _leaves(field, diffs, _reachable(n, blocks, w), width, least):
-            if dep.any():
-                return tuple(int(v) for v in picks[int(np.argmax(dep))])
+    if state.clear < top:
+        # the rows for v < w serve every walked size w
+        ends = _reachable(n, blocks, top)
+        for w in range(state.clear + 1, top + 1):
+            for picks, dep in _leaves(field, state.diffs, ends[:, :w], state.width, state.least):
+                if dep.any():
+                    state.clear = w - 1
+                    return tuple(int(v) for v in picks[int(np.argmax(dep))])
+    state.clear = max(state.clear, max_size)
     return None

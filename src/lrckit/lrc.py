@@ -11,21 +11,20 @@ block-indicator rows rule the others out.  The pruning reads H, never the
 coverage verdict, and nothing here relies on the coverage condition being
 sufficient, so the two verdicts stay independent.
 
-A `ParityCheckMatrix` remembers what its completed scans proved: the
-largest s such that no s or fewer of its columns are dependent, and its
-rank once computed.  The distance functions share one scan body, which
-resumes a matrix's scan at s + 1, so finding the exact distance after the
-design-distance verdict walks no size twice.  Every remembered value is a
-proven fact about H, so a call's result never depends on what ran before
-it.  The budget still counts the candidates of every size from 1, so a
-call is refused, with the same message, whatever ran before it, and a
-refused call proves nothing and changes nothing.
+A `ParityCheckMatrix` keeps its rank and its scan state (`linalg._ScanState`)
+per matrix, built on first use.  The distance functions share one scan
+body, which resumes after the sizes the state's completed walks cleared, so
+finding the exact distance after the design-distance verdict walks no size
+twice.  The state holds only proven facts about H and the budget counts
+every size from 1, so a call's answer or refusal never depends on what ran
+before it, and a refused call changes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg
@@ -33,16 +32,6 @@ from .gf import GF
 from .setfam import SetFamily, find_berge_cycle
 
 DEFAULT_SUBSET_BUDGET = 30_000_000
-
-
-@dataclass
-class _Proven:
-    """Facts about one matrix, each set only by a completed computation:
-    no `clear` or fewer columns are dependent, and the rank (None until
-    computed)."""
-
-    clear: int = 0
-    rank: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -53,7 +42,6 @@ class ParityCheckMatrix:
     d: int
     rows: tuple[tuple[int, ...], ...]
     field: GF = dc_field(repr=False, compare=False)
-    _proven: _Proven = dc_field(default_factory=_Proven, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -61,6 +49,15 @@ class ParityCheckMatrix:
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.rows))
+
+    # per instance, not fields: no part of the value, and replace() starts afresh
+    @cached_property
+    def _rank(self) -> int:
+        return linalg.rank(self.field, self.rows)
+
+    @cached_property
+    def _state(self) -> linalg._ScanState:
+        return linalg._ScanState(self.field, self.rows)
 
 
 def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) -> ParityCheckMatrix:
@@ -92,32 +89,17 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
     return ParityCheckMatrix(family.q, m, r, d, tuple(tuple(rw) for rw in rows), fld)
 
 
-def _rank(field: GF, rows: Sequence[Sequence[int]], proven: _Proven) -> int:
-    if proven.rank is None:
-        proven.rank = linalg.rank(field, rows)
-    return proven.rank
-
-
-def _scan(
-    field: GF, rows: Sequence[Sequence[int]], max_size: Optional[int], budget: int, proven: _Proven
-) -> Optional[tuple[int, ...]]:
+def _scan(state: linalg._ScanState, max_size: int, budget: int, exact: bool) -> Optional[tuple[int, ...]]:
     """The one distance scan: the least dependent column set of size <=
-    max_size, or None.  With max_size None the scan is exact: capped at
-    rank + 1, since any rank + 1 columns are dependent, and ValueError when
-    every column is independent.  The walk resumes after the sizes
-    `proven` has cleared (the budget still counts them), and a completed
-    walk clears the sizes below its witness, or up to max_size."""
-    exact = max_size is None
-    if exact:
-        max_size = _rank(field, rows, proven) + 1
-    columns = list(zip(*rows))
+    max_size, or None, resuming after the sizes `state` has cleared.  An
+    `exact` scan, capped at rank + 1 since any rank + 1 columns are
+    dependent, raises ValueError when every column is independent."""
     witness = linalg.smallest_dependent_subset(
-        field, columns, max_size, budget=budget, start=proven.clear + 1
+        state.field, state.columns, max_size, budget=budget, state=state
     )
-    proven.clear = max(proven.clear, max_size if witness is None else len(witness) - 1)
     if exact and witness is None:
         raise ValueError(
-            f"all {len(columns)} columns are independent: the code is {{0}} and has no minimum distance"
+            f"all {len(state.columns)} columns are independent: the code is {{0}} and has no minimum distance"
         )
     return witness
 
@@ -135,7 +117,7 @@ def verify_distance_at_least(
     `pcm` cleared; the budget counts candidates from size 1 regardless.
     """
     dd = pcm.d if d is None else d
-    return _scan(pcm.field, pcm.rows, dd - 1, budget, pcm._proven)
+    return _scan(pcm._state, dd - 1, budget, exact=False)
 
 
 def least_dependent_columns(
@@ -153,7 +135,8 @@ def least_dependent_columns(
     is {0}), is a ValueError.  Instances whose candidate count exceeds
     `budget` are rejected up front.
     """
-    return _scan(field, rows, max_size, budget, _Proven())
+    cap = linalg.rank(field, rows) + 1 if max_size is None else max_size
+    return _scan(linalg._ScanState(field, rows), cap, budget, exact=max_size is None)
 
 
 def min_distance_witness(
@@ -163,7 +146,7 @@ def min_distance_witness(
     least_dependent_columns finds it.  The scan resumes after the sizes
     earlier scans of `pcm` cleared, and the rank cap is computed once per
     matrix; the budget counts candidates from size 1 regardless."""
-    return _scan(pcm.field, pcm.rows, None, budget, pcm._proven)
+    return _scan(pcm._state, pcm._rank + 1, budget, exact=True)
 
 
 def exact_min_distance(pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
@@ -262,7 +245,7 @@ def code_params_from_family(
     k = n - family.m - (d - 2)
     if k < 1:
         raise ValueError(f"parameters give dimension k={k}; need k >= 1")
-    got_rank = _rank(pcm.field, pcm.rows, pcm._proven)
+    got_rank = pcm._rank
     if got_rank < family.m + d - 2:
         raise ValueError(
             f"parity-check rank {got_rank} is below m + d - 2 = {family.m + d - 2}"

@@ -4,7 +4,9 @@ import sys
 from pathlib import Path
 
 import lrckit
-from lrckit import linalg, setfam
+from lrckit import linalg, lrc, setfam
+
+from conftest import SINGLETON_FAMILY
 
 
 def test_every_public_name_resolves_once():
@@ -40,3 +42,36 @@ def test_the_benchmark_tracer_still_finds_every_name_it_rebinds(monkeypatch):
     assert {"columns", "max_size"} <= set(scan.arguments)
     greedy = inspect.signature(setfam.greedy_family).bind(13, 4, 2, 64, 0)
     assert "candidate_budget" in greedy.arguments
+
+
+def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch):
+    # the tracer counts per-layer work by rebinding these two names and reads
+    # the scan's `columns`: the matrix functions must call both through the
+    # module, with n columns of one entry per row
+    fam = setfam.SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    scan, rank, seen = linalg.smallest_dependent_subset, linalg.rank, []
+
+    def counted_scan(*args, **kwargs):
+        seen.append(("scan", inspect.signature(scan).bind(*args, **kwargs).arguments["columns"]))
+        return scan(*args, **kwargs)
+
+    def counted_rank(*args, **kwargs):
+        seen.append(("rank", None))
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smallest_dependent_subset", counted_scan)
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    calls = {
+        "verify": lrc.verify_distance_at_least,
+        "witness": lrc.min_distance_witness,
+        "params": lambda pcm: lrc.code_params_from_family(fam, 5, pcm),
+    }
+    reached = {}
+    for name, call in calls.items():
+        seen.clear()
+        pcm = lrc.build_parity_check(fam, 5)
+        call(pcm)
+        reached[name] = {layer for layer, _ in seen}
+        for layer, columns in seen:
+            assert layer == "rank" or (len(columns) == pcm.n and {len(c) for c in columns} == {len(pcm.rows)})
+    assert reached == {"verify": {"scan"}, "witness": {"scan", "rank"}, "params": {"rank"}}

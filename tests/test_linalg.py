@@ -381,14 +381,16 @@ def test_block_scan_matches_the_subset_loop(data):
         minors = minors_min_distance(rows, len(cols), q, min(top, len(cols)))
         assert want == (None if minors is None else minors[1])
     chunk = data.draw(st.sampled_from([1, 7, linalg._CHUNK]))
-    # a start past 1 skips sizes with no dependent set, up to the witness's
-    # own size, which may be one dependent by counting
-    start = data.draw(st.integers(1, top + 1 if want is None else len(want)))
+    # one scan state, resumed by every max_size in a drawn order, answers as
+    # a fresh scan does while its walks skip the sizes earlier ones cleared
+    order = data.draw(st.permutations(range(1, top + 1)))
+    state = linalg._ScanState(f, rows)
     with mock.patch.object(linalg, "_CHUNK", chunk):
-        for max_size in range(1, top + 1):
+        for max_size in order:
             expect = want if want is not None and len(want) <= max_size else None
             assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
-            assert linalg.smallest_dependent_subset(f, cols, max_size, start=start) == expect
+            assert linalg.smallest_dependent_subset(f, state.columns, max_size, state=state) == expect
+    assert state.clear == (top if want is None else len(want) - 1)
 
 
 @pytest.mark.parametrize("q", [5, 7, 13])
@@ -440,37 +442,72 @@ def test_negative_budget_is_refused():
     # a budget of 0 is a budget: it passes at the first candidate
     with pytest.raises(ValueError, match="budget exceeded: 2 columns pass 0 subsets at size 1"):
         linalg.smallest_dependent_subset(GF(7), [(1, 2), (3, 4)], 2, budget=0)
-    with pytest.raises(ValueError, match="start 0 must be at least 1"):
-        linalg.smallest_dependent_subset(GF(7), [(1, 2), (3, 4)], 2, start=0)
 
 
 def test_budget_counts_the_candidates_of_the_sizes_that_need_elimination(singleton_code):
     _, pcm, _ = singleton_code
-    plain = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 4, 9)]
+    plain = [(1, 0, 0, 1, 1, 1), (0, 1, 0, 1, 2, 4), (0, 0, 1, 1, 3, 9)]
     # 3 blocks of 5 on 3 more rows: a size-6 candidate can touch 3 blocks
     # and leave 3 columns to test, from size 7 on none fits 3 rows; with no
     # block rows, sizes up to the row count need an elimination
-    # the count runs from size 1 whatever `start` skips, so refusal begins
-    # at the same budget and size for every start
-    for f, cols, blocks, last in ((pcm.field, pcm.columns(), 3, 6), (GF(13), plain, 0, 3)):
+    # the count runs from size 1 whatever the state has cleared, so refusal
+    # begins at the same budget and size for every state, and a refused
+    # call clears nothing
+    for f, rows, blocks, last in ((pcm.field, pcm.rows, 3, 6), (GF(13), plain, 0, 3)):
+        cols = _columns(rows)
         need = sum(_counts_up_to(len(cols), blocks, last)[1:])
         want = reference_smallest_dependent_subset(f, cols, last + 1)
-        for start in range(1, last + 2):
-            if start <= len(want):
-                assert linalg.smallest_dependent_subset(f, cols, last + 1, budget=need, start=start) == want
-            with pytest.raises(ValueError, match=f"at size {last}$"):
-                linalg.smallest_dependent_subset(f, cols, last + 1, budget=need - 1, start=start)
+        for cleared in range(len(want)):
+            state = linalg._ScanState(f, rows)
+            assert linalg.smallest_dependent_subset(f, state.columns, cleared, state=state) is None
+            # the second round asks a state that has found the witness
+            for proven in (cleared, len(want) - 1):
+                assert state.clear == proven
+                with pytest.raises(ValueError, match=f"at size {last}$"):
+                    linalg.smallest_dependent_subset(f, state.columns, last + 1, budget=need - 1, state=state)
+                assert state.clear == proven
+                assert linalg.smallest_dependent_subset(f, state.columns, last + 1, budget=need, state=state) == want
+
+
+def test_the_walk_stops_at_the_first_size_dependent_by_counting():
+    # however large max_size is, the one reachability table is built for the
+    # first size past the counting break that has a candidate; with blocks of
+    # width 2 that skips the odd size after the break, which has none
+    plain = [[1] * 40, list(range(40))]
+    block = _block_rows(4, 2) + [[1, 2, 3, 4, 5, 6, 7, 8]]
+    for f, rows, top in ((GF(41), plain, 3), (GF(13), block, 4)):
+        cols = _columns(rows)
+        with mock.patch.object(linalg, "_reachable", wraps=linalg._reachable) as reach:
+            got = linalg.smallest_dependent_subset(f, cols, len(cols))
+        assert reach.call_args.args[2] == top and reach.call_count == 1
+        assert got == reference_smallest_dependent_subset(f, cols, len(cols))
+
+
+def test_a_scan_state_answers_only_for_the_matrix_it_was_built_from(singleton_code):
+    _, pcm, _ = singleton_code
+    state = linalg._ScanState(pcm.field, pcm.rows)
+    other = [list(col) for col in state.columns]
+    other[0][-1] = (other[0][-1] + 1) % 13
+    # equal columns that are not the state's own are refused too: the state
+    # never judges what it cannot vouch for
+    for field, columns in ((pcm.field, other), (pcm.field, pcm.columns()), (pcm.field, state.columns.copy()),
+                           (GF(13), state.columns)):
+        with pytest.raises(ValueError, match="scan state was built for another matrix"):
+            linalg.smallest_dependent_subset(field, columns, 5, state=state)
+    assert state.clear == 0
+    assert linalg.smallest_dependent_subset(pcm.field, state.columns, 5, state=state) == (0, 1, 2, 3, 4)
 
 
 def test_a_scanned_matrix_stays_equal_to_an_unscanned_one():
-    # what a matrix remembers of its scans is no constructor parameter and
-    # no part of its value, equality, hash or repr
+    # what a matrix keeps of its scans and its rank is no constructor
+    # parameter and no part of its value, equality, hash or repr
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
     scanned, fresh = build_parity_check(fam, 5), build_parity_check(fam, 5)
     assert verify_distance_at_least(scanned, 5) is None
     assert min_distance_witness(scanned) == (0, 1, 2, 3, 4)
     code_params_from_family(fam, 5, scanned)
-    assert scanned._proven != fresh._proven
+    assert {"_state", "_rank"} <= set(vars(scanned)) and not {"_state", "_rank"} & set(vars(fresh))
+    assert scanned._state.clear == 4 and scanned._rank == 6
     assert scanned == fresh and hash(scanned) == hash(fresh) and repr(scanned) == repr(fresh)
     assert list(inspect.signature(ParityCheckMatrix).parameters) == ["q", "m", "r", "d", "rows", "field"]
 

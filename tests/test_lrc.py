@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrckit import linalg
 from lrckit.gf import GF
 from lrckit.linalg import rank, smallest_dependent_subset
 from lrckit.lrc import (
@@ -22,6 +25,7 @@ from lrckit.lrc import (
 from lrckit.setfam import SetFamily, greedy_family
 
 from conftest import (
+    SINGLETON_FAMILY,
     _forced_triple,
     minors_dependent,
     minors_min_distance,
@@ -250,11 +254,11 @@ def test_distance_calls_answer_alike_in_any_order(data):
                   st.sampled_from([None, None, 0, 30, 300, 3000])),
         min_size=1, max_size=6))
     for call in calls:
-        before = pcm._proven.clear
+        before = pcm._state.clear
         got = _outcome(call, pcm)
         assert got == _outcome(call, build_parity_check(fam, d, f))
         if isinstance(got, tuple) and got[0] == "error" and got[1].startswith("budget exceeded"):
-            assert pcm._proven.clear == before
+            assert pcm._state.clear == before
             continue
         name, arg, _ = call
         if name == "verify":
@@ -263,6 +267,40 @@ def test_distance_calls_answer_alike_in_any_order(data):
             assert got[0] == "error" and "columns are independent" in got[1]
         else:
             assert got == (least if name == "witness" else len(least))
+
+
+def test_one_matrix_builds_its_scan_tables_once():
+    # a verdict, a witness and the parameters on one matrix build the block
+    # differences once for the rank and once for the scan state, and the
+    # reachability table once per scan that walks a size
+    fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    pcm = build_parity_check(fam, 5)
+    with mock.patch.object(linalg, "_block_differences", wraps=linalg._block_differences) as diffs, \
+            mock.patch.object(linalg, "_reachable", wraps=linalg._reachable) as reach:
+        assert verify_distance_at_least(pcm) is None
+        assert (diffs.call_count, reach.call_count) == (1, 1)
+        assert min_distance_witness(pcm) == (0, 1, 2, 3, 4)
+        assert (diffs.call_count, reach.call_count) == (2, 2)
+        code_params_from_family(fam, 5, pcm)
+        assert verify_distance_at_least(pcm) is None
+        assert (diffs.call_count, reach.call_count) == (2, 2)
+        # the state keeps what is cleared, not the witness: its size is walked again
+        assert exact_min_distance(pcm) == 5
+        assert (diffs.call_count, reach.call_count) == (2, 3)
+
+
+def test_a_new_or_replaced_matrix_inherits_no_scan_state():
+    fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    # two sets sharing two elements: four columns are dependent
+    shared = build_parity_check(SetFamily(13, 4, 2, ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (1, 5, 9, 10, 11))), 5)
+    pcm = build_parity_check(fam, 5)
+    assert verify_distance_at_least(pcm) is None and pcm._state.clear == 4
+    for other, want in ((dataclasses.replace(pcm, rows=shared.rows), (0, 1, 5, 6)),
+                        (build_parity_check(fam, 5), None)):
+        assert not {"_state", "_rank"} & set(vars(other))
+        assert verify_distance_at_least(other) == want
+        assert other._state is not pcm._state and other._state.clear == (3 if want else 4)
+    assert pcm._state.clear == 4
 
 
 def _scan_outcome(fn, *args, **kwargs):
