@@ -47,8 +47,7 @@ def generator_from_parity(field: GF, h_rows: Sequence[Sequence[int]]) -> list[li
 def encode(field: GF, g_rows: Sequence[Sequence[int]], message: Sequence[int]) -> list[int]:
     if len(message) != len(g_rows):
         raise ValueError(f"message length {len(message)} != k = {len(g_rows)}")
-    products = field.mul_array(field.array(message)[:, None], field.array(g_rows))
-    return field.sum_array(products, axis=0).tolist()
+    return field.dot_array(field.array(message)[:, None], field.array(g_rows), axis=0).tolist()
 
 
 def _parity_array(field: GF, h_rows: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -63,8 +62,7 @@ def _parity_array(field: GF, h_rows: Sequence[Sequence[int]], n: int) -> np.ndar
 
 
 def syndrome(field: GF, h_rows: Sequence[Sequence[int]], word: Sequence[int]) -> list[int]:
-    products = field.mul_array(_parity_array(field, h_rows, len(word)), field.array(word)[None, :])
-    return field.sum_array(products, axis=1).tolist()
+    return field.dot_array(_parity_array(field, h_rows, len(word)), field.array(word)[None, :], axis=1).tolist()
 
 
 def is_codeword(field: GF, h_rows: Sequence[Sequence[int]], word: Sequence[int]) -> bool:

@@ -10,19 +10,29 @@ operation has one body, on arrays; the scalar operations validate and call it.
 The helpers have one body per job as well.  `_poly_rem`, the remainder by
 a monic polynomial over whole arrays, finds the modulus (trial division of a
 batch of candidates) and reduces the products that build the tables.
-`GF._digitwise` adds, subtracts, negates and sums digit by digit, or by XOR
-in characteristic 2.  `_least_factor` is the one trial division, for q and
-q - 1.  `GF(q)` refuses q > MAX_ORDER before it factors q.
+`_least_factor` is the one trial division, for q and q - 1.  An extension
+field's products come from private sentinel tables, whose log of 0 indexes
+a run of zeros, so `mul_array` is two log lookups, an add and an antilog
+lookup, with no remainder and no mask.  Its sums and differences are taken
+on packed digits: an element's base-p digits sit in the bit fields of one
+integer, so one integer add adds every digit, and `GF._fold` reduces the
+fields mod p and reads the element back, one table lookup per chunk of
+fields (characteristic 2 subtracts by XOR).  `GF.dot_array` is the one sum
+of products, behind the distance scan's matrix-vector products, `encode`
+and `syndrome`, and `sum_array` and `add` call it: one remainder after the
+integer sum in a prime field, and in an extension field packed products
+summed a stretch of terms at a time and folded.  `GF(q)` refuses
+q > MAX_ORDER before it factors q.
 """
 
 from __future__ import annotations
 
-import operator
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 MAX_ORDER = 1 << 16
+_CHUNK = 12  # bits per packed chunk, each folded by one table of 2**_CHUNK entries
 
 
 def _least_factor(n: int) -> int:
@@ -115,6 +125,19 @@ class GF:
     operations, which act elementwise on int64 arrays of canonical elements
     (see `array`).  Extension fields build `exp_table` and `log_table` (int64,
     log_table[0] = -1) on construction; `inv_table` is built on first use.
+
+    Extension fields also build private tables on construction, from the
+    public ones, which they leave unchanged.  `_log` is log_table with the
+    log of 0 set to 2(q - 1), and `_exp` is exp_table twice over followed by
+    2(q - 1) + 1 zeros, so `_exp[_log[x] + _log[y]]` is the product x y for
+    every pair, 0 included.  `_pack` holds each element with its e base-p
+    digits in bit fields, up to _CHUNK bits of fields to a chunk, and
+    `_pexp` is `_exp` packed, so a packed product is one lookup.  The
+    fields are as wide as the fewest chunks allow while each still holds
+    the sum of two digits, so `_stretch` = (2**bits - 1) // (p - 1) >= 2
+    packed terms sum as integers with no field overflowing.  `_folds` holds
+    one table per chunk: the part of the element that each value of the
+    chunk gives, its fields reduced mod p.
     """
 
     def __init__(self, q: int):
@@ -132,6 +155,7 @@ class GF:
         else:
             self.modulus = lowest_irreducible(self.p, self.e)
             self.exp_table, self.log_table = self._tables()
+            self._sentinel_tables()
 
     def _poly_mul(self, x, y) -> np.ndarray:
         # elementwise product of broadcastable element arrays of one ndim as
@@ -181,41 +205,46 @@ class GF:
         log_table[exp_table] = np.arange(order)
         return exp_table, log_table
 
+    def _sentinel_tables(self) -> None:
+        # the private tables of an extension field (see the class Notes)
+        p, e, order = self.p, self.e, self.q - 1
+        self._log = np.where(self.log_table < 0, 2 * order, self.log_table)
+        self._exp = np.concatenate([self.exp_table, self.exp_table, np.zeros(2 * order + 1, dtype=np.int64)])
+        # the fewest chunks whose fields each hold the digit sum of two terms
+        chunks = next(c for c in range(1, e + 1) if 1 << _CHUNK // -(-e // c) > 2 * (p - 1))
+        per = -(-e // chunks)
+        bits = _CHUNK // per
+        self._stretch = ((1 << bits) - 1) // (p - 1)
+        field = np.arange(e)
+        offset = _CHUNK * (field // per) + bits * (field % per)
+        self._pack = (_digits(np.arange(self.q), p, e) << offset[:, None]).sum(axis=0)
+        self._pexp = self._pack[self._exp]
+        residue = np.arange(1 << bits) % p
+        self._folds = []
+        for first in range(0, e, per):
+            table = np.zeros(1, dtype=np.int64)
+            for i in reversed(range(first, min(first + per, e))):
+                table = np.add.outer(table, residue * p**i).ravel()
+            self._folds.append(table)
+
     def validate(self, a: int) -> int:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not a canonical element of GF({self.q})")
         return a
 
-    def _digitwise(self, combine, xor, *xs):
-        # combine(*xs) in the field, for ints and int64 arrays alike.  combine
-        # is Z-linear (+, - or a sum along an axis), so combine(*xs) mod p is
-        # the combined lowest base-p digit, and each higher digit is the same
-        # after dividing the operands by p; with e = 1 this is the prime
-        # field's formula.  In characteristic 2 the digits are bits and
-        # `xor`, the carry-free combine, does all of them at once.
-        if self.p == 2:
-            return xor(*xs)
-        p = self.p
-        out, place = _mod(combine(*xs), p), 1
-        for _ in range(self.e - 1):
-            xs = [x // p for x in xs]
-            place *= p
-            out = out + _mod(combine(*xs), p) * place
-        return out
-
     def add(self, a: int, b: int) -> int:
         self.validate(a)
         self.validate(b)
-        return self._digitwise(operator.add, operator.xor, a, b)
+        return int(self.sum_array(np.array([a, b]), axis=0))
 
     def neg(self, a: int) -> int:
         self.validate(a)
-        return self.sub_array(0, a)
+        return int(self.sub_array(0, a))
 
     def sub(self, a: int, b: int) -> int:
         self.validate(a)
         self.validate(b)
-        return self.sub_array(a, b)
+        return int(self.sub_array(a, b))
 
     def mul(self, a: int, b: int) -> int:
         self.validate(a)
@@ -258,8 +287,39 @@ class GF:
         """Elementwise product of broadcastable arrays of elements."""
         if self.e == 1:
             return _mod(x * y, self.p)
-        out = self.exp_table[_mod(self.log_table[x] + self.log_table[y], self.q - 1)]
-        return np.where((x != 0) & (y != 0), out, 0)  # log[0] = -1 is masked out here
+        return self._exp[self._log[x] + self._log[y]]
+
+    def dot_array(self, x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+        """Field sum along `axis` of mul_array(x, y), the elementwise products
+        of broadcastable arrays of elements, exact for any length of the
+        axis.  A prime field takes one remainder after the integer sum.  An
+        extension field sums packed products as integers, `_stretch` terms at
+        a time, and folds the sums back to elements."""
+        nd = max(np.ndim(x), np.ndim(y))
+        if not -nd <= axis < nd:
+            raise ValueError(f"axis {axis} is out of range for {nd} dimensions")
+        labels = [..., *range(nd - axis % nd)]  # the summed axis is label 0
+        kept = labels[:1] + labels[2:]
+        if self.e == 1:
+            # a term is below 2**32, so the int64 sum is exact for up to 2**31 terms
+            x, y = (np.reshape(a, (1,) * (nd - np.ndim(a)) + np.shape(a)) for a in (x, y))
+            return _mod(np.einsum(x, labels, y, labels, kept), self.p)
+        terms = self._pexp[self._log[x] + self._log[y]]
+        while terms.shape[axis] > self._stretch:
+            # each stretch sums inside the bit fields, and its sum, packed
+            # again as an element, is one term of the next round
+            sums = np.add.reduceat(terms, np.arange(0, terms.shape[axis], self._stretch), axis=axis)
+            terms = self._pack[self._fold(sums)]
+        return self._fold(np.einsum(terms, labels, kept))
+
+    def _fold(self, sums: np.ndarray) -> np.ndarray:
+        # the element whose base-p digits are the bit fields of packed sums,
+        # each reduced mod p: one table lookup per chunk
+        mask = (1 << _CHUNK) - 1
+        out = self._folds[0][sums & mask]
+        for j, table in enumerate(self._folds[1:], 1):
+            out += table[sums >> _CHUNK * j & mask]
+        return out
 
     def pow_array(self, x: np.ndarray, n: int) -> np.ndarray:
         """Elementwise x**n for an integer n >= 0, with 0**0 = 1."""
@@ -282,11 +342,16 @@ class GF:
 
     def sub_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise difference x - y of broadcastable arrays of elements."""
-        return self._digitwise(operator.sub, operator.xor, x, y)
+        if self.e == 1:
+            return _mod(x - y, self.p)
+        if self.p == 2:
+            return x ^ y  # the digits are bits, and XOR adds them all at once
+        # x plus the product of y and -1, whose log is _log[p - 1]
+        return self._fold(self._pack[x] + self._pexp[self._log[y] + self._log[self.p - 1]])
 
     def sum_array(self, x: np.ndarray, axis: int) -> np.ndarray:
         """Field sum of an array of elements along `axis`."""
-        return self._digitwise(partial(np.sum, axis=axis), partial(np.bitwise_xor.reduce, axis=axis), x)
+        return self.dot_array(x, 1, axis)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -25,7 +25,8 @@ block's first column, on the rows below the block rows; these differences
 are built once per matrix (_ScanState).  The supports of one size are
 walked once as a tree of their sorted prefixes, each prefix made once.
 Each node carries the annihilator of its prefix's tested vectors, so a
-new column costs one matrix-vector product and one rank-one update.
+new column costs one matrix-vector product and one rank-one update; the
+products of a whole batch of nodes are one field kernel (GF.dot_array).
 Leaves come in lexicographic order, a batch at a time, so the returned
 witness is always the lexicographically least dependent subset of the
 smallest size, independent of batch sizes.
@@ -206,11 +207,13 @@ def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) ->
 class _ScanState:
     """The block structure of one matrix, built once from its rows: its
     layout and block differences, which rank reads too, and for the scan the
-    columns as one (n, rows) array and `clear`, the most columns completed
-    walks proved independent (set by smallest_dependent_subset alone)."""
+    columns as one (n, rows) array, `clear`, the most columns completed
+    walks proved independent, and `witness`, the least dependent set a walk
+    found, or None (both set by smallest_dependent_subset alone)."""
 
     def __init__(self, field: GF, rows: Matrix):
         self.field, self.rows, self.clear = field, rows, 0
+        self.witness: Optional[tuple[int, ...]] = None
         self.blocks, self.width = _block_layout(rows)
         n = np.shape(rows[:1])[-1]  # the column count, read from one row at most
         below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n).T
@@ -317,9 +320,9 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
     Each node carries N, whose rows span the annihilator of its tested
     vectors: diffs[y, o] for a pick y whose block's first pick is y - o
     (o = 0 is that first pick, tested only with no block rows).  A child's
-    vector is tested by u = N v: u = 0 means it lies in the prefix's span;
-    otherwise N takes one rank-one update that clears the row of u's first
-    nonzero entry.  Once N has no rows left, every tested vector gives
+    vector is tested by u = N v, one GF.dot_array call for the batch: u = 0
+    means it lies in the prefix's span; otherwise N takes one rank-one
+    update that clears the row of u's first nonzero entry.  Once N has no rows left, every tested vector gives
     u = 0.  Only leaves are judged: a proper prefix tests the vectors of a
     support of a smaller size (less its last pick when that opens a block),
     and smallest_dependent_subset walks a size only once every smaller one
@@ -339,7 +342,7 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
         waiting[i] = tuple(a[take:] for a in waiting[i]) if take < len(x) else None
         anc = np.where(inside, anchor[parent], y)
         sub = ann[parent]
-        u = field.sum_array(field.mul_array(sub, diffs[y, y - anc][:, None, :]), axis=2)
+        u = field.dot_array(sub, diffs[y, y - anc][:, None, :], axis=2)
         picks = np.concatenate([picks[parent], y[:, None]], axis=1)
         if leaf:
             # a leaf never opens a block, so each one's vector is tested
@@ -397,9 +400,10 @@ def smallest_dependent_subset(
 
     `state`, the matrix's _ScanState passed with its own field and `columns`
     (ValueError otherwise), starts the walk after the sizes it cleared; a
-    completed walk clears those below its witness, or up to max_size.  The
-    budget counts every size from 1, so the state never moves a refusal,
-    and a refused call clears nothing.
+    completed walk clears those below its witness, or up to max_size, and
+    keeps the witness, which answers every later call with a max_size it
+    reaches without a walk.  The budget counts every size from 1, so the
+    state never moves a refusal, and a refused call clears nothing.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget {budget} must be non-negative")
@@ -418,13 +422,16 @@ def smallest_dependent_subset(
         cost += count
         if budget is not None and cost > budget:
             raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
+    if state.witness is not None:
+        # every size below the witness is clear, so a smaller max_size has none
+        return state.witness if len(state.witness) <= max_size else None
     if state.clear < top:
         # the rows for v < w serve every walked size w
         ends = _reachable(n, blocks, top)
         for w in range(state.clear + 1, top + 1):
             for picks, dep in _leaves(field, state.diffs, ends[:, :w], state.width, state.least):
                 if dep.any():
-                    state.clear = w - 1
-                    return tuple(int(v) for v in picks[int(np.argmax(dep))])
+                    state.clear, state.witness = w - 1, tuple(int(v) for v in picks[int(np.argmax(dep))])
+                    return state.witness
     state.clear = max(state.clear, max_size)
     return None

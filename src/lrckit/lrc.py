@@ -15,9 +15,10 @@ A `ParityCheckMatrix` keeps its rank and its scan state (`linalg._ScanState`)
 per matrix, built on first use.  The distance functions share one scan
 body, which resumes after the sizes the state's completed walks cleared, so
 finding the exact distance after the design-distance verdict walks no size
-twice.  The state holds only proven facts about H and the budget counts
-every size from 1, so a call's answer or refusal never depends on what ran
-before it, and a refused call changes nothing.
+twice, and a witness once found answers again without a walk.  The state
+holds only proven facts about H and the budget counts every size from 1, so
+a call's answer or refusal never depends on what ran before it, and a
+refused call changes nothing.
 """
 
 from __future__ import annotations

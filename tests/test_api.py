@@ -1,10 +1,12 @@
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import lrckit
-from lrckit import linalg, lrc, setfam
+from lrckit import codec, linalg, lrc, setfam
 
 from conftest import SINGLETON_FAMILY
 
@@ -75,3 +77,24 @@ def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch):
         for layer, columns in seen:
             assert layer == "rank" or (len(columns) == pcm.n and {len(c) for c in columns} == {len(pcm.rows)})
     assert reached == {"verify": {"scan"}, "witness": {"scan", "rank"}, "params": {"rank"}}
+
+
+def test_every_sum_of_products_is_the_one_field_kernel():
+    # the scan's matrix-vector products, encode and syndrome each reach
+    # GF.dot_array, and no source file multiplies and then sums apart
+    fam = setfam.SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    pcm = lrc.build_parity_check(fam, 5)
+    field = pcm.field
+    gen = codec.generator_from_parity(field, pcm.rows)
+    calls = {
+        "scan": lambda: lrc.verify_distance_at_least(pcm),
+        "encode": lambda: codec.encode(field, gen, [1] * len(gen)),
+        "syndrome": lambda: codec.syndrome(field, pcm.rows, [0] * pcm.n),
+    }
+    for name, call in calls.items():
+        with mock.patch.object(field, "dot_array", wraps=field.dot_array) as dot:
+            call()
+        assert dot.call_count >= 1, name
+    src = Path(lrckit.__file__).resolve().parent
+    split = [p.name for p in sorted(src.glob("*.py")) if re.search(r"sum_array\(\s*\S*mul_array\(", p.read_text())]
+    assert split == []

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -16,6 +17,8 @@ from lrckit.codec import (
 from lrckit.gf import GF
 from lrckit.lrc import min_distance_witness
 from lrckit.rng import SplitMix64
+
+from conftest import reference_add, reference_mul
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +190,34 @@ def test_empty_parity_check_matrix_constrains_nothing():
         erasure_decode(f, [], [None])
     with pytest.raises(UnrecoverableError):
         erasure_decode(f, [], [2, None])
+
+
+def _reference_products(f, rows, vector):
+    """Each row's field sum of products with `vector`, through the
+    table-free oracles alone."""
+    return [functools.reduce(lambda a, b: reference_add(f, a, b),
+                             (reference_mul(f, x, y) for x, y in zip(row, vector)), 0)
+            for row in rows]
+
+
+def test_codec_sums_past_the_packing_headroom_over_gf_3_to_the_10():
+    # GF(3**10) packs a product's ten digits so that only three terms fit a
+    # field: encoding with k = 37 and checking n = 40 symbols sum far past
+    # that, in stretches, and must agree with the schoolbook products
+    f = GF(3**10)
+    rng = SplitMix64(310)
+    h = [[rng.below(f.q) for _ in range(40)] for _ in range(3)]
+    g = generator_from_parity(f, h)
+    assert len(g) == 37 > 3 * f._stretch
+    msg = [rng.below(f.q) for _ in range(len(g))]
+    msg[:2] = [f.q - 1, 0]
+    word = encode(f, g, msg)
+    assert word == _reference_products(f, list(zip(*g)), msg)
+    assert syndrome(f, h, word) == [0, 0, 0] and is_codeword(f, h, word)
+    bad = list(word)
+    bad[5] = reference_add(f, bad[5], 1)
+    assert syndrome(f, h, bad) == _reference_products(f, h, bad) != [0, 0, 0]
+    assert not is_codeword(f, h, bad)
 
 
 def test_repair_refuses_locality_below_one(singleton_codec):

@@ -281,6 +281,87 @@ def test_vectorized_field_matches_scalar(q):
     assert all(reference_mul(f, int(x), int(y)) == 1 for x, y in zip(nz, f.inv_table[nz]))
 
 
+DOT_QS = [2, 4, 13, 16, 25, 27, 243, 4999, 59049, 65536]
+
+
+def _reference_dot(f: GF, xs, ys) -> int:
+    """The field sum of the products of two equal-length sequences, through
+    the table-free oracles alone."""
+    products = (reference_mul(f, int(x), int(y)) for x, y in zip(xs, ys))
+    return functools.reduce(lambda a, b: reference_add(f, a, b), products, 0)
+
+
+def _operands(q: int, shape: tuple[int, ...], rng: SplitMix64) -> np.ndarray:
+    # seeded elements with about a third of them 0, and 1 and q - 1 present
+    flat = [rng.below(q) if rng.below(3) else 0 for _ in range(int(np.prod(shape)))]
+    flat[:2] = [1, q - 1][: len(flat)]
+    return np.array(flat, dtype=np.int64).reshape(shape)
+
+
+@pytest.mark.parametrize("q", DOT_QS)
+def test_sentinel_products_match_the_schoolbook_oracle(q):
+    # the extension-field product is one add between two lookups, with log 0
+    # pointing at zeros: every pair of a sample with 0 on either side or
+    # both, in the shapes of the walk's rank-one update
+    f = GF(q)
+    rng = SplitMix64(7 + q)
+    xs = _operands(q, (24,), rng)
+    ys = _operands(q, (24,), rng)
+    want = [[reference_mul(f, int(x), int(y)) for y in ys] for x in xs]
+    assert f.mul_array(xs[:, None], ys[None, :]).tolist() == want
+    assert f.mul_array(xs[:, None, None], ys[None, None, :]).reshape(24, 24).tolist() == want
+    assert f.mul_array(xs, ys).tolist() == [want[i][i] for i in range(24)]
+    assert f.mul_array(0, 0) == 0 and f.mul_array(xs, 0).tolist() == [0] * 24
+    if f.e > 1:
+        assert f.log_table[0] == -1 and len(f._exp) == 4 * (q - 1) + 1
+
+
+@pytest.mark.parametrize("q", DOT_QS)
+def test_dot_array_matches_the_reduced_products(q):
+    # the shapes of its callers: the scan's N v over a batch of nodes
+    # (nodes, rows, rows) by (nodes, 1, rows) along the last axis, encode's
+    # (k, 1) message by a (k, n) generator along axis 0, and syndrome's
+    # (rows, n) H by a (1, n) word along axis 1; then operands of fewer
+    # dimensions, a negative axis and an empty sum
+    f = GF(q)
+    rng = SplitMix64(11 + q)
+    cases = [
+        (_operands(q, (6, 4, 5), rng), _operands(q, (6, 1, 5), rng), 2),
+        (_operands(q, (9, 1), rng), _operands(q, (9, 7), rng), 0),
+        (_operands(q, (4, 40), rng), _operands(q, (1, 40), rng), 1),
+        (_operands(q, (3, 8), rng), _operands(q, (8,), rng), -1),
+        (_operands(q, (8,), rng), _operands(q, (8, 3), rng).T, 1),
+        (_operands(q, (5, 0), rng), _operands(q, (1, 0), rng), 1),
+    ]
+    for x, y, axis in cases:
+        bx, by = (np.moveaxis(a, axis, -1) for a in np.broadcast_arrays(x, y))
+        want = [_reference_dot(f, bx[i], by[i]) for i in np.ndindex(bx.shape[:-1])]
+        got = f.dot_array(x, y, axis=axis)
+        assert got.shape == bx.shape[:-1] and got.ravel().tolist() == want
+        assert np.array_equal(f.sum_array(f.mul_array(x, y), axis=axis), got)
+    for axis in (2, -3):
+        with pytest.raises(ValueError):
+            f.dot_array(cases[1][0], cases[1][1], axis=axis)
+
+
+@pytest.mark.parametrize("q", [q for q in DOT_QS if prime_power(q)[1] > 1])
+def test_dot_array_is_exact_past_the_packing_headroom(q):
+    # every digit of q - 1 is p - 1, so each product 1 (q - 1) fills its
+    # packed fields the most a term can: sums of up to _stretch terms fit,
+    # and longer ones must be split into stretches (at GF(3**10), whose ten
+    # digits share three 12-bit chunks, three terms fill a field, so 31, 32
+    # and 450 terms take several rounds)
+    f = GF(q)
+    edge = f._stretch
+    lengths = {1, edge - 1, edge, edge + 1, 2 * edge + 1, edge * edge + 1, 31, 32, 450}
+    for n in sorted(lengths):
+        ones, full = np.ones(n, dtype=np.int64), np.full(n, q - 1, dtype=np.int64)
+        want = _reference_dot(f, ones, full)
+        assert f.dot_array(ones, full, axis=0) == want
+        assert f.dot_array(full[:, None], ones[:, None], axis=0).tolist() == [want]
+        assert f.sum_array(np.stack([full, ones]), axis=1).tolist() == [want, n % f.p]
+
+
 _EXTENSION_ORDERS = [q for q in range(4, 1025) if prime_power(q) and prime_power(q)[1] > 1]
 
 

@@ -284,9 +284,9 @@ def test_one_matrix_builds_its_scan_tables_once():
         code_params_from_family(fam, 5, pcm)
         assert verify_distance_at_least(pcm) is None
         assert (diffs.call_count, reach.call_count) == (2, 2)
-        # the state keeps what is cleared, not the witness: its size is walked again
+        # the state keeps the witness, so its size is not walked again
         assert exact_min_distance(pcm) == 5
-        assert (diffs.call_count, reach.call_count) == (2, 3)
+        assert (diffs.call_count, reach.call_count) == (2, 2)
 
 
 def test_a_new_or_replaced_matrix_inherits_no_scan_state():
