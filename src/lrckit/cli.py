@@ -152,12 +152,13 @@ def cmd_distance(args: argparse.Namespace) -> int:
     if args.d is not None and args.d < 1:
         raise formats.FormatError(f"--d {args.d} must be at least 1")
     rows, q = formats.read_matrix(args.infile)
-    max_size = None if args.d is None else args.d - 1
-    witness = lrc.least_dependent_columns(GF(q), rows, max_size, budget=args.budget)
+    pcm = lrc.ParityCheckMatrix(rows, GF(q))
     if args.d is None:
+        witness = lrc.min_distance_witness(pcm, budget=args.budget)
         print(f"minimum distance: {len(witness)}")
         print(f"witness columns: {list(witness)}")
         return 0
+    witness = lrc.verify_distance_at_least(pcm, args.d, budget=args.budget)
     if witness is None:
         print(f"distance >= {args.d}: pass")
         return 0

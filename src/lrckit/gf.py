@@ -120,7 +120,8 @@ class GF:
     Notes
     -----
     Instances are immutable after construction and safe to share across
-    threads.  The scalar operations take and return canonical integers in
+    threads.  Two are equal, and hash alike, when their orders are: an
+    order has one modulus, the lowest irreducible.  The scalar operations take and return canonical integers in
     [0, q), raise ValueError for anything else, and call the `*_array`
     operations, which act elementwise on int64 arrays of canonical elements
     (see `array`).  Extension fields build `exp_table` and `log_table` (int64,
@@ -352,6 +353,12 @@ class GF:
     def sum_array(self, x: np.ndarray, axis: int) -> np.ndarray:
         """Field sum of an array of elements along `axis`."""
         return self.dot_array(x, 1, axis)
+
+    def __eq__(self, other: object) -> bool:
+        return self.q == other.q if isinstance(other, GF) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.q)
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -11,22 +11,26 @@ block-indicator rows rule the others out.  The pruning reads H, never the
 coverage verdict, and nothing here relies on the coverage condition being
 sufficient, so the two verdicts stay independent.
 
-A `ParityCheckMatrix` keeps its rank and its scan state (`linalg._ScanState`)
-per matrix, built on first use.  The distance functions share one scan
-body, which resumes after the sizes the state's completed walks cleared, so
-finding the exact distance after the design-distance verdict walks no size
-twice, and a witness once found answers again without a walk.  The state
-holds only proven facts about H and the budget counts every size from 1, so
-a call's answer or refusal never depends on what ran before it, and a
-refused call changes nothing.
+A `ParityCheckMatrix` is its rows over a field and nothing more: its
+length, block count and design distance are read from the rows, so a
+matrix read from a file asks the same distance questions as a built one.
+It keeps its rank and its scan state (`linalg._ScanState`) per matrix,
+built on first use.  `verify_distance_at_least` and `min_distance_witness`
+both run `linalg.smallest_dependent_subset` on that state, which resumes
+after the sizes its completed walks cleared, so finding the exact distance
+after the design-distance verdict walks no size twice, and a witness once
+found answers again without a walk.  The state holds only proven facts
+about H and the budget counts every size from 1, so a call's answer or
+refusal never depends on what ran before it, and a refused call changes
+nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import linalg
 from .gf import GF
@@ -37,16 +41,18 @@ DEFAULT_SUBSET_BUDGET = 30_000_000
 
 @dataclass(frozen=True)
 class ParityCheckMatrix:
-    q: int
-    m: int
-    r: int
-    d: int
+    """A parity-check matrix H: its rows, each a tuple of elements of
+    `field`.  Two matrices are equal when their rows and field orders are.
+    The code length n is the column count; `build_parity_check` puts m
+    block-indicator rows above d - 2 power rows, so the design distance is
+    read back as len(rows) - m + 2."""
+
     rows: tuple[tuple[int, ...], ...]
-    field: GF = dc_field(repr=False, compare=False)
+    field: GF
 
     @property
     def n(self) -> int:
-        return self.m * (self.r + 1)
+        return len(self.rows[0])
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.rows))
@@ -87,22 +93,7 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
     flat = fld.array([a for s in family.sets for a in s])
     for power in range(1, d - 1):
         rows.append(fld.pow_array(flat, power).tolist())
-    return ParityCheckMatrix(family.q, m, r, d, tuple(tuple(rw) for rw in rows), fld)
-
-
-def _scan(state: linalg._ScanState, max_size: int, budget: int, exact: bool) -> Optional[tuple[int, ...]]:
-    """The one distance scan: the least dependent column set of size <=
-    max_size, or None, resuming after the sizes `state` has cleared.  An
-    `exact` scan, capped at rank + 1 since any rank + 1 columns are
-    dependent, raises ValueError when every column is independent."""
-    witness = linalg.smallest_dependent_subset(
-        state.field, state.columns, max_size, budget=budget, state=state
-    )
-    if exact and witness is None:
-        raise ValueError(
-            f"all {len(state.columns)} columns are independent: the code is {{0}} and has no minimum distance"
-        )
-    return witness
+    return ParityCheckMatrix(tuple(tuple(rw) for rw in rows), fld)
 
 
 def verify_distance_at_least(
@@ -114,40 +105,34 @@ def verify_distance_at_least(
     circuits at the first dependency, so a witness is always one of minimum
     size (and lexicographically least among those).  It doubles as the
     support of a minimum-weight codeword when the verdict is negative at
-    the true distance.  The walk resumes after the sizes earlier scans of
-    `pcm` cleared; the budget counts candidates from size 1 regardless.
+    the true distance.  The default d is the design distance of a matrix
+    `build_parity_check` made: its row count less its block rows, plus 2.
+    The walk resumes after the sizes earlier scans of `pcm` cleared; the
+    budget counts candidates from size 1 regardless.
     """
-    dd = pcm.d if d is None else d
-    return _scan(pcm._state, dd - 1, budget, exact=False)
-
-
-def least_dependent_columns(
-    field: GF,
-    rows: Sequence[Sequence[int]],
-    max_size: Optional[int] = None,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> Optional[tuple[int, ...]]:
-    """Lexicographically least dependent column set of minimum size, for
-    plain rows: the scan behind the matrix functions, from size 1.
-
-    With `max_size` it is the least such set of size <= max_size, or None.
-    Without, any rank+1 columns are dependent, so the scan is capped there,
-    and a matrix of full column rank, which has no dependent set (its code
-    is {0}), is a ValueError.  Instances whose candidate count exceeds
-    `budget` are rejected up front.
-    """
-    cap = linalg.rank(field, rows) + 1 if max_size is None else max_size
-    return _scan(linalg._ScanState(field, rows), cap, budget, exact=max_size is None)
+    state = pcm._state
+    dd = len(pcm.rows) - state.blocks + 2 if d is None else d
+    return linalg.smallest_dependent_subset(pcm.field, state.columns, dd - 1, budget=budget, state=state)
 
 
 def min_distance_witness(
     pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> tuple[int, ...]:
-    """Lexicographically least dependent column set of minimum size, as
-    least_dependent_columns finds it.  The scan resumes after the sizes
-    earlier scans of `pcm` cleared, and the rank cap is computed once per
-    matrix; the budget counts candidates from size 1 regardless."""
-    return _scan(pcm._state, pcm._rank + 1, budget, exact=True)
+    """Lexicographically least dependent column set of minimum size.
+
+    Any rank + 1 columns are dependent, so the scan is capped there, and a
+    matrix of full column rank, which has no dependent set (its code is
+    {0}), is a ValueError.  The scan resumes after the sizes earlier scans
+    of `pcm` cleared, and the rank is computed once per matrix; the budget
+    counts candidates from size 1 regardless."""
+    state = pcm._state
+    cap = pcm._rank + 1
+    witness = linalg.smallest_dependent_subset(pcm.field, state.columns, cap, budget=budget, state=state)
+    if witness is None:
+        raise ValueError(
+            f"all {pcm.n} columns are independent: the code is {{0}} and has no minimum distance"
+        )
+    return witness
 
 
 def exact_min_distance(pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
@@ -230,7 +215,8 @@ def code_params_from_family(
 
     n = m(r+1) and k = n - m - (d - 2), taking the parity-check matrix at
     full rank; a rank-deficient matrix, a failing family, or k < 1 is
-    rejected, and so is a `pcm` built for another family or distance.
+    rejected, and so is a `pcm` that is not, row for row and in its field
+    order, the matrix build_parity_check makes from this family at d.
     """
     t_needed = (d - 1) // 2
     # no Berge cycle of length <= t is the coverage condition at t
@@ -238,9 +224,7 @@ def code_params_from_family(
         raise ValueError("family fails the coverage condition for this distance")
     if pcm is None:
         pcm = build_parity_check(family, d)
-    elif (pcm.q, pcm.m, pcm.r, pcm.d) != (family.q, family.m, family.r, d) or (
-        pcm.rows[pcm.m] != tuple(a for s in family.sets for a in s)  # the first powers
-    ):
+    elif pcm.field.q != family.q or pcm != build_parity_check(family, d, pcm.field):
         raise ValueError("parity-check matrix was not built from this family at this distance")
     n = family.m * (family.r + 1)
     k = n - family.m - (d - 2)

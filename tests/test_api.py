@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import lrckit
-from lrckit import codec, linalg, lrc, setfam
+from lrckit import cli, codec, formats, linalg, lrc, setfam
 
 from conftest import SINGLETON_FAMILY
 
@@ -46,11 +46,14 @@ def test_the_benchmark_tracer_still_finds_every_name_it_rebinds(monkeypatch):
     assert "candidate_budget" in greedy.arguments
 
 
-def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch):
+def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch, tmp_path, capsys):
     # the tracer counts per-layer work by rebinding these two names and reads
-    # the scan's `columns`: the matrix functions must call both through the
-    # module, with n columns of one entry per row
+    # the scan's `columns`: the matrix functions, and `cli distance` through
+    # them, must call both through the module, with n columns of one entry
+    # per row
     fam = setfam.SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    matrix = tmp_path / "H.txt"
+    formats.write_matrix(matrix, lrc.build_parity_check(fam, 5).rows, 13)
     scan, rank, seen = linalg.smallest_dependent_subset, linalg.rank, []
 
     def counted_scan(*args, **kwargs):
@@ -67,6 +70,8 @@ def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch):
         "verify": lrc.verify_distance_at_least,
         "witness": lrc.min_distance_witness,
         "params": lambda pcm: lrc.code_params_from_family(fam, 5, pcm),
+        "cli --d": lambda pcm: cli.main(["distance", "--in", str(matrix), "--d", "5"]),
+        "cli": lambda pcm: cli.main(["distance", "--in", str(matrix)]),
     }
     reached = {}
     for name, call in calls.items():
@@ -76,7 +81,10 @@ def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch):
         reached[name] = {layer for layer, _ in seen}
         for layer, columns in seen:
             assert layer == "rank" or (len(columns) == pcm.n and {len(c) for c in columns} == {len(pcm.rows)})
-    assert reached == {"verify": {"scan"}, "witness": {"scan", "rank"}, "params": {"rank"}}
+    assert reached == {"verify": {"scan"}, "witness": {"scan", "rank"}, "params": {"rank"},
+                       "cli --d": {"scan"}, "cli": {"scan", "rank"}}
+    assert capsys.readouterr().out.splitlines() == [
+        "distance >= 5: pass", "minimum distance: 5", "witness columns: [0, 1, 2, 3, 4]"]
 
 
 def test_every_sum_of_products_is_the_one_field_kernel():

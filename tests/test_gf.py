@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sympy import Poly, Symbol, factorint, nextprime, primefactors
 
 from lrckit.gf import GF, MAX_ORDER, lowest_irreducible, prime_power
+from lrckit.lrc import ParityCheckMatrix
 from lrckit.rng import SplitMix64
 
 from conftest import reference_add, reference_mul, reference_pow
@@ -170,6 +171,17 @@ def test_elements_and_validate():
         f.validate(9)
     with pytest.raises(ValueError):
         f.validate(-1)
+
+
+def test_fields_are_equal_by_order():
+    # an order has one modulus, so two fields of it are one field, and a
+    # matrix's field order is part of its value
+    for q in (2, 13, 16, 27, 4999):
+        f, g = GF(q), GF(q)
+        assert f is not g and f == g and hash(f) == hash(g) and f != q
+    assert GF(13) != GF(16)
+    rows = ((1, 1, 0, 0), (0, 0, 1, 1), (2, 3, 4, 5))
+    assert ParityCheckMatrix(rows, GF(13)) != ParityCheckMatrix(rows, GF(16))
 
 
 _FIELDS = {q: GF(q) for q in (13, 16, 27, 49, 4096, 3125)}

@@ -527,7 +527,7 @@ def test_a_scanned_matrix_stays_equal_to_an_unscanned_one():
     assert {"_state", "_rank"} <= set(vars(scanned)) and not {"_state", "_rank"} & set(vars(fresh))
     assert scanned._state.clear == 4 and scanned._rank == 6
     assert scanned == fresh and hash(scanned) == hash(fresh) and repr(scanned) == repr(fresh)
-    assert list(inspect.signature(ParityCheckMatrix).parameters) == ["q", "m", "r", "d", "rows", "field"]
+    assert list(inspect.signature(ParityCheckMatrix).parameters) == ["rows", "field"]
 
 
 def test_vectorized_tables_live_and_die_with_their_field():

@@ -16,7 +16,6 @@ from lrckit.lrc import (
     build_parity_check,
     code_params_from_family,
     exact_min_distance,
-    least_dependent_columns,
     min_distance_witness,
     optimality_check,
     singleton_bound,
@@ -78,11 +77,15 @@ def test_distance_verification_reference_codes(singleton_code, odd_q_d6_code, ad
         (odd_q_d6_code, 6, (0, 1, 2, 3, 4, 5)),
         (adjusted_code, 5, (0, 1, 2, 9, 11)),
     ):
-        assert verify_distance_at_least(pcm, dist) is None
-        assert exact_min_distance(pcm) == dist
-        assert min_distance_witness(pcm) == witness
-        # any witness-sized check one past the distance must surface it
-        assert verify_distance_at_least(pcm, dist + 1) == witness
+        # the matrix as read from its rows alone answers alike, its default
+        # design distance read back from the rows
+        for h in (pcm, ParityCheckMatrix(pcm.rows, GF(fam.q))):
+            assert verify_distance_at_least(h) is None
+            assert verify_distance_at_least(h, dist) is None
+            assert exact_min_distance(h) == dist
+            assert min_distance_witness(h) == witness
+            # any witness-sized check one past the distance must surface it
+            assert verify_distance_at_least(h, dist + 1) == witness
 
 
 def test_distance_against_minor_oracle(singleton_code, odd_q_d6_code, adjusted_code):
@@ -97,7 +100,7 @@ def test_distance_against_minor_oracle(singleton_code, odd_q_d6_code, adjusted_c
 
 def test_two_equal_columns_give_distance_two():
     f = GF(13)
-    pcm = ParityCheckMatrix(13, 1, 1, 5, ((1, 1), (2, 2)), f)
+    pcm = ParityCheckMatrix(((1, 1), (2, 2)), f)
     assert exact_min_distance(pcm) == 2
     assert min_distance_witness(pcm) == (0, 1)
 
@@ -201,6 +204,26 @@ def test_code_params_rejects_a_matrix_of_another_distance_or_family():
     rotated = SetFamily(101, 5, 3, fam.sets[1:] + fam.sets[:1])
     with pytest.raises(ValueError, match="not built from this family at this distance"):
         code_params_from_family(fam, 7, build_parity_check(rotated, 7))
+
+
+def test_code_params_rejects_a_matrix_altered_in_any_entry_or_field():
+    # the whole matrix is compared, not its shape and first power row: a
+    # power row shifted by 1 keeps full rank and would give k = 5
+    fam = SetFamily(13, 4, 2, ((0, 1, 2, 3, 4), (0, 5, 6, 7, 8)))
+    pcm = build_parity_check(fam, 5)
+    assert code_params_from_family(fam, 5, ParityCheckMatrix(pcm.rows, GF(13))).k == 5
+    shifted = [tuple((v + 1) % 13 for v in row) for row in pcm.rows]
+    altered = [pcm.rows[:i] + (shifted[i],) + pcm.rows[i + 1 :] for i in range(len(pcm.rows))]
+    for i in range(len(pcm.rows)):
+        for j in range(pcm.n):
+            row = list(pcm.rows[i])
+            row[j] = (row[j] + 1) % 13
+            altered.append(pcm.rows[:i] + (tuple(row),) + pcm.rows[i + 1 :])
+    for rows in altered:
+        with pytest.raises(ValueError, match="not built from this family at this distance"):
+            code_params_from_family(fam, 5, ParityCheckMatrix(rows, pcm.field))
+    with pytest.raises(ValueError, match="not built from this family at this distance"):
+        code_params_from_family(fam, 5, ParityCheckMatrix(pcm.rows, GF(16)))
 
 
 def test_passing_families_with_large_r_meet_singleton_bound():
@@ -310,12 +333,21 @@ def _scan_outcome(fn, *args, **kwargs):
         return ("error", str(exc))
 
 
+def _ask(f, rows, max_size, **kwargs):
+    """A fresh matrix of `rows` asked for its least dependent set of size
+    <= max_size, or with no max_size for its exact one."""
+    pcm = ParityCheckMatrix(tuple(map(tuple, rows)), f)
+    if max_size is None:
+        return min_distance_witness(pcm, **kwargs)
+    return verify_distance_at_least(pcm, max_size + 1, **kwargs)
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_least_dependent_columns_is_the_scan_for_plain_rows(data):
-    # the one entry point for rows: the least dependent set of size <=
-    # max_size, or with no max_size the exact one, capped at rank + 1, and
-    # the same budget refusals as the linalg scan it calls
+def test_a_matrix_of_plain_rows_is_the_scan_of_its_columns(data):
+    # a matrix read from rows alone: the least dependent set of size <=
+    # d - 1, or from min_distance_witness the exact one, capped at rank + 1,
+    # and the same budget refusals as the linalg scan it calls
     q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9, 13]))
     blocks = data.draw(st.integers(0, 3))
     width = data.draw(st.integers(2, 3))
@@ -336,11 +368,11 @@ def test_least_dependent_columns_is_the_scan_for_plain_rows(data):
                                                 "the code is {0} and has no minimum distance")
     else:
         want = least if least is not None and len(least) <= max_size else None
-    assert _scan_outcome(least_dependent_columns, f, rows, max_size) == want
+    assert _scan_outcome(_ask, f, rows, max_size) == want
     budget = data.draw(st.integers(0, 40))
     cap = rank(f, rows) + 1 if max_size is None else max_size
     linalg_says = _scan_outcome(smallest_dependent_subset, f, cols, cap, budget=budget)
-    got = _scan_outcome(least_dependent_columns, f, rows, max_size, budget=budget)
+    got = _scan_outcome(_ask, f, rows, max_size, budget=budget)
     if isinstance(linalg_says, tuple) and linalg_says[0] == "error":
         assert got == linalg_says and got[1].startswith("budget exceeded")
     else:
@@ -353,12 +385,12 @@ def test_block_rows_alone_are_dependent_in_a_pair_past_the_counting_break(width)
     # 1-column support meets its block in 0 or >= 2 columns: the scan must
     # walk on to size 2
     rows = [[int(j // width == i) for j in range(2 * width)] for i in range(2)]
-    assert least_dependent_columns(GF(5), rows) == (0, 1)
-    assert least_dependent_columns(GF(5), rows, max_size=1) is None
+    assert _ask(GF(5), rows, None) == (0, 1)
+    assert _ask(GF(5), rows, 1) is None
 
 
 @pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 3, 4]]])
 def test_width_one_blocks_leave_no_candidate_at_any_size(rows):
     # each block is one column, which no support can meet in >= 2 columns
     with pytest.raises(ValueError, match=f"all {len(rows[0])} columns are independent"):
-        least_dependent_columns(GF(5), rows)
+        _ask(GF(5), rows, None)
