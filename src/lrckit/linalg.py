@@ -89,7 +89,7 @@ def rref(field: GF, rows: Matrix) -> tuple[list[list[int]], list[int]]:
     return work.tolist(), pivots
 
 
-def rank(field: GF, rows: Matrix) -> int:
+def rank(field: GF, rows: Matrix, state: Optional[_ScanState] = None) -> int:
     """Rank of `rows`, eliminating only what the block rows leave open.
 
     When the leading m rows B are block indicators (_block_layout) above
@@ -101,8 +101,15 @@ def rank(field: GF, rows: Matrix) -> int:
     (_block_differences, the vectors the distance scan tests): zero for the
     first columns, which span nothing.  Only that (n x rows - m) matrix is
     eliminated.  With no block rows m = 0, and the matrix is P itself.
+
+    `state`, the matrix's _ScanState passed with its own field and `rows`
+    (ValueError otherwise), supplies the differences a scan of the same
+    matrix reads, so they are built once.
     """
-    state = _ScanState(field, rows)
+    if state is None:
+        state = _ScanState(field, rows)
+    elif rows is not state.rows or field is not state.field:
+        raise ValueError("the scan state was built for another matrix")
     n = len(state.diffs)
     return state.blocks + len(rref(field, state.diffs[np.arange(n), np.arange(n) % state.width])[1])
 
@@ -207,9 +214,10 @@ def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) ->
 class _ScanState:
     """The block structure of one matrix, built once from its rows: its
     layout and block differences, which rank reads too, and for the scan the
-    columns as one (n, rows) array, `clear`, the most columns completed
-    walks proved independent, and `witness`, the least dependent set a walk
-    found, or None (both set by smallest_dependent_subset alone)."""
+    columns as one (n, rows) array and the `live` mask, both made on first
+    use, `clear`, the most columns completed walks proved independent, and
+    `witness`, the least dependent set a walk found, or None (both set by
+    smallest_dependent_subset alone)."""
 
     def __init__(self, field: GF, rows: Matrix):
         self.field, self.rows, self.clear = field, rows, 0
@@ -223,6 +231,37 @@ class _ScanState:
     @cached_property
     def columns(self) -> np.ndarray:
         return np.array(self.rows, dtype=np.int64).reshape(len(self.rows), len(self.diffs)).T
+
+    @cached_property
+    def live(self) -> np.ndarray:
+        # read by the scan alone: built eagerly, it would slow every rank
+        return _live_columns(self.field, self.columns[:, self.blocks :].T, self.blocks, self.width)
+
+
+def _live_columns(field: GF, below: np.ndarray, blocks: int, width: int) -> np.ndarray:
+    """Mask of the columns that survive pruning by repeated values: the
+    columns of a dependent set of at most len(below) + 1 columns, found
+    size by size, are all live.  All true unless there are block rows and
+    `below`, the p >= 1 rows under them, holds the powers 1..p of its
+    first row, entry by entry.
+
+    Starting from every column, drop each one whose value (its entry in
+    the first row below the blocks) no other live column holds, then each
+    block left with fewer than 2 live columns, until nothing changes (see
+    the module docstring for why no such column can lie in a smallest
+    dependent set of that size)."""
+    n = below.shape[1]
+    live = np.ones(n, dtype=bool)
+    if not blocks or not len(below) or not all(
+            np.array_equal(field.pow_array(below[0], e + 1), below[e]) for e in range(1, len(below))):
+        return live
+    x, block = below[0], np.arange(n) // width
+    while True:
+        keep = live & (np.bincount(x[live], minlength=field.q)[x] >= 2)
+        keep &= np.bincount(block[keep], minlength=blocks)[block] >= 2
+        if np.array_equal(keep, live):
+            return live
+        live = keep
 
 
 def _groups(n: int, blocks: int) -> tuple[int, int, int]:
@@ -346,7 +385,7 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
         picks = np.concatenate([picks[parent], y[:, None]], axis=1)
         if leaf:
             # a leaf never opens a block, so each one's vector is tested
-            dep = ~u.any(axis=1)
+            dep = np.einsum("ij->i", u) == 0
             yield picks, dep
             if dep.any():
                 return
@@ -355,7 +394,7 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
             # of the tested vectors: the update clears the pivot's row and
             # moves the last nonzero row into it
             dim = dim[parent]
-            hit = np.flatnonzero(u.any(axis=1))
+            hit = np.flatnonzero(np.einsum("ij->i", u))
             if hit.size:
                 uh, row = u[hit], np.arange(hit.size)
                 piv = np.argmax(uh != 0, axis=1)
@@ -428,8 +467,14 @@ def smallest_dependent_subset(
     if state.clear < top:
         # the rows for v < w serve every walked size w
         ends = _reachable(n, blocks, top)
+        # sizes up to rows - blocks + 1 walk the live columns alone: the
+        # same table with every other column taken out
+        pruned, live = nrows - blocks + 1, ends
+        if state.clear < pruned and not state.live.all():
+            live = np.sort(np.where(np.append(state.live, False)[ends], ends, n), axis=2)
         for w in range(state.clear + 1, top + 1):
-            for picks, dep in _leaves(field, state.diffs, ends[:, :w], state.width, state.least):
+            table = live if w <= pruned else ends
+            for picks, dep in _leaves(field, state.diffs, table[:, :w], state.width, state.least):
                 if dep.any():
                     state.clear, state.witness = w - 1, tuple(int(v) for v in picks[int(np.argmax(dep))])
                     return state.witness

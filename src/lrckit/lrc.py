@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from . import linalg
@@ -60,11 +60,19 @@ class ParityCheckMatrix:
     # per instance, not fields: no part of the value, and replace() starts afresh
     @cached_property
     def _rank(self) -> int:
-        return linalg.rank(self.field, self.rows)
+        return linalg.rank(self.field, self.rows, self._state)
 
     @cached_property
     def _state(self) -> linalg._ScanState:
         return linalg._ScanState(self.field, self.rows)
+
+
+@lru_cache(maxsize=16)
+def _field(q: int) -> GF:
+    """One field per order for the matrices built without one: a field's
+    tables cost more to build than a small matrix, and they never change
+    once built."""
+    return GF(q)
 
 
 def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) -> ParityCheckMatrix:
@@ -79,7 +87,7 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
     t_needed = (d - 1) // 2
     if family.t < t_needed:
         raise ValueError(f"family checked at t={family.t} cannot back distance d={d}")
-    fld = field if field is not None else GF(family.q)
+    fld = field if field is not None else _field(family.q)
     if fld.q != family.q:
         raise ValueError("field order does not match the family")
     m, r = family.m, family.r

@@ -291,7 +291,10 @@ def test_scan_stops_at_the_least_witness_with_nodes_still_waiting(monkeypatch):
     # with _CHUNK = 1 a step expands one node, so when the witness's batch
     # comes its parent's later siblings and nodes at every shallower depth
     # are still waiting: the walk must have yielded every earlier candidate
-    # of the witness's size in order, none of them dependent, and stop there
+    # of the witness's size in order, none of them dependent, and stop there.
+    # Sizes up to rows - blocks + 1 walk only the live columns: in the
+    # Vandermonde block matrix just the pair sharing a value, and every
+    # column once one power entry is altered
     monkeypatch.setattr(linalg, "_CHUNK", 1)
     # Vandermonde columns over GF(101), any four independent, but column 6
     # is 1 * column 1 + 2 * column 3 + 3 * column 5
@@ -301,8 +304,10 @@ def test_scan_stops_at_the_least_witness_with_nodes_still_waiting(monkeypatch):
     g = GF(16)
     powers = [[g.pow(x, e) for x in range(1, 15)] + [g.pow(14, e)] for e in (1, 2, 3)]
     block = _columns(_block_rows(5, 3) + powers)
+    altered = _columns(_block_rows(5, 3) + powers[:2] + [[7] + powers[2][1:]])
     walk = linalg._leaves
-    for field, cols, witness, blocks, width in ((f, plain, (1, 3, 5, 6), 0, 8), (g, block, (13, 14), 5, 3)):
+    for field, cols, witness, blocks, width, live in (
+            (f, plain, (1, 3, 5, 6), 0, 8, 8), (g, block, (13, 14), 5, 3, 2), (g, altered, (13, 14), 5, 3, 15)):
         batches = []
 
         def recorded(*args):
@@ -317,6 +322,9 @@ def test_scan_stops_at_the_least_witness_with_nodes_still_waiting(monkeypatch):
         w = len(witness)
         walked = [tuple(p) for picks, _ in batches for p in picks if len(p) == w]
         want = _block_respecting(len(cols), width, w) if blocks else list(itertools.combinations(range(len(cols)), w))
+        mask = linalg._ScanState(field, np.array(cols).T).live
+        assert mask.sum() == live
+        want = [c for c in want if mask[list(c)].all()]
         assert walked == want[: len(walked)]
         assert walked.index(witness) >= len(walked) - len(batches[-1][0])
         assert not any(any(dep) for _, dep in batches[:-1]) and any(batches[-1][1])
@@ -407,6 +415,42 @@ def test_block_scan_matches_minor_oracle(q):
         assert got == (None if oracle is None else oracle[1])
 
 
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pruned_scan_of_vandermonde_blocks_matches_the_oracles(data):
+    # block rows above the powers 1..p of one value per column, the values
+    # drawn from a small pool so that values repeat across blocks, zeros
+    # occur and whole blocks may be equal: walking only the live columns up
+    # to size p + 1 must find the least witness every unpruned oracle
+    # finds, at every max_size.  One altered power entry fails the
+    # structure check, and the mask is then all true
+    q = data.draw(st.sampled_from([5, 7, 13, 16, 27]))
+    f = _field(q)
+    m, width, p = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
+    n = m * width
+    pool = data.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=4, unique=True))
+    x = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if m > 1 and data.draw(st.booleans()):
+        x[-width:] = x[:width]
+    rows = _block_rows(m, width) + [f.pow_array(np.array(x), e).tolist() for e in range(1, p + 1)]
+    altered = p >= 2 and data.draw(st.booleans())
+    if altered:
+        i, j = m + data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] = data.draw(st.integers(0, q - 1).filter(lambda v: v != rows[i][j]))
+    state = linalg._ScanState(f, rows)
+    assert state.live.all() or not altered
+    cols, top = _columns(rows), len(rows) + 1
+    least = reference_smallest_dependent_subset(f, cols, top)
+    assert reference_block_scan(f, cols, top) == least
+    if q in (5, 7, 13) and n <= 8:
+        oracle = minors_min_distance(rows, n, q, min(n, top))
+        assert least == (None if oracle is None else oracle[1])
+    for max_size in range(top + 1):
+        expect = least if least is not None and len(least) <= max_size else None
+        assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
+        assert linalg.smallest_dependent_subset(f, state.columns, max_size, state=state) == expect
+
+
 def test_wide_subsets_short_circuit():
     # any nrows+1 columns are dependent by counting
     f = GF(7)
@@ -494,8 +538,12 @@ def test_a_scan_state_answers_only_for_the_matrix_it_was_built_from(singleton_co
                            (GF(13), state.columns)):
         with pytest.raises(ValueError, match="scan state was built for another matrix"):
             linalg.smallest_dependent_subset(field, columns, 5, state=state)
+    for field, rows in ((pcm.field, list(pcm.rows)), (GF(13), pcm.rows)):
+        with pytest.raises(ValueError, match="scan state was built for another matrix"):
+            linalg.rank(field, rows, state)
     assert state.clear == 0
     assert linalg.smallest_dependent_subset(pcm.field, state.columns, 5, state=state) == (0, 1, 2, 3, 4)
+    assert linalg.rank(pcm.field, pcm.rows, state) == linalg.rank(pcm.field, pcm.rows) == len(pcm.rows)
 
 
 def test_a_state_answers_from_its_witness_without_a_walk(singleton_code):

@@ -21,7 +21,7 @@ from lrckit.lrc import (
     singleton_bound,
     verify_distance_at_least,
 )
-from lrckit.setfam import SetFamily, greedy_family
+from lrckit.setfam import SetFamily, greedy_family, random_family
 
 from conftest import (
     SINGLETON_FAMILY,
@@ -294,7 +294,7 @@ def test_distance_calls_answer_alike_in_any_order(data):
 
 def test_one_matrix_builds_its_scan_tables_once():
     # a verdict, a witness and the parameters on one matrix build the block
-    # differences once for the rank and once for the scan state, and the
+    # differences once, in the scan state the rank reads too, and the
     # reachability table once per scan that walks a size
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
     pcm = build_parity_check(fam, 5)
@@ -303,13 +303,43 @@ def test_one_matrix_builds_its_scan_tables_once():
         assert verify_distance_at_least(pcm) is None
         assert (diffs.call_count, reach.call_count) == (1, 1)
         assert min_distance_witness(pcm) == (0, 1, 2, 3, 4)
-        assert (diffs.call_count, reach.call_count) == (2, 2)
+        assert (diffs.call_count, reach.call_count) == (1, 2)
         code_params_from_family(fam, 5, pcm)
         assert verify_distance_at_least(pcm) is None
-        assert (diffs.call_count, reach.call_count) == (2, 2)
+        assert (diffs.call_count, reach.call_count) == (1, 2)
         # the state keeps the witness, so its size is not walked again
         assert exact_min_distance(pcm) == 5
-        assert (diffs.call_count, reach.call_count) == (2, 2)
+        assert (diffs.call_count, reach.call_count) == (1, 2)
+
+
+def test_the_parameters_never_build_the_live_mask():
+    # the rank reads the scan state, but only a walk reads its live mask
+    fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    with mock.patch.object(linalg, "_live_columns", wraps=linalg._live_columns) as live:
+        code_params_from_family(fam, 5)
+        pcm = build_parity_check(fam, 5)
+        code_params_from_family(fam, 5, pcm)
+        assert live.call_count == 0
+        assert verify_distance_at_least(pcm) is None
+        assert live.call_count == 1
+
+
+def test_the_criterion_6_code_has_no_live_column_below_its_design_distance():
+    # no value repeats across its 91 blocks, so no column can be in a
+    # dependent set of at most 6 columns: the unbudgeted d = 7 verdict
+    # walks nothing, while the default budget still refuses it up front
+    pcm = build_parity_check(random_family(4999, 5, 3, 1), 7)
+    assert pcm.n == 546 and not pcm._state.live.any()
+    assert verify_distance_at_least(pcm, 7, budget=None) is None
+    with pytest.raises(ValueError, match="budget exceeded: 546 columns pass 30000000 subsets at size 6"):
+        verify_distance_at_least(build_parity_check(random_family(4999, 5, 3, 1), 7), 7)
+
+
+def test_matrices_built_without_a_field_share_one_per_order():
+    fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    f = GF(13)
+    assert build_parity_check(fam, 5).field is build_parity_check(fam, 6).field == f
+    assert build_parity_check(fam, 5, f).field is f
 
 
 def test_a_new_or_replaced_matrix_inherits_no_scan_state():
