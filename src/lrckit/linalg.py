@@ -30,6 +30,25 @@ products of a whole batch of nodes are one field kernel (GF.dot_array).
 Leaves come in lexicographic order, a batch at a time, so the returned
 witness is always the lexicographically least dependent subset of the
 smallest size, independent of batch sizes.
+
+When the p >= 1 rows below m >= 1 block rows are Vandermonde (row m + e
+is row m raised to the power e + 1, entry by entry, as in every code `lrc`
+builds), the scan of sizes up to p + 1 = d - 1 keeps fewer columns.  Call
+a column's entry in row m its value.  A circuit S (a dependent set whose
+proper subsets are independent) of at most p + 1 columns holds every value
+in S, 0 included, in at least two of its columns.  Proof: let c be a
+codeword with support S and C_v the sum of c_j over S's columns of value
+v.  The block rows sum to the all-ones row, so with the power rows
+sum_v C_v v**e = 0 for e = 0..p: p + 1 equations, a Vandermonde system on
+the distinct values of S.  S has at most p + 1 of them, so the system has
+full column rank and every C_v is 0, while a value held by one column j would
+give C_v = c_j != 0.  Every dependent set of the least size is a
+circuit, so each lies among the live columns (_live_columns), the fixpoint
+of dropping every column whose value no other live column holds and every
+block left with fewer than 2 live columns.  Sizes up to p + 1 walk the
+live columns alone, so the witness is still the lexicographically least;
+larger sizes walk every column, and the budget counts every candidate, so
+no refusal moves.  A matrix without the structure keeps every column live.
 """
 
 from __future__ import annotations
@@ -426,6 +445,8 @@ def smallest_dependent_subset(
     witness of the smallest dependent size.  Only supports that meet every
     block of the leading block-indicator rows (detect_block_locality) in 0
     or >= 2 columns are candidates; with no block rows every subset is.
+    Up to size nrows - blocks + 1, a matrix whose rows below the blocks
+    are Vandermonde walks only its live columns (see the module docstring).
     Each size walks the prefix tree of its candidates once (_leaves): a
     column is tested against the annihilator of the vectors its prefix has
     tested, and only whole candidates are judged, since a proper prefix

@@ -7,7 +7,17 @@ indicator makes every block of r+1 coordinates sum to zero in any codeword,
 which is what gives each symbol an r-symbol repair group.  Distance claims
 are checked exactly by `linalg.smallest_dependent_subset`, which scans only
 the column sets that meet each block in 0 or >= 2 columns because H's own
-block-indicator rows rule the others out.  The pruning reads H, never the
+block-indicator rows rule the others out.  Up to size d - 1 it also reads
+H's power rows, the powers 1..d-2 of the first one: a smallest dependent
+set of that size holds each of its values in at least two columns.  (The
+block rows sum to the all-ones row, so with the power rows the sums of a
+codeword's entries over each value solve a Vandermonde system on at most
+d - 1 distinct values, and are all zero; the `linalg` docstring has the
+proof in full.)  So the scan drops every column whose value no other kept
+column holds, and every block left with fewer than two kept columns, until
+none goes.  When no value repeats across sets, as in the 91 sets over
+GF(4999) that `random_family(4999, 5, 3, 1)` draws, no column is kept and
+the d = 7 verdict walks nothing.  The pruning reads H, never the
 coverage verdict, and nothing here relies on the coverage condition being
 sufficient, so the two verdicts stay independent.
 
