@@ -127,8 +127,8 @@ def rank(field: GF, rows: Matrix, state: Optional[_ScanState] = None) -> int:
     """
     if state is None:
         state = _ScanState(field, rows)
-    elif rows is not state.rows or field is not state.field:
-        raise ValueError("the scan state was built for another matrix")
+    else:
+        state.check(field, rows, state.rows)
     n = len(state.diffs)
     return state.blocks + len(rref(field, state.diffs[np.arange(n), np.arange(n) % state.width])[1])
 
@@ -246,6 +246,12 @@ class _ScanState:
         below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n).T
         self.diffs = _block_differences(field, below, self.blocks, self.width)
         self.least = _groups(n, self.blocks)[2]
+
+    def check(self, field: GF, data, own) -> None:
+        """Refuse a call that passes this state with another field, or with
+        `data` other than `own`, the rows or columns object it was built from."""
+        if data is not own or field is not self.field:
+            raise ValueError("the scan state was built for another matrix")
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -469,8 +475,8 @@ def smallest_dependent_subset(
         raise ValueError(f"budget {budget} must be non-negative")
     if state is None:
         state = _ScanState(field, np.array(columns, dtype=np.int64).T)
-    elif columns is not state.columns or field is not state.field:
-        raise ValueError("the scan state was built for another matrix")
+    else:
+        state.check(field, columns, state.columns)
     n, nrows = state.columns.shape
     blocks, top, cost = state.blocks, min(max_size, n), 0
     for w, count in zip(range(1, top + 1), _support_counts(n, blocks)):

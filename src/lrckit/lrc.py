@@ -9,17 +9,11 @@ are checked exactly by `linalg.smallest_dependent_subset`, which scans only
 the column sets that meet each block in 0 or >= 2 columns because H's own
 block-indicator rows rule the others out.  Up to size d - 1 it also reads
 H's power rows, the powers 1..d-2 of the first one: a smallest dependent
-set of that size holds each of its values in at least two columns.  (The
-block rows sum to the all-ones row, so with the power rows the sums of a
-codeword's entries over each value solve a Vandermonde system on at most
-d - 1 distinct values, and are all zero; the `linalg` docstring has the
-proof in full.)  So the scan drops every column whose value no other kept
-column holds, and every block left with fewer than two kept columns, until
-none goes.  When no value repeats across sets, as in the 91 sets over
-GF(4999) that `random_family(4999, 5, 3, 1)` draws, no column is kept and
-the d = 7 verdict walks nothing.  The pruning reads H, never the
-coverage verdict, and nothing here relies on the coverage condition being
-sufficient, so the two verdicts stay independent.
+set of that size holds each of its values in at least two columns (the
+`linalg` module docstring has the proof), so only the columns that keep
+that rule are walked.  The pruning reads H, never the coverage verdict,
+and nothing here relies on the coverage condition being sufficient, so the
+two verdicts stay independent.
 
 A `ParityCheckMatrix` is its rows over a field and nothing more: its
 length, block count and design distance are read from the rows, so a
@@ -39,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 from . import linalg
@@ -77,14 +71,6 @@ class ParityCheckMatrix:
         return linalg._ScanState(self.field, self.rows)
 
 
-@lru_cache(maxsize=16)
-def _field(q: int) -> GF:
-    """One field per order for the matrices built without one: a field's
-    tables cost more to build than a small matrix, and they never change
-    once built."""
-    return GF(q)
-
-
 def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) -> ParityCheckMatrix:
     """Assemble the block-indicator plus power rows for design distance d.
 
@@ -97,7 +83,7 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
     t_needed = (d - 1) // 2
     if family.t < t_needed:
         raise ValueError(f"family checked at t={family.t} cannot back distance d={d}")
-    fld = field if field is not None else _field(family.q)
+    fld = field if field is not None else GF(family.q)
     if fld.q != family.q:
         raise ValueError("field order does not match the family")
     m, r = family.m, family.r
