@@ -106,8 +106,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not args.full:
         return 0
 
-    field = GF(family.q)
-    pcm = lrc.build_parity_check(family, d, field)
+    pcm = lrc.build_parity_check(family, d)
     params = lrc.code_params_from_family(family, d, pcm)
     witness = lrc.min_distance_witness(pcm, budget=args.budget)
     actual = len(witness)
@@ -137,8 +136,7 @@ def cmd_build_code(args: argparse.Namespace) -> int:
         idx = ",".join(str(i) for i in violations[0].indices)
         print(f"family fails verification: sets ({idx}) cover too few values")
         return 1
-    field = GF(family.q)
-    pcm = lrc.build_parity_check(family, args.d, field)
+    pcm = lrc.build_parity_check(family, args.d)
     params = lrc.code_params_from_family(family, args.d, pcm)
     formats.write_matrix(args.out, pcm.rows, family.q)
     print(f"parity-check matrix: {len(pcm.rows)} x {pcm.n} over GF({family.q})")
@@ -166,19 +164,23 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 1
 
 
+def _read_word_over(path: str, q: int, what: str) -> list[Optional[int]]:
+    """A word file's symbols; FormatError naming `what` unless it is over GF(q)."""
+    symbols, wq = formats.read_word(path)
+    if wq != q:
+        raise formats.FormatError(f"{what} alphabet {wq} does not match matrix field {q}")
+    return symbols
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
     rows, q = formats.read_matrix(args.matrix)
     field = GF(q)
     gen = codec.generator_from_parity(field, rows)
     k = len(gen)
     if args.infile is not None:
-        symbols, wq = formats.read_word(args.infile)
-        if wq != q:
-            raise formats.FormatError(f"message alphabet {wq} does not match matrix field {q}")
+        symbols = _read_word_over(args.infile, q, "message")
         if any(s is None for s in symbols):
             raise formats.FormatError("message file contains erasures")
-        if len(symbols) != k:
-            raise formats.FormatError(f"message length {len(symbols)} != k = {k}")
         message = [int(s) for s in symbols]  # type: ignore[arg-type]
     else:
         rng = SplitMix64(args.seed)
@@ -217,9 +219,7 @@ def cmd_erase(args: argparse.Namespace) -> int:
 
 def cmd_repair(args: argparse.Namespace) -> int:
     rows, q = formats.read_matrix(args.matrix)
-    symbols, wq = formats.read_word(args.infile)
-    if wq != q:
-        raise formats.FormatError(f"word alphabet {wq} does not match matrix field {q}")
+    symbols = _read_word_over(args.infile, q, "word")
     r = linalg.detect_block_locality(rows)
     if args.r is not None:
         # codec.repair refuses r < 1; a wrong r would split the word into
@@ -246,9 +246,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     rows, q = formats.read_matrix(args.matrix)
-    symbols, wq = formats.read_word(args.infile)
-    if wq != q:
-        raise formats.FormatError(f"word alphabet {wq} does not match matrix field {q}")
+    symbols = _read_word_over(args.infile, q, "word")
     field = GF(q)
     erased = sum(1 for s in symbols if s is None)
     try:

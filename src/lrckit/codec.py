@@ -4,6 +4,8 @@ Received words are lists over GF(q) with None marking an erased symbol.
 Local repair exploits the block-indicator rows: the r+1 symbols of a repair
 group sum to zero, so a single missing symbol is the negated sum of its r
 group mates.  Everything else is linear algebra on the erased columns.
+Every word `repair` and `erasure_decode` return passes the parity checks of
+H; a received word that no completion fits raises InconsistentWordError.
 """
 
 from __future__ import annotations
@@ -69,27 +71,15 @@ def is_codeword(field: GF, h_rows: Sequence[Sequence[int]], word: Sequence[int])
     return all(v == 0 for v in syndrome(field, h_rows, word))
 
 
-def _check_locality(r: int) -> None:
+def repair_groups(n: int, r: int) -> list[tuple[int, ...]]:
+    """The repair groups of `repair`: coordinate blocks [i(r+1), (i+1)(r+1))
+    partitioning [0, n).  ValueError for r < 1, or for an n that is not a
+    multiple of r+1."""
     if r < 1:
         raise ValueError(f"locality r = {r} must be at least 1")
-
-
-def repair_groups(n: int, r: int) -> list[tuple[int, ...]]:
-    """Coordinate blocks [i(r+1), (i+1)(r+1)) partitioning [0, n); r < 1 is
-    refused with ValueError, as in `repair`."""
-    _check_locality(r)
     if n % (r + 1) != 0:
-        raise ValueError("n must be a multiple of r+1")
-    width = r + 1
-    return [tuple(range(i, i + width)) for i in range(0, n, width)]
-
-
-def _restore_from_group(field: GF, received: Received, r: int, pos: int) -> int:
-    # the r+1 symbols of a repair group sum to zero, so the erased one is
-    # the negated sum of its r mates
-    start = pos - pos % (r + 1)
-    mates = [received[j] for j in range(start, start + r + 1) if j != pos]
-    return int(field.sub_array(0, field.sum_array(field.array(mates), axis=0)))
+        raise ValueError(f"n = {n} is not a multiple of r+1 = {r + 1}")
+    return [tuple(range(i, i + r + 1)) for i in range(0, n, r + 1)]
 
 
 def erasure_decode(field: GF, h_rows: Sequence[Sequence[int]], received: Received) -> list[int]:
@@ -130,30 +120,33 @@ class RepairResult:
 
 
 def repair(field: GF, h_rows: Sequence[Sequence[int]], r: int, received: Received) -> RepairResult:
-    """Restore all erasures, preferring per-group local repair.
+    """Restore all erasures, preferring per-group local repair; every word
+    returned passes the parity checks of H, else InconsistentWordError.
 
-    Groups with a single erasure are fixed by reading their r mates, and the
-    repaired word must then pass every parity check of H (else
-    InconsistentWordError); if any group has two or more erasures the whole
-    word falls back to global erasure decoding, reading every present
-    symbol.  r < 1, or a word whose length is not the number of columns of
-    H or not a multiple of r+1, is refused with ValueError.
+    If each group of repair_groups(n, r) holds at most one erasure, the
+    erased symbol is the negated sum of its r present mates (a complete
+    word is checked as it is, method "none"); otherwise the whole word is
+    decoded globally, reading every present symbol.  r < 1, then a length
+    other than H's column count, then one not a multiple of r+1, is
+    refused with ValueError.
     """
-    _check_locality(r)
-    h = _parity_array(field, h_rows, len(received))
     n = len(received)
-    if n % (r + 1) != 0:
-        raise ValueError(f"n = {n} is not a multiple of r+1 = {r + 1}")
-    erased = [i for i, v in enumerate(received) if v is None]
-    if not erased:
-        return RepairResult(tuple(v for v in received if v is not None), "none", 0)
-    groups = {pos // (r + 1) for pos in erased}
-    if len(groups) == len(erased):
-        out = list(received)
-        for pos in erased:
-            out[pos] = _restore_from_group(field, received, r, pos)
-        if not is_codeword(field, h, out):  # type: ignore[arg-type]
-            raise InconsistentWordError("locally repaired word fails the parity checks")
-        return RepairResult(tuple(out), "local", r * len(erased))  # type: ignore[arg-type]
-    decoded = erasure_decode(field, h, received)
-    return RepairResult(tuple(decoded), "global", len(received) - len(erased))
+    repair_groups(0, r)  # refuses r < 1 before the word's length is read
+    h = _parity_array(field, h_rows, n)
+    groups = repair_groups(n, r)
+    erased = [j for j, v in enumerate(received) if v is None]
+    touched = [g for g in groups if any(received[j] is None for j in g)]
+    if len(touched) < len(erased):
+        return RepairResult(tuple(erasure_decode(field, h, received)), "global", n - len(erased))
+    out = list(received)
+    for group in touched:
+        # the r+1 symbols of a group sum to zero
+        (pos,) = (j for j in group if received[j] is None)
+        mates = field.array([received[j] for j in group if j != pos])
+        out[pos] = int(field.sub_array(0, field.sum_array(mates, axis=0)))
+    if not is_codeword(field, h, out):  # type: ignore[arg-type]
+        raise InconsistentWordError(
+            "locally repaired word fails the parity checks" if erased
+            else "word is complete but fails the parity checks"
+        )
+    return RepairResult(tuple(out), "local" if erased else "none", r * len(erased))  # type: ignore[arg-type]

@@ -234,13 +234,11 @@ class _ScanState:
     """The block structure of one matrix, built once from its rows: its
     layout and block differences, which rank reads too, and for the scan the
     columns as one (n, rows) array and the `live` mask, both made on first
-    use, `clear`, the most columns completed walks proved independent, and
-    `witness`, the least dependent set a walk found, or None (both set by
-    smallest_dependent_subset alone)."""
+    use, and `clear`, the most columns completed walks proved independent
+    (set by smallest_dependent_subset alone)."""
 
     def __init__(self, field: GF, rows: Matrix):
         self.field, self.rows, self.clear = field, rows, 0
-        self.witness: Optional[tuple[int, ...]] = None
         self.blocks, self.width = _block_layout(rows)
         n = np.shape(rows[:1])[-1]  # the column count, read from one row at most
         below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n).T
@@ -376,10 +374,11 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
     expands the first nodes of the deepest depth that has any.  Every node
     waiting at a depth then precedes, in leaf order, every node waiting at a
     shallower one, so leaves come in lexicographic order and each prefix is
-    made once.  A step makes at most a batch of children, which grows from
-    _CHUNK / 64 to _CHUNK so that a scan whose witness comes early walks few
-    leaves; below the leaves it makes at most an eighth of a batch (and at
-    least _CHUNK / 64), so few nodes wait.
+    made once.  A leaf step makes at most a batch of leaves, which starts at
+    _CHUNK / 64 and doubles after each leaf step up to _CHUNK, so that a
+    scan whose witness comes early walks few leaves; a step below the leaves
+    makes at most an eighth of a batch (and at least _CHUNK / 64), so few
+    nodes wait.
 
     Each node carries N, whose rows span the annihilator of its tested
     vectors: diffs[y, o] for a pick y whose block's first pick is y - o
@@ -414,6 +413,7 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
             yield picks, dep
             if dep.any():
                 return
+            size = min(2 * size, _CHUNK)
         elif len(y):
             # N's rows are nonzero exactly above row nrows - dim, dim the rank
             # of the tested vectors: the update clears the pivot's row and
@@ -433,7 +433,6 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
             # a pick that continues a block frees it; one that opens a group
             # frees it only when a group may hold one column (no block rows)
             waiting[i + 1] = (picks, y, inside | (least == 1), anc, sub[:, : nrows - dim.min()], dim)
-        size = min(2 * size, _CHUNK)
         i = max((k for k in range(w) if waiting[k] is not None), default=-1)
 
 
@@ -466,10 +465,9 @@ def smallest_dependent_subset(
 
     `state`, the matrix's _ScanState passed with its own field and `columns`
     (ValueError otherwise), starts the walk after the sizes it cleared; a
-    completed walk clears those below its witness, or up to max_size, and
-    keeps the witness, which answers every later call with a max_size it
-    reaches without a walk.  The budget counts every size from 1, so the
-    state never moves a refusal, and a refused call clears nothing.
+    completed walk clears those below its witness, or up to max_size.  The
+    budget counts every size from 1, so the state never moves a refusal,
+    and a refused call clears nothing.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget {budget} must be non-negative")
@@ -488,9 +486,6 @@ def smallest_dependent_subset(
         cost += count
         if budget is not None and cost > budget:
             raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
-    if state.witness is not None:
-        # every size below the witness is clear, so a smaller max_size has none
-        return state.witness if len(state.witness) <= max_size else None
     if state.clear < top:
         # the rows for v < w serve every walked size w
         ends = _reachable(n, blocks, top)
@@ -503,7 +498,7 @@ def smallest_dependent_subset(
             table = live if w <= pruned else ends
             for picks, dep in _leaves(field, state.diffs, table[:, :w], state.width, state.least):
                 if dep.any():
-                    state.clear, state.witness = w - 1, tuple(int(v) for v in picks[int(np.argmax(dep))])
-                    return state.witness
+                    state.clear = w - 1
+                    return tuple(int(v) for v in picks[int(np.argmax(dep))])
     state.clear = max(state.clear, max_size)
     return None

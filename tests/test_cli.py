@@ -376,6 +376,24 @@ def test_repair_refuses_a_word_that_fails_the_parity_checks(tmp_path, code_files
     assert not out.exists()
 
 
+def test_repair_refuses_a_complete_word_that_fails_the_parity_checks_as_decode_does(tmp_path, code_files, capsys):
+    h, w = code_files
+    out = tmp_path / "r.txt"
+    assert main(["repair", "--matrix", str(h), "--in", str(w), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"repair path: none\nsymbols read: 0\nwrote: {out}\n"
+    assert out.read_bytes() == w.read_bytes()
+    out.unlink()
+    symbols, q = read_word(w)
+    symbols[6] = (symbols[6] + 1) % q
+    bad = tmp_path / "bad.txt"
+    write_word(bad, symbols, q)
+    assert main(["decode", "--matrix", str(h), "--in", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "inconsistent word: word is complete but fails the parity checks\n"
+    assert main(["repair", "--matrix", str(h), "--in", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "repair failed: word is complete but fails the parity checks\n"
+    assert not out.exists()
+
+
 def test_distance_of_a_28_block_gf27_code(tmp_path, capsys):
     # 31 x 112: sizes 1..4 hold 6.44M column subsets but only about 14k that
     # meet each block in 0 or >= 2 columns, and sizes 1..6 fit the default

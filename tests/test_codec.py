@@ -2,6 +2,8 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrckit.codec import (
     InconsistentWordError,
@@ -15,10 +17,11 @@ from lrckit.codec import (
     syndrome,
 )
 from lrckit.gf import GF
-from lrckit.lrc import min_distance_witness
+from lrckit.lrc import build_parity_check, min_distance_witness
 from lrckit.rng import SplitMix64
+from lrckit.setfam import SetFamily
 
-from conftest import reference_add, reference_mul
+from conftest import ADJUSTED_FAMILY, ODD_Q_D6_FAMILY, SINGLETON_FAMILY, reference_add, reference_mul
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,8 @@ def test_repair_groups_partition():
     for r in (0, -1):
         with pytest.raises(ValueError, match="must be at least 1"):
             repair_groups(15, r)
+    with pytest.raises(ValueError, match=r"^n = 15 is not a multiple of r\+1 = 4$"):
+        repair_groups(15, 3)
 
 
 def test_local_repair_every_position(singleton_codec):
@@ -163,9 +168,12 @@ def test_repair_rejects_wrong_length(singleton_codec):
         repair(f, pcm.rows, params.r, longer)
     with pytest.raises(ValueError, match="length"):
         repair(f, pcm.rows, params.r, list(word)[:-1])
-    # n = 3 columns cannot split into groups of r+1 = 2
-    with pytest.raises(ValueError, match="multiple"):
+    # n = 3 columns cannot split into groups of r+1 = 2; a word of 5 is
+    # refused for its length first
+    with pytest.raises(ValueError, match=r"^n = 3 is not a multiple of r\+1 = 2$"):
         repair(GF(13), ((1, 1, 1),), 1, [5, None, 7])
+    with pytest.raises(ValueError, match="length"):
+        repair(GF(13), ((1, 1, 1),), 1, [5, None, 7, 1, 2])
 
 
 def test_syndrome_and_decode_refuse_a_word_that_does_not_fit_h(singleton_codec):
@@ -224,9 +232,10 @@ def test_repair_refuses_locality_below_one(singleton_codec):
     f, pcm, params, g = singleton_codec
     received = list(_random_codeword(f, g, SplitMix64(34)))
     received[6] = None
-    for r in (0, -1):
+    # also before a wrong length
+    for word, r in itertools.product((received, received[:-1]), (0, -1)):
         with pytest.raises(ValueError, match="at least 1"):
-            repair(f, pcm.rows, r, received)
+            repair(f, pcm.rows, r, word)
 
 
 def test_local_repair_is_checked_against_the_parity_checks(singleton_codec):
@@ -252,6 +261,65 @@ def test_local_repair_is_checked_against_the_parity_checks(singleton_codec):
     received[0] = f.add(received[0], 1)
     with pytest.raises(InconsistentWordError):
         repair(f, pcm.rows, params.r, received)
+
+
+def test_repair_checks_a_complete_word_as_erasure_decode_does(singleton_codec):
+    f, pcm, params, g = singleton_codec
+    word = _random_codeword(f, g, SplitMix64(36))
+    res = repair(f, pcm.rows, params.r, word)
+    assert (res.word, res.method, res.symbols_read) == (tuple(word), "none", 0)
+    bad = list(word)
+    bad[3] = reference_add(f, bad[3], 1)
+    with pytest.raises(InconsistentWordError) as decoded:
+        erasure_decode(f, pcm.rows, bad)
+    with pytest.raises(InconsistentWordError) as repaired:
+        repair(f, pcm.rows, params.r, bad)
+    assert str(repaired.value) == str(decoded.value) == "word is complete but fails the parity checks"
+
+
+# (q, r, d, sets) of the three reference codes of conftest
+REFERENCE_CODES = {
+    "singleton": (13, 4, 5, SINGLETON_FAMILY),
+    "odd_q_d6": (17, 5, 6, ODD_Q_D6_FAMILY),
+    "adjusted": (13, 3, 5, ADJUSTED_FAMILY),
+}
+
+
+@functools.cache
+def _reference_codec(name):
+    q, r, d, sets = REFERENCE_CODES[name]
+    pcm = build_parity_check(SetFamily(q, r, 2, sets), d)
+    return pcm, generator_from_parity(pcm.field, pcm.rows)
+
+
+def _outcome(decode, *args):
+    try:
+        return list(decode(*args))
+    except InconsistentWordError:
+        return InconsistentWordError
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CODES))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_repair_agrees_with_erasure_decode_on_one_erasure_per_group(name, data):
+    # at most one erasure per group, and maybe one present symbol altered:
+    # the local path and the full parity system give the same word or both
+    # find none
+    pcm, g = _reference_codec(name)
+    f, r = pcm.field, REFERENCE_CODES[name][1]
+    msg = data.draw(st.lists(st.integers(0, f.q - 1), min_size=len(g), max_size=len(g)))
+    received = list(encode(f, g, msg))
+    for group in repair_groups(pcm.n, r):
+        pos = data.draw(st.none() | st.sampled_from(group))
+        if pos is not None:
+            received[pos] = None
+    alter = data.draw(st.none() | st.sampled_from([j for j, v in enumerate(received) if v is not None]))
+    if alter is not None:
+        received[alter] = data.draw(st.integers(0, f.q - 1).filter(lambda v: v != received[alter]))
+    repaired = _outcome(lambda *a: repair(*a).word, f, pcm.rows, r, received)
+    assert repaired == _outcome(erasure_decode, f, pcm.rows, received)
+    assert (repaired is InconsistentWordError) == (alter is not None)
 
 
 def test_projection_disjointness_on_small_subcode(adjusted_code):

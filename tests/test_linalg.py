@@ -546,24 +546,6 @@ def test_a_scan_state_answers_only_for_the_matrix_it_was_built_from(singleton_co
     assert linalg.rank(pcm.field, pcm.rows, state) == linalg.rank(pcm.field, pcm.rows) == len(pcm.rows)
 
 
-def test_a_state_answers_from_its_witness_without_a_walk(singleton_code):
-    # a completed walk keeps its witness: a later call whose max_size
-    # reaches it gets it back without walking, a smaller max_size still gets
-    # None, and the budget still counts from size 1
-    _, pcm, _ = singleton_code
-    state = linalg._ScanState(pcm.field, pcm.rows)
-    want = reference_smallest_dependent_subset(pcm.field, pcm.columns(), 6)
-    assert linalg.smallest_dependent_subset(pcm.field, state.columns, 6, state=state) == want
-    assert state.witness == want and state.clear == len(want) - 1
-    with mock.patch.object(linalg, "_leaves", wraps=linalg._leaves) as leaves:
-        for max_size, got in ((len(want), want), (len(want) - 1, None), (1, None), (9, want)):
-            assert linalg.smallest_dependent_subset(pcm.field, state.columns, max_size, state=state) == got
-        with pytest.raises(ValueError, match="budget exceeded"):
-            linalg.smallest_dependent_subset(pcm.field, state.columns, 6, budget=10, state=state)
-    assert leaves.call_count == 0
-    assert state.witness == want and state.clear == len(want) - 1
-
-
 def test_a_scanned_matrix_stays_equal_to_an_unscanned_one():
     # what a matrix keeps of its scans and its rank is no constructor
     # parameter and no part of its value, equality, hash or repr
