@@ -33,22 +33,24 @@ smallest size, independent of batch sizes.
 
 When the p >= 1 rows below m >= 1 block rows are Vandermonde (row m + e
 is row m raised to the power e + 1, entry by entry, as in every code `lrc`
-builds), the scan of sizes up to p + 1 = d - 1 keeps fewer columns.  Call
-a column's entry in row m its value.  A circuit S (a dependent set whose
-proper subsets are independent) of at most p + 1 columns holds every value
-in S, 0 included, in at least two of its columns.  Proof: let c be a
-codeword with support S and C_v the sum of c_j over S's columns of value
-v.  The block rows sum to the all-ones row, so with the power rows
-sum_v C_v v**e = 0 for e = 0..p: p + 1 equations, a Vandermonde system on
-the distinct values of S.  S has at most p + 1 of them, so the system has
-full column rank and every C_v is 0, while a value held by one column j would
-give C_v = c_j != 0.  Every dependent set of the least size is a
-circuit, so each lies among the live columns (_live_columns), the fixpoint
-of dropping every column whose value no other live column holds and every
-block left with fewer than 2 live columns.  Sizes up to p + 1 walk the
-live columns alone, so the witness is still the lexicographically least;
-larger sizes walk every column, and the budget counts every candidate, so
-no refusal moves.  A matrix without the structure keeps every column live.
+builds), sizes up to p + 1 = d - 1 need no walk.  Read H as a bipartite
+graph: one vertex per block, one per value (a column's entry in row m), and
+one edge per column, from its block to its value.  A circuit S (a
+dependent set whose proper subsets are independent) of at most p + 1
+columns holds every value in S, 0 included, in at least two of its columns.
+Proof: let c be a codeword with support S and C_v the sum of c_j over S's
+columns of value v.  The block rows sum to the all-ones row, so with the
+power rows sum_v C_v v**e = 0 for e = 0..p: p + 1 equations, a Vandermonde
+system on the distinct values of S.  S has at most p + 1 of them, so every
+C_v is 0, while a value held by one column j would give C_v = c_j != 0.  S
+meets each block it touches twice or more too, so its edges have minimum
+degree 2 and hold a cycle.  A cycle is dependent: coefficients +1 and -1
+alternating around it cancel at each of its blocks and values (two columns
+of one block with one value are a 2-edge cycle).  So S is that cycle, and
+as every dependent set of the least size is a circuit, up to size p + 1 the
+smallest dependent sets are the column sets of the shortest cycles
+(_shortest_cycle).  The walk starts at p + 2, and the budget still counts
+every candidate from size 1, so no refusal moves.
 """
 
 from __future__ import annotations
@@ -233,12 +235,11 @@ def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) ->
 class _ScanState:
     """The block structure of one matrix, built once from its rows: its
     layout and block differences, which rank reads too, and for the scan the
-    columns as one (n, rows) array and the `live` mask, both made on first
-    use, and `clear`, the most columns completed walks proved independent
-    (set by smallest_dependent_subset alone)."""
+    columns as one (n, rows) array and their `values`, both made on first
+    use."""
 
     def __init__(self, field: GF, rows: Matrix):
-        self.field, self.rows, self.clear = field, rows, 0
+        self.field, self.rows = field, rows
         self.blocks, self.width = _block_layout(rows)
         n = np.shape(rows[:1])[-1]  # the column count, read from one row at most
         below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n).T
@@ -256,35 +257,42 @@ class _ScanState:
         return np.array(self.rows, dtype=np.int64).reshape(len(self.rows), len(self.diffs)).T
 
     @cached_property
-    def live(self) -> np.ndarray:
-        # read by the scan alone: built eagerly, it would slow every rank
-        return _live_columns(self.field, self.columns[:, self.blocks :].T, self.blocks, self.width)
+    def values(self) -> Optional[list[int]]:
+        # row m when the p >= 1 rows below m >= 1 block rows are its powers
+        # 1..p, else None; read by the scan alone, so no rank pays for it
+        below = self.columns[:, self.blocks :].T
+        if not self.blocks or not len(below) or not all(
+                np.array_equal(self.field.pow_array(below[0], e + 1), below[e]) for e in range(1, len(below))):
+            return None
+        return below[0].tolist()
 
 
-def _live_columns(field: GF, below: np.ndarray, blocks: int, width: int) -> np.ndarray:
-    """Mask of the columns that survive pruning by repeated values: the
-    columns of a dependent set of at most len(below) + 1 columns, found
-    size by size, are all live.  All true unless there are block rows and
-    `below`, the p >= 1 rows under them, holds the powers 1..p of its
-    first row, entry by entry.
-
-    Starting from every column, drop each one whose value (its entry in
-    the first row below the blocks) no other live column holds, then each
-    block left with fewer than 2 live columns, until nothing changes (see
-    the module docstring for why no such column can lie in a smallest
-    dependent set of that size)."""
-    n = below.shape[1]
-    live = np.ones(n, dtype=bool)
-    if not blocks or not len(below) or not all(
-            np.array_equal(field.pow_array(below[0], e + 1), below[e]) for e in range(1, len(below))):
-        return live
-    x, block = below[0], np.arange(n) // width
-    while True:
-        keep = live & (np.bincount(x[live], minlength=field.q)[x] >= 2)
-        keep &= np.bincount(block[keep], minlength=blocks)[block] >= 2
-        if np.array_equal(keep, live):
-            return live
-        live = keep
+def _shortest_cycle(x: Sequence[int], width: int, limit: int) -> Optional[tuple[int, ...]]:
+    """Least sorted column tuple over the shortest cycles of at most `limit`
+    edges, or None, in the graph with one edge per column j, from block
+    j // width to value x[j].  Each cycle is grown from its least column c0:
+    paths from c0's value through later columns, two edges a step (a column
+    to a new block, another of that block's columns to a new value), closed
+    by a later column of c0's block holding the last value.  A step grows
+    every path, so c0's first closed paths are its shortest cycles, and a
+    later c0 looks only for shorter ones."""
+    holders: dict[int, list[int]] = {}
+    for j, v in enumerate(x):
+        holders.setdefault(v, []).append(j)
+    best = None
+    for c0, v0 in enumerate(x):
+        home = c0 // width
+        paths = [((), (home,), (v0,))]  # (columns after c0, blocks, values)
+        for size in range(2, limit + 1, 2):
+            closed = [cols + (c,) for cols, _, vals in paths for c in holders[vals[-1]]
+                      if c > c0 and c // width == home]
+            if closed:
+                best, limit = (c0, *min(sorted(cols) for cols in closed)), size - 2
+                break
+            paths = [(cols + (c, e), blocks + (c // width,), vals + (x[e],))
+                     for cols, blocks, vals in paths for c in holders[vals[-1]] if c > c0 and c // width not in blocks
+                     for e in range(c - c % width, c - c % width + width) if e > c0 and e != c and x[e] not in vals]
+    return best
 
 
 def _groups(n: int, blocks: int) -> tuple[int, int, int]:
@@ -451,7 +459,7 @@ def smallest_dependent_subset(
     block of the leading block-indicator rows (detect_block_locality) in 0
     or >= 2 columns are candidates; with no block rows every subset is.
     Up to size nrows - blocks + 1, a matrix whose rows below the blocks
-    are Vandermonde walks only its live columns (see the module docstring).
+    are Vandermonde is answered by its shortest cycles (module docstring).
     Each size walks the prefix tree of its candidates once (_leaves): a
     column is tested against the annihilator of the vectors its prefix has
     tested, and only whole candidates are judged, since a proper prefix
@@ -464,10 +472,7 @@ def smallest_dependent_subset(
     candidates over the sizes that need a test passes it.
 
     `state`, the matrix's _ScanState passed with its own field and `columns`
-    (ValueError otherwise), starts the walk after the sizes it cleared; a
-    completed walk clears those below its witness, or up to max_size.  The
-    budget counts every size from 1, so the state never moves a refusal,
-    and a refused call clears nothing.
+    (ValueError otherwise), saves rebuilding the block differences.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget {budget} must be non-negative")
@@ -486,19 +491,18 @@ def smallest_dependent_subset(
         cost += count
         if budget is not None and cost > budget:
             raise ValueError(f"budget exceeded: {n} columns pass {budget} subsets at size {w}")
-    if state.clear < top:
+    first = 1
+    if state.values is not None:
+        short = nrows - blocks + 1
+        cycle = _shortest_cycle(state.values, state.width, min(top, short))
+        if cycle is not None:
+            return cycle
+        first = short + 1
+    if first <= top:
         # the rows for v < w serve every walked size w
         ends = _reachable(n, blocks, top)
-        # sizes up to rows - blocks + 1 walk the live columns alone: the
-        # same table with every other column taken out
-        pruned, live = nrows - blocks + 1, ends
-        if state.clear < pruned and not state.live.all():
-            live = np.sort(np.where(np.append(state.live, False)[ends], ends, n), axis=2)
-        for w in range(state.clear + 1, top + 1):
-            table = live if w <= pruned else ends
-            for picks, dep in _leaves(field, state.diffs, table[:, :w], state.width, state.least):
+        for w in range(first, top + 1):
+            for picks, dep in _leaves(field, state.diffs, ends[:, :w], state.width, state.least):
                 if dep.any():
-                    state.clear = w - 1
                     return tuple(int(v) for v in picks[int(np.argmax(dep))])
-    state.clear = max(state.clear, max_size)
     return None

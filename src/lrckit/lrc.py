@@ -7,26 +7,22 @@ indicator makes every block of r+1 coordinates sum to zero in any codeword,
 which is what gives each symbol an r-symbol repair group.  Distance claims
 are checked exactly by `linalg.smallest_dependent_subset`, which scans only
 the column sets that meet each block in 0 or >= 2 columns because H's own
-block-indicator rows rule the others out.  Up to size d - 1 it also reads
-H's power rows, the powers 1..d-2 of the first one: a smallest dependent
-set of that size holds each of its values in at least two columns (the
-`linalg` module docstring has the proof), so only the columns that keep
-that rule are walked.  The pruning reads H, never the coverage verdict,
-and nothing here relies on the coverage condition being sufficient, so the
-two verdicts stay independent.
+block-indicator rows rule the others out.  Up to size d - 1 it reads H as
+a bipartite graph, one vertex per block and per value of the first power
+row, one edge per column: there the smallest dependent sets are exactly the
+column sets of the shortest cycles (the `linalg` module docstring has the
+proof), so no walk runs.  The cycle search reads H, never the coverage
+verdict, and nothing here relies on the coverage condition being
+sufficient, so the two verdicts stay independent.
 
 A `ParityCheckMatrix` is its rows over a field and nothing more: its
 length, block count and design distance are read from the rows, so a
 matrix read from a file asks the same distance questions as a built one.
 It keeps its rank and its scan state (`linalg._ScanState`) per matrix,
 built on first use.  `verify_distance_at_least` and `min_distance_witness`
-both run `linalg.smallest_dependent_subset` on that state, which resumes
-after the sizes its completed walks cleared, so finding the exact distance
-after the design-distance verdict walks no size twice, and a witness once
-found answers again without a walk.  The state holds only proven facts
-about H and the budget counts every size from 1, so a call's answer or
-refusal never depends on what ran before it, and a refused call changes
-nothing.
+both run `linalg.smallest_dependent_subset` on that state.  The state holds
+only H's structure and the budget counts every size from 1, so a call's
+answer or refusal never depends on what ran before it.
 """
 
 from __future__ import annotations
@@ -111,8 +107,6 @@ def verify_distance_at_least(
     support of a minimum-weight codeword when the verdict is negative at
     the true distance.  The default d is the design distance of a matrix
     `build_parity_check` made: its row count less its block rows, plus 2.
-    The walk resumes after the sizes earlier scans of `pcm` cleared; the
-    budget counts candidates from size 1 regardless.
     """
     state = pcm._state
     dd = len(pcm.rows) - state.blocks + 2 if d is None else d
@@ -126,9 +120,7 @@ def min_distance_witness(
 
     Any rank + 1 columns are dependent, so the scan is capped there, and a
     matrix of full column rank, which has no dependent set (its code is
-    {0}), is a ValueError.  The scan resumes after the sizes earlier scans
-    of `pcm` cleared, and the rank is computed once per matrix; the budget
-    counts candidates from size 1 regardless."""
+    {0}), is a ValueError.  The rank is computed once per matrix."""
     state = pcm._state
     cap = pcm._rank + 1
     witness = linalg.smallest_dependent_subset(pcm.field, state.columns, cap, budget=budget, state=state)
@@ -141,8 +133,7 @@ def min_distance_witness(
 
 def exact_min_distance(pcm: ParityCheckMatrix, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
     """Exhaustive minimum distance: the smallest number of dependent columns,
-    through min_distance_witness, so the scan resumes and the budget counts
-    as there."""
+    through min_distance_witness, so the budget counts as there."""
     return len(min_distance_witness(pcm, budget))
 
 

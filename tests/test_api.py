@@ -88,14 +88,15 @@ def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch, tmp_
 
 
 def test_every_sum_of_products_is_the_one_field_kernel():
-    # the scan's matrix-vector products, encode and syndrome each reach
+    # the scan's matrix-vector products (in the witness's walk of size d:
+    # the verdict below d takes none), encode and syndrome each reach
     # GF.dot_array, and no source file multiplies and then sums apart
     fam = setfam.SetFamily(13, 4, 2, SINGLETON_FAMILY)
     pcm = lrc.build_parity_check(fam, 5)
     field = pcm.field
     gen = codec.generator_from_parity(field, pcm.rows)
     calls = {
-        "scan": lambda: lrc.verify_distance_at_least(pcm),
+        "scan": lambda: lrc.min_distance_witness(pcm),
         "encode": lambda: codec.encode(field, gen, [1] * len(gen)),
         "syndrome": lambda: codec.syndrome(field, pcm.rows, [0] * pcm.n),
     }

@@ -292,9 +292,8 @@ def test_scan_stops_at_the_least_witness_with_nodes_still_waiting(monkeypatch):
     # comes its parent's later siblings and nodes at every shallower depth
     # are still waiting: the walk must have yielded every earlier candidate
     # of the witness's size in order, none of them dependent, and stop there.
-    # Sizes up to rows - blocks + 1 walk only the live columns: in the
-    # Vandermonde block matrix just the pair sharing a value, and every
-    # column once one power entry is altered
+    # A Vandermonde block matrix is answered below p + 2 by its shortest
+    # cycles, with no walk, so the block case has one power entry altered
     monkeypatch.setattr(linalg, "_CHUNK", 1)
     # Vandermonde columns over GF(101), any four independent, but column 6
     # is 1 * column 1 + 2 * column 3 + 3 * column 5
@@ -303,11 +302,9 @@ def test_scan_stops_at_the_least_witness_with_nodes_still_waiting(monkeypatch):
     plain[6] = [(a + 2 * b + 3 * c) % 101 for a, b, c in zip(plain[1], plain[3], plain[5])]
     g = GF(16)
     powers = [[g.pow(x, e) for x in range(1, 15)] + [g.pow(14, e)] for e in (1, 2, 3)]
-    block = _columns(_block_rows(5, 3) + powers)
     altered = _columns(_block_rows(5, 3) + powers[:2] + [[7] + powers[2][1:]])
     walk = linalg._leaves
-    for field, cols, witness, blocks, width, live in (
-            (f, plain, (1, 3, 5, 6), 0, 8, 8), (g, block, (13, 14), 5, 3, 2), (g, altered, (13, 14), 5, 3, 15)):
+    for field, cols, witness, blocks, width in ((f, plain, (1, 3, 5, 6), 0, 8), (g, altered, (13, 14), 5, 3)):
         batches = []
 
         def recorded(*args):
@@ -322,9 +319,6 @@ def test_scan_stops_at_the_least_witness_with_nodes_still_waiting(monkeypatch):
         w = len(witness)
         walked = [tuple(p) for picks, _ in batches for p in picks if len(p) == w]
         want = _block_respecting(len(cols), width, w) if blocks else list(itertools.combinations(range(len(cols)), w))
-        mask = linalg._ScanState(field, np.array(cols).T).live
-        assert mask.sum() == live
-        want = [c for c in want if mask[list(c)].all()]
         assert walked == want[: len(walked)]
         assert walked.index(witness) >= len(walked) - len(batches[-1][0])
         assert not any(any(dep) for _, dep in batches[:-1]) and any(batches[-1][1])
@@ -389,8 +383,8 @@ def test_block_scan_matches_the_subset_loop(data):
         minors = minors_min_distance(rows, len(cols), q, min(top, len(cols)))
         assert want == (None if minors is None else minors[1])
     chunk = data.draw(st.sampled_from([1, 7, linalg._CHUNK]))
-    # one scan state, resumed by every max_size in a drawn order, answers as
-    # a fresh scan does while its walks skip the sizes earlier ones cleared
+    # one scan state, asked every max_size in a drawn order, answers as a
+    # fresh scan does
     order = data.draw(st.permutations(range(1, top + 1)))
     state = linalg._ScanState(f, rows)
     with mock.patch.object(linalg, "_CHUNK", chunk):
@@ -398,7 +392,6 @@ def test_block_scan_matches_the_subset_loop(data):
             expect = want if want is not None and len(want) <= max_size else None
             assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
             assert linalg.smallest_dependent_subset(f, state.columns, max_size, state=state) == expect
-    assert state.clear == (top if want is None else len(want) - 1)
 
 
 @pytest.mark.parametrize("q", [5, 7, 13])
@@ -415,15 +408,46 @@ def test_block_scan_matches_minor_oracle(q):
         assert got == (None if oracle is None else oracle[1])
 
 
+def _vandermonde_block_rows(f, x, m, p):
+    """m block rows above the powers 1..p of the values x, entry by entry."""
+    return _block_rows(m, len(x) // m) + [f.pow_array(np.array(x), e).tolist() for e in range(1, p + 1)]
+
+
+def _assert_the_scan_matches_the_walk_and_the_oracles(f, rows, structured):
+    # at every max_size, the scan of `rows` must find the least witness the
+    # unpruned oracles find, and so must the walk on `rows` with a zero row
+    # appended, which keeps every column dependency but fails the power
+    # check (unless every value is 0: then it is one more power row).  A
+    # matrix with the structure is answered up to size p + 1 with no walk
+    state = linalg._ScanState(f, rows)
+    assert (state.values is not None) == structured
+    cols, top, n = _columns(rows), len(rows) + 1, len(rows[0])
+    zero = linalg._ScanState(f, rows + [[0] * n])
+    walk = zero.values is None
+    assert walk or not any(rows[state.blocks])
+    least = reference_smallest_dependent_subset(f, cols, top)
+    assert reference_block_scan(f, cols, top) == least
+    if f.e == 1 and f.q <= 13 and n <= 8:
+        oracle = minors_min_distance(rows, n, f.q, min(n, top))
+        assert least == (None if oracle is None else oracle[1])
+    short = len(rows) - state.blocks + 1
+    for max_size in range(top + 1):
+        expect = least if least is not None and len(least) <= max_size else None
+        with mock.patch.object(linalg, "_leaves", wraps=linalg._leaves) as leaves:
+            assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
+            assert linalg.smallest_dependent_subset(f, state.columns, max_size, state=state) == expect
+        assert not (structured and max_size <= short and leaves.called)
+        if walk:
+            assert linalg.smallest_dependent_subset(f, zero.columns, max_size, state=zero) == expect
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_pruned_scan_of_vandermonde_blocks_matches_the_oracles(data):
+def test_shortest_cycles_of_vandermonde_blocks_match_the_walk_and_the_oracles(data):
     # block rows above the powers 1..p of one value per column, the values
-    # drawn from a small pool so that values repeat across blocks, zeros
-    # occur and whole blocks may be equal: walking only the live columns up
-    # to size p + 1 must find the least witness every unpruned oracle
-    # finds, at every max_size.  One altered power entry fails the
-    # structure check, and the mask is then all true
+    # drawn from a small pool so that values repeat within and across
+    # blocks, zeros occur and whole blocks may be equal.  One altered power
+    # entry fails the structure check, and the walk answers every size
     q = data.draw(st.sampled_from([5, 7, 13, 16, 27]))
     f = _field(q)
     m, width, p = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
@@ -432,23 +456,24 @@ def test_pruned_scan_of_vandermonde_blocks_matches_the_oracles(data):
     x = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     if m > 1 and data.draw(st.booleans()):
         x[-width:] = x[:width]
-    rows = _block_rows(m, width) + [f.pow_array(np.array(x), e).tolist() for e in range(1, p + 1)]
+    rows = _vandermonde_block_rows(f, x, m, p)
     altered = p >= 2 and data.draw(st.booleans())
     if altered:
         i, j = m + data.draw(st.integers(1, p - 1)), data.draw(st.integers(0, n - 1))
         rows[i][j] = data.draw(st.integers(0, q - 1).filter(lambda v: v != rows[i][j]))
-    state = linalg._ScanState(f, rows)
-    assert state.live.all() or not altered
-    cols, top = _columns(rows), len(rows) + 1
-    least = reference_smallest_dependent_subset(f, cols, top)
-    assert reference_block_scan(f, cols, top) == least
-    if q in (5, 7, 13) and n <= 8:
-        oracle = minors_min_distance(rows, n, q, min(n, top))
-        assert least == (None if oracle is None else oracle[1])
-    for max_size in range(top + 1):
-        expect = least if least is not None and len(least) <= max_size else None
-        assert linalg.smallest_dependent_subset(f, cols, max_size) == expect
-        assert linalg.smallest_dependent_subset(f, state.columns, max_size, state=state) == expect
+    _assert_the_scan_matches_the_walk_and_the_oracles(f, rows, not altered)
+
+
+@pytest.mark.parametrize("x,witness", [
+    ([5, 5, 1, 2, 3, 4], (0, 1)),  # two columns of one block with one value: a 2-edge cycle
+    ([1, 2, 3, 1, 2, 3], (0, 1, 3, 4)),  # a duplicated block: the least of its three 4-edge cycles
+])
+def test_a_two_edge_cycle_and_a_duplicated_block(x, witness):
+    f = GF(13)
+    rows = _vandermonde_block_rows(f, x, 2, 3)
+    assert linalg._shortest_cycle(x, 3, 4) == witness
+    assert linalg.smallest_dependent_subset(f, _columns(rows), 4) == witness
+    _assert_the_scan_matches_the_walk_and_the_oracles(f, rows, True)
 
 
 def test_wide_subsets_short_circuit():
@@ -494,9 +519,8 @@ def test_budget_counts_the_candidates_of_the_sizes_that_need_elimination(singlet
     # 3 blocks of 5 on 3 more rows: a size-6 candidate can touch 3 blocks
     # and leave 3 columns to test, from size 7 on none fits 3 rows; with no
     # block rows, sizes up to the row count need an elimination
-    # the count runs from size 1 whatever the state has cleared, so refusal
-    # begins at the same budget and size for every state, and a refused
-    # call clears nothing
+    # the count runs from size 1 whatever the state has answered before,
+    # so refusal begins at the same budget and size for every state
     for f, rows, blocks, last in ((pcm.field, pcm.rows, 3, 6), (GF(13), plain, 0, 3)):
         cols = _columns(rows)
         need = sum(_counts_up_to(len(cols), blocks, last)[1:])
@@ -505,11 +529,9 @@ def test_budget_counts_the_candidates_of_the_sizes_that_need_elimination(singlet
             state = linalg._ScanState(f, rows)
             assert linalg.smallest_dependent_subset(f, state.columns, cleared, state=state) is None
             # the second round asks a state that has found the witness
-            for proven in (cleared, len(want) - 1):
-                assert state.clear == proven
+            for _ in range(2):
                 with pytest.raises(ValueError, match=f"at size {last}$"):
                     linalg.smallest_dependent_subset(f, state.columns, last + 1, budget=need - 1, state=state)
-                assert state.clear == proven
                 assert linalg.smallest_dependent_subset(f, state.columns, last + 1, budget=need, state=state) == want
 
 
@@ -541,7 +563,6 @@ def test_a_scan_state_answers_only_for_the_matrix_it_was_built_from(singleton_co
     for field, rows in ((pcm.field, list(pcm.rows)), (GF(13), pcm.rows)):
         with pytest.raises(ValueError, match="scan state was built for another matrix"):
             linalg.rank(field, rows, state)
-    assert state.clear == 0
     assert linalg.smallest_dependent_subset(pcm.field, state.columns, 5, state=state) == (0, 1, 2, 3, 4)
     assert linalg.rank(pcm.field, pcm.rows, state) == linalg.rank(pcm.field, pcm.rows) == len(pcm.rows)
 
@@ -555,7 +576,7 @@ def test_a_scanned_matrix_stays_equal_to_an_unscanned_one():
     assert min_distance_witness(scanned) == (0, 1, 2, 3, 4)
     code_params_from_family(fam, 5, scanned)
     assert {"_state", "_rank"} <= set(vars(scanned)) and not {"_state", "_rank"} & set(vars(fresh))
-    assert scanned._state.clear == 4 and scanned._rank == 6
+    assert scanned._rank == 6
     assert scanned == fresh and hash(scanned) == hash(fresh) and repr(scanned) == repr(fresh)
     assert list(inspect.signature(ParityCheckMatrix).parameters) == ["rows", "field"]
 

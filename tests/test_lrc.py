@@ -253,10 +253,8 @@ def _outcome(call, pcm):
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_distance_calls_answer_alike_in_any_order(data):
-    # a matrix resumes its scan after the sizes earlier calls cleared: any
-    # sequence of calls on one matrix must answer as each call does on a
-    # fresh one, refuse a budget whatever ran before, and a refusal must
-    # leave what the matrix remembers unchanged
+    # any sequence of calls on one matrix must answer as each call does on
+    # a fresh one, and refuse a budget whatever ran before
     q = data.draw(st.sampled_from([8, 9, 13, 16, 25, 27]))
     d = data.draw(st.sampled_from([5, 6, 7]))
     t = (d - 1) // 2
@@ -277,11 +275,9 @@ def test_distance_calls_answer_alike_in_any_order(data):
                   st.sampled_from([None, None, 0, 30, 300, 3000])),
         min_size=1, max_size=6))
     for call in calls:
-        before = pcm._state.clear
         got = _outcome(call, pcm)
         assert got == _outcome(call, build_parity_check(fam, d, f))
         if isinstance(got, tuple) and got[0] == "error" and got[1].startswith("budget exceeded"):
-            assert pcm._state.clear == before
             continue
         name, arg, _ = call
         if name == "verify":
@@ -295,43 +291,57 @@ def test_distance_calls_answer_alike_in_any_order(data):
 def test_one_matrix_builds_its_scan_tables_once():
     # a verdict, a witness and the parameters on one matrix build the block
     # differences once, in the scan state the rank reads too, and the
-    # reachability table once per scan that walks a size
+    # reachability table once per scan that walks a size: the verdict at
+    # the design distance walks none, and each witness walks size d
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
     pcm = build_parity_check(fam, 5)
     with mock.patch.object(linalg, "_block_differences", wraps=linalg._block_differences) as diffs, \
             mock.patch.object(linalg, "_reachable", wraps=linalg._reachable) as reach:
         assert verify_distance_at_least(pcm) is None
-        assert (diffs.call_count, reach.call_count) == (1, 1)
+        assert (diffs.call_count, reach.call_count) == (1, 0)
         assert min_distance_witness(pcm) == (0, 1, 2, 3, 4)
-        assert (diffs.call_count, reach.call_count) == (1, 2)
+        assert (diffs.call_count, reach.call_count) == (1, 1)
         code_params_from_family(fam, 5, pcm)
         assert verify_distance_at_least(pcm) is None
-        assert (diffs.call_count, reach.call_count) == (1, 2)
-        # the state keeps the sizes it cleared, not the witness: the
-        # witness size is walked again, with one more reachability table
+        assert (diffs.call_count, reach.call_count) == (1, 1)
         assert exact_min_distance(pcm) == 5
-        assert (diffs.call_count, reach.call_count) == (1, 3)
+        assert (diffs.call_count, reach.call_count) == (1, 2)
 
 
-def test_the_parameters_never_build_the_live_mask():
-    # the rank reads the scan state, but only a walk reads its live mask
+def test_the_verdict_at_the_design_distance_takes_no_walk_and_no_field_product():
+    # below d, a matrix build_parity_check made is answered by its shortest
+    # cycles: passing (the singleton code, and a q = 23 code whose values
+    # never repeat) or failing (two sets sharing two elements)
+    for fam, d, want in ((SetFamily(13, 4, 2, SINGLETON_FAMILY), 5, None),
+                         (SetFamily(23, 5, 3, ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11), (12, 13, 14, 15, 16, 17))),
+                          7, None),
+                         (SetFamily(13, 4, 2, ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (1, 5, 9, 10, 11))), 5,
+                          (0, 1, 5, 6))):
+        pcm = build_parity_check(fam, d)
+        with mock.patch.object(linalg, "_leaves", wraps=linalg._leaves) as leaves, \
+                mock.patch.object(pcm.field, "dot_array", wraps=pcm.field.dot_array) as dot:
+            assert verify_distance_at_least(pcm) == want
+        assert (leaves.call_count, dot.call_count) == (0, 0)
+
+
+def test_the_rank_never_reads_the_values():
+    # the rank reads the scan state, but only a scan reads its values
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
-    with mock.patch.object(linalg, "_live_columns", wraps=linalg._live_columns) as live:
-        code_params_from_family(fam, 5)
-        pcm = build_parity_check(fam, 5)
-        code_params_from_family(fam, 5, pcm)
-        assert live.call_count == 0
-        assert verify_distance_at_least(pcm) is None
-        assert live.call_count == 1
+    pcm = build_parity_check(fam, 5)
+    code_params_from_family(fam, 5, pcm)
+    assert "_state" in vars(pcm) and "values" not in vars(pcm._state)
+    assert verify_distance_at_least(pcm) is None
+    assert pcm._state.values == list(pcm.rows[fam.m])
 
 
 def test_the_criterion_6_code_has_no_live_column_below_its_design_distance():
-    # no value repeats across its 91 blocks, so no column can be in a
-    # dependent set of at most 6 columns: the unbudgeted d = 7 verdict
-    # walks nothing, while the default budget still refuses it up front,
-    # also once that walk has cleared those sizes
+    # no value repeats across its 91 blocks, so no column lies on a cycle
+    # and none can be in a dependent set of at most 6 columns: the
+    # unbudgeted d = 7 verdict walks nothing, while the default budget
+    # still refuses it up front, also after that verdict
     pcm = build_parity_check(random_family(4999, 5, 3, 1), 7)
-    assert pcm.n == 546 and not pcm._state.live.any()
+    state = pcm._state
+    assert pcm.n == 546 and linalg._shortest_cycle(state.values, state.width, 6) is None
     assert verify_distance_at_least(pcm, 7, budget=None) is None
     with pytest.raises(ValueError, match="budget exceeded: 546 columns pass 30000000 subsets at size 6"):
         verify_distance_at_least(pcm, 7)
@@ -342,13 +352,13 @@ def test_a_new_or_replaced_matrix_inherits_no_scan_state():
     # two sets sharing two elements: four columns are dependent
     shared = build_parity_check(SetFamily(13, 4, 2, ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (1, 5, 9, 10, 11))), 5)
     pcm = build_parity_check(fam, 5)
-    assert verify_distance_at_least(pcm) is None and pcm._state.clear == 4
+    assert verify_distance_at_least(pcm) is None
     for other, want in ((dataclasses.replace(pcm, rows=shared.rows), (0, 1, 5, 6)),
                         (build_parity_check(fam, 5), None)):
         assert not {"_state", "_rank"} & set(vars(other))
         assert verify_distance_at_least(other) == want
-        assert other._state is not pcm._state and other._state.clear == (3 if want else 4)
-    assert pcm._state.clear == 4
+        assert other._state is not pcm._state
+    assert verify_distance_at_least(pcm) is None
 
 
 def _scan_outcome(fn, *args, **kwargs):
