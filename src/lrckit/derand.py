@@ -32,6 +32,7 @@ calls are identical, byte for byte, regardless of platform or thread count.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
@@ -91,24 +92,25 @@ def _collection_numerator(q: int, size: int, fixed: list[frozenset[int]]) -> int
     )
 
 
-def _phi_over(q: int, size: int, t: int, parts: list[frozenset[int]], pivot: int) -> int:
+def _phi_over(q: int, size: int, t: int, parts: list[frozenset[int]], pivot: int) -> Callable[[frozenset[int]], int]:
     """Sum of P(Y_S) over collections S of size 2..t that contain `pivot`,
-    times the product of every set's weight.
+    times the product of every set's weight, as a function of the pivot
+    set's part.
 
-    Terms avoiding the pivot set do not change when one of its elements is
-    fixed, so comparing candidate values only needs this partial sum.  Each
-    collection's numerator is scaled by the weights of the non-pivot sets
-    outside it, which completes its denominator to the common one.
+    Terms avoiding the pivot set do not change while it fills, so comparing
+    candidate values only needs this partial sum.  The other sets are read
+    once: each collection keeps its other parts and its share of the common
+    denominator, the weights of the non-pivot sets outside it.
     """
     others = [k for k in range(len(parts)) if k != pivot]
     weight = {k: _weight(q, size, len(parts[k])) for k in others}
     scale = prod(weight.values())
-    total = 0
-    for s in range(2, t + 1):
-        for rest in combinations(others, s - 1):
-            num = _collection_numerator(q, size, [parts[pivot]] + [parts[k] for k in rest])
-            total += num * (scale // prod(weight[k] for k in rest))
-    return total
+    terms = [
+        ([parts[k] for k in rest], scale // prod(weight[k] for k in rest))
+        for s in range(2, t + 1)
+        for rest in combinations(others, s - 1)
+    ]
+    return lambda part: sum(_collection_numerator(q, size, [part, *rest]) * w for rest, w in terms)
 
 
 def derandomized_family(q: int, r: int, t: int) -> SetFamily:
@@ -119,10 +121,10 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
     exactly the same tracked sets give identical estimator values, so only
     the least value of each membership pattern is scored: the least value of
     each pattern met in the other sets, plus the least value in no set at
-    all, when one is left.  Every candidate at a position shares Phi's
-    denominator, so the scores are compared as integer numerators.  Raises
-    RuntimeError if the chosen value would increase Phi, which exact
-    arithmetic rules out.
+    all, when one is left.  Phi's terms are set up once per set, and each
+    step's minimum is the next step's Phi before, so the minima are Phi's
+    trajectory.  Raises RuntimeError if the chosen value would increase
+    Phi, which exact arithmetic rules out.
     Supported envelope: t in {2, 3}, q <= 512, and a target size small
     enough that 2m <= 12 sets are tracked.
     """
@@ -142,6 +144,8 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
     parts: list[frozenset[int]] = [frozenset() for _ in range(nsets)]
     for i in range(nsets):
         others = [k for k in range(nsets) if k != i]
+        phi = _phi_over(q, size, t, parts, i)
+        before = phi(parts[i])
         for _ in range(size):
             used = frozenset().union(*parts)
             rep: dict[tuple[bool, ...], int] = {}
@@ -151,17 +155,13 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
             if fresh is not None:
                 rep[(False,) * len(others)] = fresh
             candidates = sorted(rep.values())
-            vals = []
-            for c in candidates:
-                trial = parts.copy()
-                trial[i] = parts[i] | {c}
-                vals.append(_phi_over(q, size, t, trial, i))
+            vals = [phi(parts[i] | {c}) for c in candidates]
             best = min(vals)
             # Phi before and after share every weight but the pivot's
-            before = _phi_over(q, size, t, parts, i)
             fixed = len(parts[i])
             if best * _weight(q, size, fixed) > before * _weight(q, size, fixed + 1):
                 raise RuntimeError(f"estimator increased at set {i}, position {fixed}")
             parts[i] = parts[i] | {candidates[vals.index(best)]}
+            before = best
     pool = SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in parts))
     return remove_violations(pool, verify_union_condition(pool))

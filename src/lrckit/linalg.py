@@ -131,8 +131,7 @@ def rank(field: GF, rows: Matrix, state: Optional[_ScanState] = None) -> int:
         state = _ScanState(field, rows)
     else:
         state.check(field, rows, state.rows)
-    n = len(state.diffs)
-    return state.blocks + len(rref(field, state.diffs[np.arange(n), np.arange(n) % state.width])[1])
+    return state.blocks + len(rref(field, state.diffs[:, 0])[1])
 
 
 def nullspace_basis(field: GF, rows: Matrix) -> list[list[int]]:
@@ -222,14 +221,14 @@ def detect_block_locality(rows: Matrix) -> Optional[int]:
 
 
 def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) -> np.ndarray:
-    """diffs[y, o] for o < width: column y of the rows below the block rows
-    (`below`, one row per column) less column y - o, clamped at column 0;
-    column y itself when there are no block rows (width 1).  A block row
-    sums a codeword over its block, so solving it for one column of the
-    block turns each other column into its difference from that one."""
-    n = len(below)
+    """diffs[y, a] for a < width: column y of the rows below the block rows
+    (`below`, one row per column) less column a of y's block; column y
+    itself when there are no block rows (width 1).  A block row sums a
+    codeword over its block, so solving it for one column of the block
+    turns each other column into its difference from that one."""
+    n, nrows = below.shape
     base = below if blocks else np.zeros_like(below)
-    return field.sub_array(below[:, None, :], base[np.maximum(np.arange(n)[:, None] - np.arange(width), 0)])
+    return field.sub_array(below[:, None, :], base.reshape(n // width, width, nrows)[np.arange(n) // width])
 
 
 class _ScanState:
@@ -389,8 +388,8 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
     nodes wait.
 
     Each node carries N, whose rows span the annihilator of its tested
-    vectors: diffs[y, o] for a pick y whose block's first pick is y - o
-    (o = 0 is that first pick, tested only with no block rows).  A child's
+    vectors: diffs[y, a % width] for a pick y whose block's first pick is a
+    (a = y for that first pick, tested only with no block rows).  A child's
     vector is tested by u = N v, one GF.dot_array call for the batch: u = 0
     means it lies in the prefix's span; otherwise N takes one rank-one
     update that clears the row of u's first nonzero entry.  Once N has no rows left, every tested vector gives
@@ -413,7 +412,7 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
         waiting[i] = tuple(a[take:] for a in waiting[i]) if take < len(x) else None
         anc = np.where(inside, anchor[parent], y)
         sub = ann[parent]
-        u = field.dot_array(sub, diffs[y, y - anc][:, None, :], axis=2)
+        u = field.dot_array(sub, diffs[y, anc % width][:, None, :], axis=2)
         picks = np.concatenate([picks[parent], y[:, None]], axis=1)
         if leaf:
             # a leaf never opens a block, so each one's vector is tested
@@ -467,9 +466,10 @@ def smallest_dependent_subset(
     the rows below the block rows every later tested column is dependent,
     so a size where every candidate has more columns to test than rows is
     answered by its first candidate (with no block rows: any nrows + 1
-    columns).  `budget` caps the candidates examined: ValueError when it is
-    negative and, before any is tested, as soon as the running count of
-    candidates over the sizes that need a test passes it.
+    columns).  `budget` caps the candidates counted from size 1 over the
+    sizes that need a test, including the sizes the shortest cycles answer
+    with no walk: ValueError when it is negative and, before any candidate
+    is tested, as soon as that running count passes it.
 
     `state`, the matrix's _ScanState passed with its own field and `columns`
     (ValueError otherwise), saves rebuilding the block differences.

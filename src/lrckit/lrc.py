@@ -16,8 +16,8 @@ verdict, and nothing here relies on the coverage condition being
 sufficient, so the two verdicts stay independent.
 
 A `ParityCheckMatrix` is its rows over a field and nothing more: its
-length, block count and design distance are read from the rows, so a
-matrix read from a file asks the same distance questions as a built one.
+length and block count are read from the rows, so a matrix read from a
+file asks the same distance questions as a built one.
 It keeps its rank and its scan state (`linalg._ScanState`) per matrix,
 built on first use.  `verify_distance_at_least` and `min_distance_witness`
 both run `linalg.smallest_dependent_subset` on that state.  The state holds
@@ -43,9 +43,7 @@ DEFAULT_SUBSET_BUDGET = 30_000_000
 class ParityCheckMatrix:
     """A parity-check matrix H: its rows, each a tuple of elements of
     `field`.  Two matrices are equal when their rows and field orders are.
-    The code length n is the column count; `build_parity_check` puts m
-    block-indicator rows above d - 2 power rows, so the design distance is
-    read back as len(rows) - m + 2."""
+    The code length n is the column count."""
 
     rows: tuple[tuple[int, ...], ...]
     field: GF
@@ -97,7 +95,7 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
 
 
 def verify_distance_at_least(
-    pcm: ParityCheckMatrix, d: Optional[int] = None, budget: int = DEFAULT_SUBSET_BUDGET
+    pcm: ParityCheckMatrix, d: int, budget: int = DEFAULT_SUBSET_BUDGET
 ) -> Optional[tuple[int, ...]]:
     """None when every d-1 columns are independent, else a witness subset.
 
@@ -105,12 +103,10 @@ def verify_distance_at_least(
     circuits at the first dependency, so a witness is always one of minimum
     size (and lexicographically least among those).  It doubles as the
     support of a minimum-weight codeword when the verdict is negative at
-    the true distance.  The default d is the design distance of a matrix
-    `build_parity_check` made: its row count less its block rows, plus 2.
+    the true distance.
     """
     state = pcm._state
-    dd = len(pcm.rows) - state.blocks + 2 if d is None else d
-    return linalg.smallest_dependent_subset(pcm.field, state.columns, dd - 1, budget=budget, state=state)
+    return linalg.smallest_dependent_subset(pcm.field, state.columns, d - 1, budget=budget, state=state)
 
 
 def min_distance_witness(

@@ -67,7 +67,7 @@ def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch, tmp_
     monkeypatch.setattr(linalg, "smallest_dependent_subset", counted_scan)
     monkeypatch.setattr(linalg, "rank", counted_rank)
     calls = {
-        "verify": lrc.verify_distance_at_least,
+        "verify": lambda pcm: lrc.verify_distance_at_least(pcm, 5),
         "witness": lrc.min_distance_witness,
         "params": lambda pcm: lrc.code_params_from_family(fam, 5, pcm),
         "cli --d": lambda pcm: cli.main(["distance", "--in", str(matrix), "--d", "5"]),

@@ -134,7 +134,8 @@ def test_chain_matches_the_overlap_kernels(case):
     ],
 )
 def test_phi_numerator_matches_the_fraction_sum(parts, pivot, t):
-    # _phi_over is Phi's numerator over the product of every set's weight
+    # _phi_over gives Phi's numerator over the product of every set's
+    # weight, as a function of the pivot set's part
     q, size = 10, 4
     denom = prod(_weight(q, size, len(f)) for f in parts)
     others = [k for k in range(len(parts)) if k != pivot]
@@ -143,7 +144,29 @@ def test_phi_numerator_matches_the_fraction_sum(parts, pivot, t):
         for s in range(2, t + 1)
         for rest in itertools.combinations(others, s - 1)
     )
-    assert Fraction(derand._phi_over(q, size, t, list(parts), pivot), denom) == expected
+    phi = derand._phi_over(q, size, t, list(parts), pivot)
+    assert Fraction(phi(parts[pivot]), denom) == expected
+
+
+def test_each_tracked_set_reads_the_other_sets_once(monkeypatch):
+    # one estimator per tracked set, and a step's Phi before is the previous
+    # step's minimum: (64, 2, 3) tracks 4 sets, so 4 set-ups and 204
+    # collection numerators, where a set-up per candidate took 42 and 252
+    calls = {"phi": [], "numerators": 0}
+    phi_over, numerator = derand._phi_over, derand._collection_numerator
+
+    def counting_phi(q, size, t, parts, pivot):
+        calls["phi"].append(pivot)
+        return phi_over(q, size, t, parts, pivot)
+
+    def counting_numerator(q, size, fixed):
+        calls["numerators"] += 1
+        return numerator(q, size, fixed)
+
+    monkeypatch.setattr(derand, "_phi_over", counting_phi)
+    monkeypatch.setattr(derand, "_collection_numerator", counting_numerator)
+    derandomized_family(64, 2, 3)
+    assert calls == {"phi": [0, 1, 2, 3], "numerators": 204}
 
 
 def test_derandomized_family_frozen_output():

@@ -77,10 +77,8 @@ def test_distance_verification_reference_codes(singleton_code, odd_q_d6_code, ad
         (odd_q_d6_code, 6, (0, 1, 2, 3, 4, 5)),
         (adjusted_code, 5, (0, 1, 2, 9, 11)),
     ):
-        # the matrix as read from its rows alone answers alike, its default
-        # design distance read back from the rows
+        # the matrix as read from its rows alone answers alike
         for h in (pcm, ParityCheckMatrix(pcm.rows, GF(fam.q))):
-            assert verify_distance_at_least(h) is None
             assert verify_distance_at_least(h, dist) is None
             assert exact_min_distance(h) == dist
             assert min_distance_witness(h) == witness
@@ -297,12 +295,12 @@ def test_one_matrix_builds_its_scan_tables_once():
     pcm = build_parity_check(fam, 5)
     with mock.patch.object(linalg, "_block_differences", wraps=linalg._block_differences) as diffs, \
             mock.patch.object(linalg, "_reachable", wraps=linalg._reachable) as reach:
-        assert verify_distance_at_least(pcm) is None
+        assert verify_distance_at_least(pcm, 5) is None
         assert (diffs.call_count, reach.call_count) == (1, 0)
         assert min_distance_witness(pcm) == (0, 1, 2, 3, 4)
         assert (diffs.call_count, reach.call_count) == (1, 1)
         code_params_from_family(fam, 5, pcm)
-        assert verify_distance_at_least(pcm) is None
+        assert verify_distance_at_least(pcm, 5) is None
         assert (diffs.call_count, reach.call_count) == (1, 1)
         assert exact_min_distance(pcm) == 5
         assert (diffs.call_count, reach.call_count) == (1, 2)
@@ -320,7 +318,7 @@ def test_the_verdict_at_the_design_distance_takes_no_walk_and_no_field_product()
         pcm = build_parity_check(fam, d)
         with mock.patch.object(linalg, "_leaves", wraps=linalg._leaves) as leaves, \
                 mock.patch.object(pcm.field, "dot_array", wraps=pcm.field.dot_array) as dot:
-            assert verify_distance_at_least(pcm) == want
+            assert verify_distance_at_least(pcm, d) == want
         assert (leaves.call_count, dot.call_count) == (0, 0)
 
 
@@ -330,7 +328,7 @@ def test_the_rank_never_reads_the_values():
     pcm = build_parity_check(fam, 5)
     code_params_from_family(fam, 5, pcm)
     assert "_state" in vars(pcm) and "values" not in vars(pcm._state)
-    assert verify_distance_at_least(pcm) is None
+    assert verify_distance_at_least(pcm, 5) is None
     assert pcm._state.values == list(pcm.rows[fam.m])
 
 
@@ -352,13 +350,13 @@ def test_a_new_or_replaced_matrix_inherits_no_scan_state():
     # two sets sharing two elements: four columns are dependent
     shared = build_parity_check(SetFamily(13, 4, 2, ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (1, 5, 9, 10, 11))), 5)
     pcm = build_parity_check(fam, 5)
-    assert verify_distance_at_least(pcm) is None
+    assert verify_distance_at_least(pcm, 5) is None
     for other, want in ((dataclasses.replace(pcm, rows=shared.rows), (0, 1, 5, 6)),
                         (build_parity_check(fam, 5), None)):
         assert not {"_state", "_rank"} & set(vars(other))
-        assert verify_distance_at_least(other) == want
+        assert verify_distance_at_least(other, 5) == want
         assert other._state is not pcm._state
-    assert verify_distance_at_least(pcm) is None
+    assert verify_distance_at_least(pcm, 5) is None
 
 
 def _scan_outcome(fn, *args, **kwargs):
