@@ -233,16 +233,16 @@ def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) ->
 
 class _ScanState:
     """The block structure of one matrix, built once from its rows: its
-    layout and block differences, which rank reads too, and for the scan the
-    columns as one (n, rows) array and their `values`, both made on first
-    use."""
+    layout, the rows below the block rows (`below`, the only ones converted
+    to an array) and their block differences, which rank reads too, and the
+    scan's columns, which write the block rows from the layout, and `values`."""
 
     def __init__(self, field: GF, rows: Matrix):
         self.field, self.rows = field, rows
         self.blocks, self.width = _block_layout(rows)
         n = np.shape(rows[:1])[-1]  # the column count, read from one row at most
-        below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n).T
-        self.diffs = _block_differences(field, below, self.blocks, self.width)
+        self.below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n)
+        self.diffs = _block_differences(field, self.below.T, self.blocks, self.width)
         self.least = _groups(n, self.blocks)[2]
 
     def check(self, field: GF, data, own) -> None:
@@ -253,15 +253,16 @@ class _ScanState:
 
     @cached_property
     def columns(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(len(self.rows), len(self.diffs)).T
+        indicators = np.arange(self.below.shape[1]) // self.width == np.arange(self.blocks)[:, None]
+        return np.vstack([indicators, self.below]).T
 
     @cached_property
     def values(self) -> Optional[list[int]]:
         # row m when the p >= 1 rows below m >= 1 block rows are its powers
-        # 1..p, else None; read by the scan alone, so no rank pays for it
-        below = self.columns[:, self.blocks :].T
-        if not self.blocks or not len(below) or not all(
-                np.array_equal(self.field.pow_array(below[0], e + 1), below[e]) for e in range(1, len(below))):
+        # 1..p (each row is the one above it times row m), else None; read by
+        # the scan alone, so no rank pays for it
+        below = self.below
+        if not self.blocks or not len(below) or not np.array_equal(self.field.mul_array(below[:-1], below[0]), below[1:]):
             return None
         return below[0].tolist()
 
@@ -372,7 +373,7 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
     """Walk the tree of prefixes of the supports of size w = ends.shape[1]
     once and yield its leaves in lexicographic order, in batches, as (picks,
     dependent): one sorted support per row and whether its columns are
-    dependent.  The walk stops after the first batch with a dependent leaf.
+    dependent.  The caller stops at the first batch with a dependent leaf.
 
     A node is a prefix of picks and whether its last pick's group is free,
     owing no more picks; its children (_children) are the later columns
@@ -418,8 +419,6 @@ def _leaves(field: GF, diffs: np.ndarray, ends: np.ndarray, width: int, least: i
             # a leaf never opens a block, so each one's vector is tested
             dep = np.einsum("ij->i", u) == 0
             yield picks, dep
-            if dep.any():
-                return
             size = min(2 * size, _CHUNK)
         elif len(y):
             # N's rows are nonzero exactly above row nrows - dim, dim the rank

@@ -18,7 +18,8 @@ sufficient, so the two verdicts stay independent.
 A `ParityCheckMatrix` is its rows over a field and nothing more: its
 length and block count are read from the rows, so a matrix read from a
 file asks the same distance questions as a built one.
-It keeps its rank and its scan state (`linalg._ScanState`) per matrix,
+It keeps its rank and its scan state (`linalg._ScanState`, which reads H's
+entries once and writes the block rows from their layout) per matrix,
 built on first use.  `verify_distance_at_least` and `min_distance_witness`
 both run `linalg.smallest_dependent_subset` on that state.  The state holds
 only H's structure and the budget counts every size from 1, so a call's

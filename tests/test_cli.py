@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lrckit
-from lrckit import cli
+from lrckit import cli, lrc
 from lrckit.cli import main
 from lrckit.formats import read_family, read_matrix, read_word, write_word
 from lrckit.rng import SplitMix64
@@ -223,6 +223,41 @@ def test_a_d_the_command_cannot_honour_is_a_usage_error(tmp_path, fam_file, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["erase", "--in", "{w}", "--positions", "1,,2"], "bad --positions list: invalid literal for int() with base 10: ''"),
+    (["erase", "--in", "{w}", "--count", "9"], "--count must lie in [0, 4]"),
+    (["encode", "--matrix", "{h}", "--in", "{w}"], "message file contains erasures"),
+    (["repair", "--matrix", "{plain}", "--in", "{w}"], "cannot infer locality from the matrix; pass --r"),
+], ids=["erase-positions", "erase-count", "encode-erasure", "repair-no-blocks"])
+def test_word_commands_refuse_input_they_cannot_take(tmp_path, capsys, argv, error):
+    # a 4-symbol word with one erasure, the 2 x 4 code it belongs to, and a
+    # matrix with no block rows
+    files = {"w": "4 13\n1 ? 3 4\n", "h": "2 4 13\n1 1 1 1\n1 2 3 4\n", "plain": "1 4 13\n1 2 3 4\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    out = tmp_path / "out.txt"
+    assert main([a.format(**{k: tmp_path / f"{k}.txt" for k in files}) for a in argv] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert not out.exists()
+
+
+def test_verify_full_fails_on_a_witness_below_d_and_names_a_code_that_is_not_optimal(fam_file, capsys, monkeypatch):
+    # the checks behind "no command returns exit 0 with a wrong answer": a
+    # distance below d fails verify, and a verdict of NOT OPTIMAL is printed
+    argv = ["verify", "--in", str(fam_file), "--full", "--d", "5"]
+    with monkeypatch.context() as patch:
+        patch.setattr(lrc, "min_distance_witness", lambda pcm, budget: (0, 1, 5, 6))
+        assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "minimum distance: 4\n" in out and out.endswith("distance check: FAIL  dependent columns [0, 1, 5, 6]\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(lrc, "optimality_check", lambda params, actual: lrc.OptimalityVerdict(lrc.OptimalityKind.NOT_OPTIMAL, 6))
+        assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("optimality: NOT OPTIMAL (d = 5, applicable bound 6)\n")
 
 
 def test_encode_erase_repair_cycle(tmp_path, code_files, capsys):

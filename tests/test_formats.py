@@ -90,6 +90,14 @@ def test_word_reader_rejects_bad_symbols(tmp_path):
         read_word(path)
 
 
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], []]])
+def test_matrix_writer_refuses_a_ragged_matrix(tmp_path, rows):
+    path = tmp_path / "H.txt"
+    with pytest.raises(FormatError, match="ragged matrix"):
+        write_matrix(path, rows, 13)
+    assert not path.exists()
+
+
 def test_detect_block_locality(singleton_code):
     _, pcm, params = singleton_code
     assert detect_block_locality(pcm.rows) == params.r

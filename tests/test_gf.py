@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, factorint, nextprime, primefactors
 
+from lrckit import codec
 from lrckit.gf import GF, MAX_ORDER, lowest_irreducible, prime_power
 from lrckit.lrc import ParityCheckMatrix
 from lrckit.rng import SplitMix64
@@ -171,6 +172,22 @@ def test_elements_and_validate():
         f.validate(9)
     with pytest.raises(ValueError):
         f.validate(-1)
+
+
+@pytest.mark.parametrize("q", [13, 16])
+@pytest.mark.parametrize("call", [
+    lambda f, q: f.array([0, q]),
+    lambda f, q: f.array([[1, 2], [-1, 0]]),
+    lambda f, q: f.array([0.5, 1]),
+    lambda f, q: codec.encode(f, [[1, 2]], [q]),
+    lambda f, q: codec.encode(f, [[1, q]], [1]),
+    lambda f, q: codec.syndrome(f, [[1, 2]], [0, q]),
+    lambda f, q: codec.syndrome(f, [[1, -1]], [0, 1]),
+], ids=["array-q", "array-negative", "array-float", "encode-message", "encode-generator",
+        "syndrome-word", "syndrome-matrix"])
+def test_entries_that_are_no_canonical_element_are_refused(q, call):
+    with pytest.raises(ValueError, match=rf"array entries are not canonical elements of GF\({q}\)"):
+        call(GF(q), q)
 
 
 def test_fields_are_equal_by_order():

@@ -476,6 +476,21 @@ def test_a_two_edge_cycle_and_a_duplicated_block(x, witness):
     _assert_the_scan_matches_the_walk_and_the_oracles(f, rows, True)
 
 
+@pytest.mark.parametrize("call,want", [
+    (lambda f: linalg.solve(f, [[1, 2], [3, 4]], [1]), "right-hand side length does not match row count"),
+    (lambda f: linalg.solve(f, [], [1]), "right-hand side length does not match row count"),
+    (lambda f: linalg.rref(f, []), ([], [])),
+    (lambda f: linalg.nullspace_basis(f, []), []),
+    (lambda f: linalg.detect_block_locality([]), None),
+], ids=["solve-long", "solve-no-rows", "rref", "nullspace", "block-locality"])
+def test_a_mismatched_right_hand_side_is_refused_and_no_rows_give_empty_answers(call, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            call(GF(13))
+    else:
+        assert call(GF(13)) == want
+
+
 def test_wide_subsets_short_circuit():
     # any nrows+1 columns are dependent by counting
     f = GF(7)
@@ -565,6 +580,27 @@ def test_a_scan_state_answers_only_for_the_matrix_it_was_built_from(singleton_co
             linalg.rank(field, rows, state)
     assert linalg.smallest_dependent_subset(pcm.field, state.columns, 5, state=state) == (0, 1, 2, 3, 4)
     assert linalg.rank(pcm.field, pcm.rows, state) == linalg.rank(pcm.field, pcm.rows) == len(pcm.rows)
+
+
+def test_the_scan_state_converts_the_rows_below_the_blocks_once_and_checks_their_powers_by_products():
+    # a built H, the same H with no block rows, and block rows over power
+    # rows with the square left out, so that a row is no power of the one
+    # above it: the state converts only the rows below the block rows, once,
+    # its columns write the block rows from the layout and read nothing more
+    # of H, and its power check multiplies each kept row by row m, with no
+    # exponentiation
+    built = build_parity_check(SetFamily(13, 4, 2, SINGLETON_FAMILY), 6)
+    f, m, n = built.field, 3, built.n
+    for rows, values in ((built.rows, list(built.rows[m])), (built.rows[m:], None),
+                         (built.rows[: m + 1] + built.rows[m + 2 :], None)):
+        with mock.patch.object(f, "array", wraps=f.array) as array, \
+                mock.patch.object(f, "pow_array", wraps=f.pow_array) as power:
+            state = linalg._ScanState(f, rows)
+            state.rows = None  # the columns and values read only what the state kept
+            columns, got = state.columns, state.values
+        assert sum(np.size(c.args[0]) for c in array.call_args_list) == (len(rows) - state.blocks) * n
+        assert power.call_count == 0
+        assert columns.dtype == np.int64 and np.array_equal(columns, np.array(rows).T) and got == values
 
 
 def test_a_scanned_matrix_stays_equal_to_an_unscanned_one():

@@ -177,6 +177,21 @@ def test_code_params_dimension_gate():
     assert (p.n, p.k) == (5, 1)
 
 
+@pytest.mark.parametrize("change,error", [
+    ({"d": 4}, "d must be at least 5"),
+    ({"t": 1}, "t must be at least 2"),
+    ({"n": 11}, "block length must be a multiple of r"),
+    ({"k": 0}, "dimension k must satisfy"),
+    ({"k": 10}, "dimension k must satisfy"),
+    ({"k": 11}, "dimension k must satisfy"),
+])
+def test_code_params_refuse_parameters_no_code_of_the_construction_has(change, error):
+    fields = dict(q=13, n=10, k=5, d=5, r=4, m=2, t=2)
+    CodeParams(**fields)
+    with pytest.raises(ValueError, match=error):
+        CodeParams(**{**fields, **change})
+
+
 def test_code_params_rejects_failing_family():
     bad = SetFamily(13, 4, 2, ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)))
     with pytest.raises(ValueError):

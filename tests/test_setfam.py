@@ -366,6 +366,28 @@ def test_equivalence_check_fuzz(data):
 # ------------------------------------------------------- size formulas
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: target_family_size(997, 0, 3), "need r >= 1 and q >= 2"),
+    (lambda: target_family_size(1, 5, 3), "need r >= 1 and q >= 2"),
+    (lambda: family_size_upper_bound(997, 5, 1), "need t >= 2"),
+    (lambda: family_size_upper_bound(997, 0, 3), "need r >= 1 and q >= 2"),
+    (lambda: family_size_upper_bound(1, 5, 3), "need r >= 1 and q >= 2"),
+    (lambda: random_family(13, 2, 3, 1, target_m=0), "target family size must be positive"),
+    (lambda: greedy_family(13, 2, 1, 64, 1), "need t >= 2"),
+    (lambda: greedy_family(4, 4, 2, 64, 1), r"set size r\+1 cannot exceed q"),
+    (lambda: find_berge_cycle(SetFamily(13, 2, 2, ((0, 1, 2), (1, 2, 3))), 1), None),
+], ids=["target-r", "target-q", "bound-t", "bound-r", "bound-q", "random-m", "greedy-t", "greedy-r",
+        "berge-length-1"])
+def test_generators_and_bounds_refuse_arguments_out_of_range(call, error):
+    # a Berge cycle has at least two edges, so none is shorter than 2 even
+    # in a family with a 2-cycle
+    if error is None:
+        assert call() is None
+    else:
+        with pytest.raises(ValueError, match=error):
+            call()
+
+
 def test_target_family_size_frozen_values():
     assert target_family_size(997, 5, 3) == 9
     assert target_family_size(4999, 5, 3) == 91
