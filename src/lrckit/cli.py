@@ -280,7 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="desired code length; must be a multiple of r+1")
     p.add_argument("--method", choices=["random", "greedy", "derandomized"], default="random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="candidate draws for the greedy method")
+    p.add_argument("--budget", type=int, default=None,
+                   help="most candidate draws for the greedy method (default 4096); "
+                   "drawing stops early once no set can be admitted")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_family)
 

@@ -26,6 +26,13 @@ its closed neighbourhood as a bitmask over labels given in order of first
 acceptance; `find_berge_cycle` asks each set in turn, and only for the
 first that fails does `_closing_edge` trace the path breadth-first.
 
+`greedy_family` stops once no r+1 values lie pairwise at distance >= t.
+Values in no accepted set are far from all; the labelled ones must hold a
+clique of the rest, two joined when neither is in the other's ball of
+radius t - 1.  The search runs when the refusals since the last admission
+equal the draws up to it and when that streak doubles, and visits at most
+as many nodes as draws so far, so it at most doubles the walk's work.
+
 `remove_violations` is the one violation-removal step, shared by the
 randomized and derandomized constructions: it drops the lowest-index set of
 each reported minimal violation not already broken.  Its result always
@@ -217,7 +224,50 @@ def _joins(label: dict[int, int], near: list[int], values: Sequence[int], t: int
     return False
 
 
-def _admitted(candidates: Iterable[tuple[int, ...]], t: int) -> Iterator[tuple[int, ...]]:
+def _maximal(near: list[int], q: int, k: int, t: int, budget: int) -> Optional[bool]:
+    """Whether no k of the values [0, q) lie pairwise at distance >= t in the
+    graph of closed neighbourhoods `near` over its labelled values, the rest
+    having none; None once the clique search (see the module docstring)
+    visits more than `budget` nodes.  Balls grow as in `_joins`, on a visit.
+    """
+    if q - len(near) >= k:
+        return False
+    far: dict[int, int] = {}  # a visited value's bit -> the complement of its ball
+    nodes = 0
+
+    def lacks(cands: int, size: int) -> Optional[bool]:
+        # whether `cands` holds no clique of `size`, taking its least member first
+        nonlocal nodes
+        if size == 0:
+            return False
+        while cands.bit_count() >= size:
+            nodes += 1
+            if nodes > budget:
+                return None
+            low = cands & -cands
+            cands ^= low
+            if low not in far:
+                ball = frontier = low
+                for _ in range(t - 1):
+                    grown = 0
+                    while frontier:
+                        bit = frontier & -frontier
+                        grown |= near[bit.bit_length() - 1]
+                        frontier ^= bit
+                    frontier = grown & ~ball
+                    ball |= grown
+                far[low] = ~ball
+            verdict = lacks(cands & far[low], size - 1)
+            if verdict is not True:
+                return verdict
+        return True
+
+    return lacks((1 << len(near)) - 1, k - q + len(near))
+
+
+def _admitted(
+    candidates: Iterable[tuple[int, ...]], t: int, q: Optional[int] = None
+) -> Iterator[tuple[int, ...]]:
     """The candidates, in order, no two of whose values a path of length
     <= t - 1 joins in the 2-section graph of those admitted before; t >= 2.
 
@@ -225,17 +275,29 @@ def _admitted(candidates: Iterable[tuple[int, ...]], t: int) -> Iterator[tuple[i
     neighbourhood as a mask over labels, given in order of first admission;
     a value without a label has no neighbour, so it is skipped.  One AND per
     value answers distance <= 2, all of t = 3, before `_joins` grows balls.
+    Given q, the walk ends once `_maximal` proves that no subset of [0, q)
+    could be admitted: the graph changes only on an admission.
     """
+    last = check = 0  # the count at the last admission; the count to check at
     if t == 2:
         pairs: set[tuple[int, int]] = set()
-        for c in candidates:
+        for n, c in enumerate(candidates, 1):
             if pairs.isdisjoint(combinations(c, 2)):
                 pairs.update(combinations(c, 2))
+                last, check = n, 2 * n
                 yield c
+            elif n == check and q is not None:
+                label = {v: i for i, v in enumerate({v for pair in pairs for v in pair})}
+                near = [1 << i for i in range(len(label))]
+                for a, b in (*pairs, *((b, a) for a, b in pairs)):
+                    near[label[a]] |= 1 << label[b]
+                if _maximal(near, q, len(c), t, n):
+                    return
+                check += check - last
         return
     label: dict[int, int] = {}
     near: list[int] = []
-    for c in candidates:
+    for n, c in enumerate(candidates, 1):
         seen = 0
         for v in c:
             i = label.get(v)
@@ -244,16 +306,21 @@ def _admitted(candidates: Iterable[tuple[int, ...]], t: int) -> Iterator[tuple[i
                     break
                 seen |= near[i]
         else:
-            if t > 3 and _joins(label, near, c, t):
+            if t == 3 or not _joins(label, near, c, t):
+                old = [label[v] for v in c if v in label]
+                fresh = [v for v in c if v not in label]  # they take the next bits
+                mask = sum(1 << i for i in old) | ((1 << len(fresh)) - 1) << len(near)
+                for i in old:
+                    near[i] |= mask
+                label.update(zip(fresh, range(len(near), len(near) + len(fresh))))
+                near += [mask] * len(fresh)
+                last, check = n, 2 * n
+                yield c
                 continue
-            old = [label[v] for v in c if v in label]
-            fresh = [v for v in c if v not in label]  # they take the next bits
-            mask = sum(1 << i for i in old) | ((1 << len(fresh)) - 1) << len(near)
-            for i in old:
-                near[i] |= mask
-            label.update(zip(fresh, range(len(near), len(near) + len(fresh))))
-            near += [mask] * len(fresh)
-            yield c
+        if n == check and q is not None:
+            if _maximal(near, q, len(c), t, n):
+                return
+            check += check - last
 
 
 def _closing_edge(adj: dict[int, dict[int, int]], values: Sequence[int], t: int) -> list[int]:
@@ -482,22 +549,13 @@ def greedy_family(
     A candidate is accepted iff every collection of size <= t that includes
     it still covers enough values; collections not involving the candidate
     were verified when their own newest member arrived, so the output always
-    passes full verification.  Stops after `candidate_budget` draws or once
-    `target_m` sets (when given) are accepted.  May return fewer sets than
-    the target; the family can even be empty for tiny budgets.  A target
-    below 1 or a negative budget is a ValueError.
+    passes full verification.  Stops after `candidate_budget` draws, once
+    `target_m` sets (when given) are accepted, or once no set can be
+    admitted.  May return fewer sets than the target; the family can even be
+    empty for tiny budgets.  A target below 1 or a negative budget is a
+    ValueError.
 
-    The test is a distance query in the 2-section graph of the accepted
-    sets, where two values are adjacent when an accepted set holds both: a
-    candidate is refused iff two of its values are joined by a path of
-    length <= t - 1.  Such a path, traced as `find_berge_cycle` traces it,
-    takes each step in a different set, so with the candidate it forms a
-    Berge cycle of length <= t; conversely a failing collection with the
-    candidate holds such a cycle through it.  A pair set settles t = 2.
-    Otherwise `_admitted` gives each value a bit when an accepted set first
-    holds it and keeps its closed neighbourhood as a bitmask: at t = 3 a
-    candidate costs one AND per value against the union of the earlier
-    values' masks, and for t >= 4 balls grow by ORing their members' masks.
+    `_admitted` asks each draw the distance question of the module docstring.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -508,7 +566,7 @@ def greedy_family(
     if candidate_budget < 0:
         raise ValueError("candidate budget must be non-negative")
     draws = _draws(SplitMix64(seed), q, r + 1, candidate_budget)
-    return SetFamily(q, r, t, tuple(islice(_admitted(draws, t), target_m)))
+    return SetFamily(q, r, t, tuple(islice(_admitted(draws, t, q), target_m)))
 
 
 def packing_ceiling(q: int, r: int) -> int:
