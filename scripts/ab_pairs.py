@@ -15,7 +15,9 @@ are read from the parent's `BENCHMARK.json`.
 The summary gives, per end-to-end metric, each side's median, the parent's
 quartiles, the pairs the change won (ties count for neither side), and
 whether the change's median is worse than the parent's by more than the
-metric's bound.  Failed units and runs that gave no result are listed.
+metric's bound.  Each side's median units attempted per run follows, since
+`peak_rss_mb` grows with the units a run completes; then failed units and
+runs that gave no result are listed.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
             f"; gain {'met' if gain else 'not met'}"
             f"; {'WORSE than' if over else 'within'} the {m['bound']:.0%} bound"
         )
+    per_run = {side: [p[side]["attempted"] for p in pairs if p[side]] for side in SIDES}
+    out.append("units attempted per run (median): " + ", ".join(
+        f"{side} {statistics.median(n):.6g}" if n else f"{side} no result" for side, n in per_run.items()))
     for side in SIDES:
         runs = [p[side] for p in pairs]
         missing = [p["seed"] for p in pairs if p[side] is None]

@@ -226,9 +226,9 @@ def _joins(label: dict[int, int], near: list[int], values: Sequence[int], t: int
 
 def _maximal(near: list[int], q: int, k: int, t: int, budget: int) -> Optional[bool]:
     """Whether no k of the values [0, q) lie pairwise at distance >= t in the
-    graph of closed neighbourhoods `near` over its labelled values, the rest
-    having none; None once the clique search (see the module docstring)
-    visits more than `budget` nodes.  Balls grow as in `_joins`, on a visit.
+    graph of closed neighbourhoods `near` over its labelled values, the others
+    having no neighbour; None once the clique search (see the module
+    docstring) visits more than `budget` nodes.  Balls grow as in `_joins`.
     """
     if q - len(near) >= k:
         return False

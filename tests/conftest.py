@@ -388,15 +388,11 @@ def reference_violations(family: SetFamily) -> list[Violation]:
     return found
 
 
-def reference_greedy(
-    q: int, r: int, t: int, candidate_budget: int, seed: int, target_m: Optional[int] = None
-) -> SetFamily:
-    """greedy_family with admissibility decided against every combination
-    of up to t-1 accepted sets, from the same draws: a depth-first walk over
-    the accepted sets in index order, from the candidate alone, that drops a
+def reference_admits(accepted: Sequence[frozenset[int]], cand: frozenset[int], r: int, t: int) -> bool:
+    """Whether every collection of `cand` with up to t - 1 of the `accepted`
+    sets covers more than r values per set: a depth-first walk over the
+    accepted sets in index order, from the candidate alone, that drops a
     branch once its union exceeds r * t."""
-    rng = ReferenceSplitMix64(seed)
-    accepted: list[frozenset[int]] = []
 
     def fails(start: int, size: int, union: frozenset[int]) -> bool:
         # the `size` sets walked so far, whose union is `union`, extend by
@@ -410,9 +406,19 @@ def reference_greedy(
                 return True
         return False
 
+    return not fails(0, 1, cand)
+
+
+def reference_greedy(
+    q: int, r: int, t: int, candidate_budget: int, seed: int, target_m: Optional[int] = None
+) -> SetFamily:
+    """greedy_family with admissibility decided against every combination
+    of up to t-1 accepted sets (`reference_admits`), from the same draws."""
+    rng = ReferenceSplitMix64(seed)
+    accepted: list[frozenset[int]] = []
     for _ in range(candidate_budget):
         cand = frozenset(rng.subset(q, r + 1))
-        if not fails(0, 1, cand):
+        if reference_admits(accepted, cand, r, t):
             accepted.append(cand)
             if target_m is not None and len(accepted) >= target_m:
                 break

@@ -72,3 +72,21 @@ def test_ab_pairs_summary_of_canned_results():
     assert lines[-2:] == ["parent: 0 of 500 units failed; no result for seeds [16]", "change: 1 of 600 units failed"]
     # without the tie the change wins every pair, by more than the parent's spread
     assert "change won 4/4; gain met" in ab["summarize"](pairs[:4], bench)[2]
+
+
+def test_ab_pairs_reports_the_median_units_per_run_before_the_failed_units():
+    ab = runpy.run_path(str(SCRIPTS / "ab_pairs.py"))
+    bench = [{"name": "op_ms_tail", "better": "lower", "bound": 0.25}]
+
+    def result(attempted):
+        res = ab["result_of"](_result_line(0, 0.03, 20.0, 36.0))
+        return {**res, "attempted": attempted}
+
+    pairs = [{"seed": 1, "parent": result(2100), "change": result(3800)},
+             {"seed": 2, "parent": result(2150), "change": None},
+             {"seed": 3, "parent": result(2122), "change": result(3827)}]
+    lines = ab["summarize"](pairs, bench)
+    assert lines[-3] == "units attempted per run (median): parent 2122, change 3813.5"
+    assert lines[-2:] == ["parent: 0 of 6372 units failed", "change: 0 of 7627 units failed; no result for seeds [2]"]
+    none = ab["summarize"]([{"seed": 1, "parent": None, "change": result(10)}], bench)
+    assert none[-3] == "units attempted per run (median): parent no result, change 10"

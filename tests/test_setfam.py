@@ -28,6 +28,7 @@ from lrckit.setfam import (
 
 from conftest import (
     berge_cycle_exists,
+    reference_admits,
     reference_bfs_greedy,
     reference_greedy,
     reference_violations,
@@ -295,6 +296,143 @@ def test_is_berge_cycle_rejects_bad_witnesses():
     chain = SetFamily(13, 2, 3, ((0, 1, 2), (2, 3, 4), (4, 5, 6)))
     assert not is_berge_cycle(chain, BergeCycle((2, 4), (0, 1)))
     assert is_berge_cycle(fam, BergeCycle((1, 2), (0, 1)))
+
+
+# ------------------------------------------------------ greedy early stop
+
+
+def _masks(fam: SetFamily) -> list[int]:
+    # closed neighbourhoods in the 2-section graph, over the family's values in sorted order
+    label = {v: i for i, v in enumerate(sorted({v for s in fam.sets for v in s}))}
+    near = [1 << i for i in range(len(label))]
+    for s in fam.sets:
+        for a, b in itertools.permutations(s, 2):
+            near[label[a]] |= 1 << label[b]
+    return near
+
+
+def _some_set_admissible(fam: SetFamily) -> bool:
+    accepted = [frozenset(s) for s in fam.sets]
+    return any(
+        reference_admits(accepted, frozenset(c), fam.r, fam.t)
+        for c in itertools.combinations(range(fam.q), fam.r + 1)
+    )
+
+
+@st.composite
+def small_greedy_families(draw):
+    r = draw(st.integers(1, 4))
+    q = draw(st.integers(r + 1, 12))
+    t = draw(st.integers(2, 5))
+    budget = draw(st.integers(0, 64) | st.just(4096))
+    target_m = draw(st.none() | st.integers(1, 6))
+    return greedy_family(q, r, t, budget, draw(st.integers(0, 2**32)), target_m=target_m)
+
+
+@given(fam=small_greedy_families())
+@settings(max_examples=200, deadline=None)
+def test_the_maximality_check_matches_brute_force(fam):
+    near, k = _masks(fam), fam.r + 1
+    verdict = setfam._maximal(near, fam.q, k, fam.t, 10**9)
+    assert verdict is (not _some_set_admissible(fam))
+    # with no nodes to visit the search settles only the free-value case
+    assert setfam._maximal(near, fam.q, k, fam.t, 0) is (False if fam.q - len(near) >= k else None)
+
+
+def test_the_maximality_check_on_its_boundary_cases():
+    # nine free values hold a 3-set, so no node is visited
+    fam = SetFamily(12, 2, 3, ((0, 1, 2),))
+    assert setfam._maximal(_masks(fam), 12, 3, 3, 0) is False and _some_set_admissible(fam)
+    # three labelled values with no neighbour and two free ones: a 5-set must
+    # use every labelled value, and joining two of them leaves none
+    assert setfam._maximal([0b001, 0b010, 0b100], 5, 5, 2, 10) is False
+    assert setfam._maximal([0b101, 0b010, 0b101], 5, 5, 2, 10) is True
+    # a maximal family needs a search to prove it; a budget of 0 never does
+    full = greedy_family(13, 4, 2, 4096, 1)
+    assert not _some_set_admissible(full)
+    assert setfam._maximal(_masks(full), 13, 5, 2, 10**6) is True
+    assert setfam._maximal(_masks(full), 13, 5, 2, 0) is None
+
+
+def test_greedy_stops_drawing_once_no_set_can_be_admitted(monkeypatch):
+    rows = []
+    subsets = SplitMix64.subsets
+
+    def counting(self, q, k, count):
+        batch = subsets(self, q, k, count)
+        rows.append(len(batch))
+        return batch
+
+    monkeypatch.setattr(SplitMix64, "subsets", counting)
+    for seed in (1, 2, 3):
+        rows.clear()
+        fam = greedy_family(13, 4, 2, 4096, seed)
+        assert sum(rows) <= 80  # the whole budget of 4096 without the check
+        assert fam.sets == reference_greedy(13, 4, 2, 4096, seed).sets
+    # construct's shape never becomes maximal, so it still draws its budget
+    for seed in (1, 2, 3):
+        rows.clear()
+        greedy_family(101, 5, 3, 4096, seed)
+        assert sum(rows) == 4096
+
+
+# the check proves the family maximal on the first three shapes, gives up
+# before it does on the last two, and never runs on (64, 2, 3), (101, 1, 2)
+# and (500, 2, 2), whose families stay far from maximal
+_CHECKED_SHAPES = [
+    (13, 4, 2, 4096), (11, 5, 2, 512), (17, 3, 3, 4096), (27, 3, 2, 4096), (64, 2, 3, 4096),
+    (101, 1, 2, 4096), (500, 2, 2, 4096), (15, 5, 3, 4096), (19, 5, 2, 4096),
+]
+
+
+@pytest.mark.parametrize("q,r,t,budget", _CHECKED_SHAPES)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("target_m", [None, 2])
+def test_greedy_with_its_check_matches_the_breadth_first_search(q, r, t, budget, seed, target_m):
+    fam = greedy_family(q, r, t, budget, seed, target_m=target_m)
+    assert fam.sets == reference_bfs_greedy(q, r, t, budget, seed, target_m=target_m).sets
+
+
+def test_the_check_fires_gives_up_or_never_runs(monkeypatch):
+    verdicts = []
+    maximal = setfam._maximal
+
+    def spy(*args):
+        verdicts.append(maximal(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(setfam, "_maximal", spy)
+
+    def run(*args):
+        verdicts.clear()
+        greedy_family(*args)
+        return list(verdicts)
+
+    assert run(13, 4, 2, 4096, 1) == [False] * 4 + [True]
+    assert run(15, 5, 3, 4096, 1) == [False, None, None, True]
+    assert run(19, 5, 2, 4096, 3)[-5:] == [None] * 4 + [True]
+    assert run(64, 2, 3, 4096, 1) == run(500, 2, 2, 4096, 1) == []
+
+
+def test_find_berge_cycle_runs_no_check(monkeypatch):
+    # 3 sets of a maximal family, then 40 copies of the first: every copy is
+    # refused, past the refusal streak at which greedy_family would check
+    fam = greedy_family(13, 4, 2, 4096, 1)
+    family = SetFamily(13, 4, 2, fam.sets + fam.sets[:1] * 40)
+    calls = []
+    admitted = setfam._admitted
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return admitted(*args, **kwargs)
+
+    def check(*args):
+        raise AssertionError("find_berge_cycle ran the maximality check")
+
+    monkeypatch.setattr(setfam, "_admitted", spy)
+    monkeypatch.setattr(setfam, "_maximal", check)
+    assert find_berge_cycle(family, 2) is not None and find_berge_cycle(fam, 2) is None
+    assert [(len(args), kwargs) for args, kwargs in calls] == [(2, {}), (2, {})]
 
 
 @given(fam=small_families(max_sets=7, max_r=3, max_t=5))
