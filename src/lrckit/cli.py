@@ -107,7 +107,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
     pcm = lrc.build_parity_check(family, d)
-    params = lrc.code_params_from_family(family, d, pcm)
+    params = lrc.code_params_from_family(family, d)
     witness = lrc.min_distance_witness(pcm, budget=args.budget)
     actual = len(witness)
     print(f"code: n={params.n} k={params.k} over GF({params.q})")
@@ -137,7 +137,7 @@ def cmd_build_code(args: argparse.Namespace) -> int:
         print(f"family fails verification: sets ({idx}) cover too few values")
         return 1
     pcm = lrc.build_parity_check(family, args.d)
-    params = lrc.code_params_from_family(family, args.d, pcm)
+    params = lrc.code_params_from_family(family, args.d)
     formats.write_matrix(args.out, pcm.rows, family.q)
     print(f"parity-check matrix: {len(pcm.rows)} x {pcm.n} over GF({family.q})")
     print(f"code: n={params.n} k={params.k} designed d={args.d} locality r={params.r}")

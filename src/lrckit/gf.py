@@ -21,8 +21,8 @@ fields (characteristic 2 subtracts by XOR).  `GF.dot_array` is the one sum
 of products, behind the distance scan's matrix-vector products, `encode`
 and `syndrome`, and `sum_array` and `add` call it: one remainder after the
 integer sum in a prime field, and in an extension field packed products
-summed a stretch of terms at a time and folded.  `GF(q)` refuses
-q > MAX_ORDER before it factors q.
+summed a stretch of terms at a time and folded.  `check_order` is the one
+statement of the orders a field may have, for `GF(q)` and the code gate.
 """
 
 from __future__ import annotations
@@ -56,6 +56,15 @@ def prime_power(q: int) -> tuple[int, int] | None:
         x //= p
         e += 1
     return (p, e) if x == 1 else None
+
+
+def check_order(q: int) -> tuple[int, int]:
+    """(p, e) for an order GF supports; q > MAX_ORDER is refused before it is factored."""
+    if q > MAX_ORDER:
+        raise ValueError(f"q={q} exceeds the supported maximum {MAX_ORDER}")
+    if (pe := prime_power(q)) is None:
+        raise ValueError(f"q={q} is not a prime power")
+    return pe
 
 
 def _mod(x, m: int):
@@ -142,13 +151,8 @@ class GF:
     """
 
     def __init__(self, q: int):
-        if q > MAX_ORDER:  # before the trial division, which takes sqrt(q) steps
-            raise ValueError(f"q={q} exceeds the supported maximum {MAX_ORDER}")
-        pe = prime_power(q)
-        if pe is None:
-            raise ValueError(f"q={q} is not a prime power")
+        self.p, self.e = check_order(q)
         self.q = q
-        self.p, self.e = pe
         if self.e == 1:
             self.modulus: tuple[int, ...] | None = None
             self.exp_table: np.ndarray | None = None

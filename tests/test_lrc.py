@@ -1,13 +1,15 @@
 import dataclasses
 import itertools
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrckit import linalg
-from lrckit.gf import GF
+from lrckit import linalg, lrc
+from lrckit.derand import derandomized_family
+from lrckit.gf import GF, prime_power
 from lrckit.linalg import rank, smallest_dependent_subset
 from lrckit.lrc import (
     CodeParams,
@@ -29,6 +31,7 @@ from conftest import (
     minors_dependent,
     minors_min_distance,
     reference_block_scan,
+    reference_rref,
     reference_smallest_dependent_subset,
 )
 
@@ -239,6 +242,97 @@ def test_code_params_rejects_a_matrix_altered_in_any_entry_or_field():
         code_params_from_family(fam, 5, ParityCheckMatrix(pcm.rows, GF(16)))
 
 
+def _check_the_rank_the_gate_infers(fam, d, rref):
+    # H's rank by full elimination is m + d - 2, and a code the gate admits
+    # has k = n minus that rank
+    pcm = build_parity_check(fam, d)
+    got = len(rref(pcm.field, pcm.rows)[1])
+    assert got == fam.m + d - 2
+    try:
+        params = code_params_from_family(fam, d)
+    except ValueError as exc:
+        assert str(exc) == "family fails the coverage condition for this distance" or "need k >= 1" in str(exc)
+    else:
+        assert params.k == fam.n - got
+
+
+PROOF_QS = [q for q in range(4, 33) if prime_power(q) is not None]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_h_has_full_row_rank_whenever_r_is_at_least_d_minus_2(data):
+    # the proof in code_params_from_family's docstring, against elimination:
+    # any family with r >= d - 2, verifying or not, repeated sets included
+    d = data.draw(st.integers(5, 8))
+    q = data.draw(st.sampled_from([q for q in PROOF_QS if q >= d - 1]))
+    r = data.draw(st.integers(d - 2, min(q - 1, 9)))
+    sets = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=r + 1, max_size=r + 1, unique=True),
+                              min_size=1, max_size=4))
+    fam = SetFamily(q, r, max(2, (d - 1) // 2), tuple(tuple(s) for s in sets))
+    _check_the_rank_the_gate_infers(fam, d, reference_rref)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_family(4999, 5, 3, 1),
+    lambda: greedy_family(101, 5, 3, 4096, 1),
+    lambda: derandomized_family(397, 5, 3),
+    lambda: derandomized_family(512, 5, 3),
+], ids=["random", "greedy", "derandomized", "derandomized-gf512"])
+def test_the_construction_codes_have_the_rank_the_gate_infers(build):
+    _check_the_rank_the_gate_infers(build(), 7, linalg.rref)
+
+
+@pytest.mark.parametrize("build,d", [
+    (lambda: random_family(4999, 5, 3, 1), 7),
+    (lambda: greedy_family(101, 5, 3, 4096, 1), 7),
+    (lambda: derandomized_family(512, 5, 3), 7),
+    (lambda: SetFamily(16, 4, 2, ((0, 1, 2, 3, 4), (0, 5, 6, 7, 8))), 5),
+    (lambda: SetFamily(13, 3, 2, ((0, 1, 2, 3), (4, 5, 6, 7))), 6),
+], ids=["random", "greedy", "derandomized", "gf16", "small-locality"])
+def test_with_no_matrix_the_gate_builds_no_h_no_field_and_no_rank(build, d):
+    fam = build()
+    want = _scan_outcome(code_params_from_family, fam, d, build_parity_check(fam, d))
+    with mock.patch.object(lrc, "build_parity_check", wraps=build_parity_check) as built, \
+            mock.patch.object(lrc, "GF", wraps=GF) as field, \
+            mock.patch.object(linalg, "rank", wraps=linalg.rank) as ranked:
+        got = _scan_outcome(code_params_from_family, fam, d)
+    assert (built.call_count, field.call_count, ranked.call_count) == (0, 0, 0)
+    assert got == want
+
+
+@pytest.mark.parametrize("fam,d,message", [
+    # recorded while the gate still built H and its field for them
+    (SetFamily(6, 2, 2, ((0, 1, 2), (3, 4, 5))), 5, "q=6 is not a prime power"),
+    (SetFamily(70000, 4, 2, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))), 5,
+     "q=70000 exceeds the supported maximum 65536"),
+    (SetFamily(13, 5, 2, ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11))), 7,
+     "family checked at t=2 cannot back distance d=7"),
+    (SetFamily(13, 4, 2, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))), 4,
+     "design distance d=4 is below the supported minimum 5"),
+    # d and t are refused before the order
+    (SetFamily(6, 2, 2, ((0, 1, 2), (3, 4, 5))), 4, "design distance d=4 is below the supported minimum 5"),
+    (SetFamily(70000, 4, 2, ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))), 7,
+     "family checked at t=2 cannot back distance d=7"),
+])
+def test_the_gate_refuses_what_h_and_its_field_refuse_with_the_same_text(fam, d, message):
+    with pytest.raises(ValueError) as built:
+        build_parity_check(fam, d)
+    with mock.patch.object(lrc, "build_parity_check", side_effect=AssertionError), \
+            mock.patch.object(lrc, "GF", side_effect=AssertionError):
+        with pytest.raises(ValueError) as gated:
+            code_params_from_family(fam, d)
+    assert str(built.value) == str(gated.value) == message
+
+
+def test_each_refusal_of_an_order_or_a_design_is_written_once():
+    # H, its field and the gate raise them from one place each
+    src = "".join(p.read_text() for p in Path(lrc.__file__).parent.glob("*.py"))
+    stems = ['"q={q} is not a prime power"', '"q={q} exceeds the supported maximum {MAX_ORDER}"',
+             "cannot back distance d={d}", "is below the supported minimum 5"]
+    assert [src.count(stem) for stem in stems] == [1, 1, 1, 1]
+
+
 def test_passing_families_with_large_r_meet_singleton_bound():
     # whenever r >= d-1 the designed distance is exactly the bound
     for q, r, d, seed in ((17, 4, 5, 3), (19, 5, 6, 4), (23, 5, 5, 5)):
@@ -341,7 +435,7 @@ def test_the_rank_never_reads_the_values():
     # the rank reads the scan state, but only a scan reads its values
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
     pcm = build_parity_check(fam, 5)
-    code_params_from_family(fam, 5, pcm)
+    assert pcm._rank == 6
     assert "_state" in vars(pcm) and "values" not in vars(pcm._state)
     assert verify_distance_at_least(pcm, 5) is None
     assert pcm._state.values == list(pcm.rows[fam.m])
