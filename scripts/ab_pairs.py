@@ -15,9 +15,13 @@ are read from the parent's `BENCHMARK.json`.
 The summary gives, per end-to-end metric, each side's median, the parent's
 quartiles, the pairs the change won (ties count for neither side), and
 whether the change's median is worse than the parent's by more than the
-metric's bound.  Each side's median units attempted per run follows, since
-`peak_rss_mb` grows with the units a run completes; then failed units and
-runs that gave no result are listed.
+metric's bound.  A gain is met when the change wins nine tenths of all
+pairs run, a pair with a missing side counting as not won, and its median
+beats the parent's by more than the parent's quartile spread.  Where that
+spread is wider than the bound, the bound is unresolved unless every change
+run beats every parent run.  Each side's median units attempted per run
+follows, since `peak_rss_mb` grows with the units a run completes; then
+failed units and runs that gave no result are listed.
 """
 
 from __future__ import annotations
@@ -72,13 +76,18 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
         q1, _, q3 = statistics.quantiles(old, n=4, method="inclusive") if len(old) > 1 else (old[0],) * 3
         wins = sum((b < a) if lower else (b > a) for a, b in both)
         worse = (med_new - med_old) if lower else (med_old - med_new)
-        gain = wins * 10 >= 9 * len(both) and -worse > q3 - q1
-        over = worse > m["bound"] * abs(med_old)
+        # a pair with a missing side is run and not won
+        gain = wins * 10 >= 9 * len(pairs) and -worse > q3 - q1
+        bound = m["bound"] * abs(med_old)
+        if q3 - q1 > bound and not (max(new) < min(old) if lower else min(new) > max(old)):
+            verdict = "unresolved: the parent's quartile spread exceeds"
+        else:
+            verdict = "WORSE than" if worse > bound else "within"
+        won = f"{wins}/{len(both)}" + (f" ({wins}/{len(pairs)} of all pairs)" if len(both) < len(pairs) else "")
         out.append(
             f"{name}: parent {med_old:.6g} (quartiles {q1:.6g}-{q3:.6g}), change {med_new:.6g}"
-            f" ({(med_new / med_old - 1) if med_old else 0.0:+.1%}); change won {wins}/{len(both)}"
-            f"; gain {'met' if gain else 'not met'}"
-            f"; {'WORSE than' if over else 'within'} the {m['bound']:.0%} bound"
+            f" ({(med_new / med_old - 1) if med_old else 0.0:+.1%}); change won {won}"
+            f"; gain {'met' if gain else 'not met'}; {verdict} the {m['bound']:.0%} bound"
         )
     per_run = {side: [p[side]["attempted"] for p in pairs if p[side]] for side in SIDES}
     out.append("units attempted per run (median): " + ", ".join(

@@ -110,7 +110,7 @@ def rref(field: GF, rows: Matrix) -> tuple[list[list[int]], list[int]]:
     return work.tolist(), pivots
 
 
-def rank(field: GF, rows: Matrix, state: Optional[_ScanState] = None) -> int:
+def rank(field: GF, rows: Matrix) -> int:
     """Rank of `rows`, eliminating only what the block rows leave open.
 
     When the leading m rows B are block indicators (_block_layout) above
@@ -122,15 +122,8 @@ def rank(field: GF, rows: Matrix, state: Optional[_ScanState] = None) -> int:
     (_block_differences, the vectors the distance scan tests): zero for the
     first columns, which span nothing.  Only that (n x rows - m) matrix is
     eliminated.  With no block rows m = 0, and the matrix is P itself.
-
-    `state`, the matrix's _ScanState passed with its own field and `rows`
-    (ValueError otherwise), supplies the differences a scan of the same
-    matrix reads, so they are built once.
     """
-    if state is None:
-        state = _ScanState(field, rows)
-    else:
-        state.check(field, rows, state.rows)
+    state = _ScanState(field, rows)
     return state.blocks + len(rref(field, state.diffs[:, 0])[1])
 
 
@@ -232,24 +225,20 @@ def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) ->
 
 
 class _ScanState:
-    """The block structure of one matrix, built once from its rows: its
-    layout, the rows below the block rows (`below`, the only ones converted
-    to an array) and their block differences, which rank reads too, and the
-    scan's columns, which write the block rows from the layout, and `values`."""
+    """The block structure of one matrix, built once from its rows and
+    keeping no reference to them: its layout, the rows below the block rows
+    (`below`, the only ones converted to an array) and their block
+    differences, and the scan's columns, which write the block rows from
+    the layout, and `values`.  rank builds one of its own and reads only
+    the layout and the differences."""
 
     def __init__(self, field: GF, rows: Matrix):
-        self.field, self.rows = field, rows
+        self.field = field
         self.blocks, self.width = _block_layout(rows)
         n = np.shape(rows[:1])[-1]  # the column count, read from one row at most
         self.below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n)
         self.diffs = _block_differences(field, self.below.T, self.blocks, self.width)
         self.least = _groups(n, self.blocks)[2]
-
-    def check(self, field: GF, data, own) -> None:
-        """Refuse a call that passes this state with another field, or with
-        `data` other than `own`, the rows or columns object it was built from."""
-        if data is not own or field is not self.field:
-            raise ValueError("the scan state was built for another matrix")
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -477,8 +466,8 @@ def smallest_dependent_subset(
         raise ValueError(f"budget {budget} must be non-negative")
     if state is None:
         state = _ScanState(field, np.array(columns, dtype=np.int64).T)
-    else:
-        state.check(field, columns, state.columns)
+    elif columns is not state.columns or field is not state.field:
+        raise ValueError("the scan state was built for another matrix")
     n, nrows = state.columns.shape
     blocks, top, cost = state.blocks, min(max_size, n), 0
     for w, count in zip(range(1, top + 1), _support_counts(n, blocks)):

@@ -18,11 +18,11 @@ sufficient, so the two verdicts stay independent.
 A `ParityCheckMatrix` is its rows over a field and nothing more: its
 length and block count are read from the rows, so a matrix read from a
 file asks the same distance questions as a built one.  It keeps, built on
-first use, its rank (read only by `min_distance_witness`, as its cap) and
-its scan state (`linalg._ScanState`: H's entries read once, the block rows
-written from their layout), on which every distance scan runs.  The
-state holds only H's structure and the budget counts every size from 1,
-so a call's answer or refusal never depends on what ran before it.
+first use, its scan state (`linalg._ScanState`: H's entries read once, the
+block rows written from their layout), on which every distance scan runs;
+no distance answer takes a rank or runs an elimination.  The state holds
+only H's structure and the budget counts every size from 1, so a call's
+answer or refusal never depends on what ran before it.
 """
 
 from __future__ import annotations
@@ -55,11 +55,7 @@ class ParityCheckMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return list(zip(*self.rows))
 
-    # per instance, not fields: no part of the value, and replace() starts afresh
-    @cached_property
-    def _rank(self) -> int:
-        return linalg.rank(self.field, self.rows, self._state)
-
+    # per instance, not a field: no part of the value, and replace() starts afresh
     @cached_property
     def _state(self) -> linalg._ScanState:
         return linalg._ScanState(self.field, self.rows)
@@ -113,12 +109,15 @@ def min_distance_witness(
 ) -> tuple[int, ...]:
     """Lexicographically least dependent column set of minimum size.
 
-    Any rank + 1 columns are dependent, so the scan is capped there, and a
-    matrix of full column rank, which has no dependent set (its code is
-    {0}), is a ValueError.  The rank is computed once per matrix."""
+    Any len(rows) + 1 columns are dependent, as their rank is at most the
+    row count, so the scan is capped there with no rank taken, and a matrix
+    of full column rank, which has no dependent set (its code is {0}), is a
+    ValueError.  The least dependent size is at most rank + 1, so the
+    witness is the one a cap at rank + 1 finds; on a matrix without full
+    row rank the budget may also count sizes past rank + 1, and refuse."""
     state = pcm._state
-    cap = pcm._rank + 1
-    witness = linalg.smallest_dependent_subset(pcm.field, state.columns, cap, budget=budget, state=state)
+    witness = linalg.smallest_dependent_subset(pcm.field, state.columns, len(pcm.rows) + 1,
+                                               budget=budget, state=state)
     if witness is None:
         raise ValueError(
             f"all {pcm.n} columns are independent: the code is {{0}} and has no minimum distance"

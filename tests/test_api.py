@@ -49,8 +49,9 @@ def test_the_benchmark_tracer_still_finds_every_name_it_rebinds(monkeypatch):
 def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch, tmp_path, capsys):
     # the tracer counts per-layer work by rebinding these two names and reads
     # the scan's `columns`: the matrix functions, and `cli distance` through
-    # them, must call both through the module, with n columns of one entry
-    # per row; the parameter gate reads the family and reaches neither
+    # them, must call the scan through the module, with n columns of one
+    # entry per row; the witness caps its scan at the row count and the
+    # parameter gate reads the family, so none of them reaches the rank
     fam = setfam.SetFamily(13, 4, 2, SINGLETON_FAMILY)
     matrix = tmp_path / "H.txt"
     formats.write_matrix(matrix, lrc.build_parity_check(fam, 5).rows, 13)
@@ -81,8 +82,8 @@ def test_the_distance_functions_reach_the_traced_scan_and_rank(monkeypatch, tmp_
         reached[name] = {layer for layer, _ in seen}
         for layer, columns in seen:
             assert layer == "rank" or (len(columns) == pcm.n and {len(c) for c in columns} == {len(pcm.rows)})
-    assert reached == {"verify": {"scan"}, "witness": {"scan", "rank"}, "params": set(),
-                       "cli --d": {"scan"}, "cli": {"scan", "rank"}}
+    assert reached == {"verify": {"scan"}, "witness": {"scan"}, "params": set(),
+                       "cli --d": {"scan"}, "cli": {"scan"}}
     assert capsys.readouterr().out.splitlines() == [
         "distance >= 5: pass", "minimum distance: 5", "witness columns: [0, 1, 2, 3, 4]"]
 

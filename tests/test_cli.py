@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 
 import lrckit
-from lrckit import cli, lrc
+from lrckit import cli, linalg, lrc
 from lrckit.cli import main
 from lrckit.formats import read_family, read_matrix, read_word, write_word
 from lrckit.rng import SplitMix64
@@ -146,6 +146,19 @@ def test_the_code_commands_build_h_once(tmp_path, fam_file, argv):
     with mock.patch.object(lrc, "build_parity_check", wraps=lrc.build_parity_check) as built:
         assert main(argv) == 0
     assert built.call_count == 1
+
+
+def test_the_distance_path_runs_no_elimination(fam_file, code_files):
+    # the witness caps its scan at the row count and the parameter gate
+    # reads the family, so no distance answer takes a rank
+    h, _ = code_files
+    family = read_family(fam_file)
+    with mock.patch.object(linalg, "rref", wraps=linalg.rref) as rref:
+        assert lrc.min_distance_witness(lrc.build_parity_check(family, 5)) == (0, 1, 2, 3, 4)
+        assert lrc.exact_min_distance(lrc.build_parity_check(family, 5)) == 5
+        assert main(["distance", "--in", str(h)]) == 0
+        assert main(["verify", "--in", str(fam_file), "--full", "--d", "5"]) == 0
+    assert rref.call_count == 0
 
 
 def test_build_code_and_distance(tmp_path, fam_file, capsys):

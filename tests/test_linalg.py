@@ -575,11 +575,7 @@ def test_a_scan_state_answers_only_for_the_matrix_it_was_built_from(singleton_co
                            (GF(13), state.columns)):
         with pytest.raises(ValueError, match="scan state was built for another matrix"):
             linalg.smallest_dependent_subset(field, columns, 5, state=state)
-    for field, rows in ((pcm.field, list(pcm.rows)), (GF(13), pcm.rows)):
-        with pytest.raises(ValueError, match="scan state was built for another matrix"):
-            linalg.rank(field, rows, state)
     assert linalg.smallest_dependent_subset(pcm.field, state.columns, 5, state=state) == (0, 1, 2, 3, 4)
-    assert linalg.rank(pcm.field, pcm.rows, state) == linalg.rank(pcm.field, pcm.rows) == len(pcm.rows)
 
 
 def test_the_scan_state_converts_the_rows_below_the_blocks_once_and_checks_their_powers_by_products():
@@ -596,7 +592,9 @@ def test_the_scan_state_converts_the_rows_below_the_blocks_once_and_checks_their
         with mock.patch.object(f, "array", wraps=f.array) as array, \
                 mock.patch.object(f, "pow_array", wraps=f.pow_array) as power:
             state = linalg._ScanState(f, rows)
-            state.rows = None  # the columns and values read only what the state kept
+            # the state keeps no reference to the rows: the columns and
+            # values read only what it kept
+            assert "rows" not in vars(state)
             columns, got = state.columns, state.values
         assert sum(np.size(c.args[0]) for c in array.call_args_list) == (len(rows) - state.blocks) * n
         assert power.call_count == 0
@@ -604,15 +602,14 @@ def test_the_scan_state_converts_the_rows_below_the_blocks_once_and_checks_their
 
 
 def test_a_scanned_matrix_stays_equal_to_an_unscanned_one():
-    # what a matrix keeps of its scans and its rank is no constructor
+    # what a matrix keeps of its scans, its one cache, is no constructor
     # parameter and no part of its value, equality, hash or repr
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
     scanned, fresh = build_parity_check(fam, 5), build_parity_check(fam, 5)
     assert verify_distance_at_least(scanned, 5) is None
     assert min_distance_witness(scanned) == (0, 1, 2, 3, 4)
     code_params_from_family(fam, 5, scanned)
-    assert {"_state", "_rank"} <= set(vars(scanned)) and not {"_state", "_rank"} & set(vars(fresh))
-    assert scanned._rank == 6
+    assert set(vars(scanned)) == {"rows", "field", "_state"} and set(vars(fresh)) == {"rows", "field"}
     assert scanned == fresh and hash(scanned) == hash(fresh) and repr(scanned) == repr(fresh)
     assert list(inspect.signature(ParityCheckMatrix).parameters) == ["rows", "field"]
 

@@ -30,7 +30,9 @@ from conftest import (
     _forced_triple,
     minors_dependent,
     minors_min_distance,
+    reference_add,
     reference_block_scan,
+    reference_mul,
     reference_rref,
     reference_smallest_dependent_subset,
 )
@@ -397,9 +399,9 @@ def test_distance_calls_answer_alike_in_any_order(data):
 
 def test_one_matrix_builds_its_scan_tables_once():
     # a verdict, a witness and the parameters on one matrix build the block
-    # differences once, in the scan state the rank reads too, and the
-    # reachability table once per scan that walks a size: the verdict at
-    # the design distance walks none, and each witness walks size d
+    # differences once, in the matrix's scan state, and the reachability
+    # table once per scan that walks a size: the verdict at the design
+    # distance walks none, and each witness walks size d
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
     pcm = build_parity_check(fam, 5)
     with mock.patch.object(linalg, "_block_differences", wraps=linalg._block_differences) as diffs, \
@@ -432,12 +434,21 @@ def test_the_verdict_at_the_design_distance_takes_no_walk_and_no_field_product()
 
 
 def test_the_rank_never_reads_the_values():
-    # the rank reads the scan state, but only a scan reads its values
+    # the rank builds a scan state for its differences, but only a scan
+    # reads a state's values
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
     pcm = build_parity_check(fam, 5)
-    assert pcm._rank == 6
-    assert "_state" in vars(pcm) and "values" not in vars(pcm._state)
-    assert verify_distance_at_least(pcm, 5) is None
+    read, values = [], linalg._ScanState.values.func
+
+    def counted(state):
+        read.append(state)
+        return values(state)
+
+    with mock.patch.object(linalg._ScanState, "values", property(counted)):
+        assert linalg.rank(pcm.field, pcm.rows) == 6
+        assert read == []
+        assert verify_distance_at_least(pcm, 5) is None
+    assert read and all(state is pcm._state for state in read)
     assert pcm._state.values == list(pcm.rows[fam.m])
 
 
@@ -462,7 +473,7 @@ def test_a_new_or_replaced_matrix_inherits_no_scan_state():
     assert verify_distance_at_least(pcm, 5) is None
     for other, want in ((dataclasses.replace(pcm, rows=shared.rows), (0, 1, 5, 6)),
                         (build_parity_check(fam, 5), None)):
-        assert not {"_state", "_rank"} & set(vars(other))
+        assert "_state" not in vars(other)
         assert verify_distance_at_least(other, 5) == want
         assert other._state is not pcm._state
     assert verify_distance_at_least(pcm, 5) is None
@@ -488,7 +499,7 @@ def _ask(f, rows, max_size, **kwargs):
 @settings(max_examples=150, deadline=None)
 def test_a_matrix_of_plain_rows_is_the_scan_of_its_columns(data):
     # a matrix read from rows alone: the least dependent set of size <=
-    # d - 1, or from min_distance_witness the exact one, capped at rank + 1,
+    # d - 1, or from min_distance_witness the exact one, capped at rows + 1,
     # and the same budget refusals as the linalg scan it calls
     q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9, 13]))
     blocks = data.draw(st.integers(0, 3))
@@ -512,13 +523,46 @@ def test_a_matrix_of_plain_rows_is_the_scan_of_its_columns(data):
         want = least if least is not None and len(least) <= max_size else None
     assert _scan_outcome(_ask, f, rows, max_size) == want
     budget = data.draw(st.integers(0, 40))
-    cap = rank(f, rows) + 1 if max_size is None else max_size
+    cap = len(rows) + 1 if max_size is None else max_size
     linalg_says = _scan_outcome(smallest_dependent_subset, f, cols, cap, budget=budget)
     got = _scan_outcome(_ask, f, rows, max_size, budget=budget)
     if isinstance(linalg_says, tuple) and linalg_says[0] == "error":
         assert got == linalg_says and got[1].startswith("budget exceeded")
     else:
         assert got == want
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_witness_of_a_matrix_without_full_row_rank_is_its_least_dependent_set(data):
+    # rows below 0 to 3 block rows, one or two of them combinations of the
+    # others: capped at rows + 1, the witness is the least dependent set of
+    # any size, of at most rank + 1 columns, and no walked size passes the cap
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 9, 13]))
+    blocks = data.draw(st.integers(0, 3))
+    width = data.draw(st.integers(2, 3))
+    n = blocks * width if blocks else data.draw(st.integers(1, 7))
+    rows = [[int(j // width == i) for j in range(n)] for i in range(blocks)]
+    rows += data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=0, max_size=3))
+    f = GF(q)
+    for _ in range(data.draw(st.integers(1, 2))):
+        combo = [0] * n
+        for row in rows:
+            c = data.draw(st.integers(0, q - 1))
+            combo = [reference_add(f, a, reference_mul(f, c, b)) for a, b in zip(combo, row)]
+        rows.insert(data.draw(st.integers(blocks, len(rows))), combo)
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
+    rk = len(reference_rref(f, rows)[1])
+    assert rk < len(rows)
+    least = reference_smallest_dependent_subset(f, cols, n)
+    pcm = ParityCheckMatrix(tuple(map(tuple, rows)), f)
+    with mock.patch.object(linalg, "_reachable", wraps=linalg._reachable) as reach:
+        got = _scan_outcome(min_distance_witness, pcm)
+    if least is None:
+        assert got == ("error", f"all {n} columns are independent: the code is {{0}} and has no minimum distance")
+    else:
+        assert got == least and len(least) <= rk + 1
+    assert all(call.args[2] <= len(rows) + 1 for call in reach.call_args_list)
 
 
 @pytest.mark.parametrize("width", [2, 3])

@@ -90,3 +90,40 @@ def test_ab_pairs_reports_the_median_units_per_run_before_the_failed_units():
     assert lines[-2:] == ["parent: 0 of 6372 units failed", "change: 0 of 7627 units failed; no result for seeds [2]"]
     none = ab["summarize"]([{"seed": 1, "parent": None, "change": result(10)}], bench)
     assert none[-3] == "units attempted per run (median): parent no result, change 10"
+
+
+def _tail_pairs(ab, parent, change):
+    """One pair per entry, each side's tail in ms, or None for no result."""
+    return [{"seed": i, "parent": ab["result_of"](_result_line(0, 0.03, a, 36.0)),
+             "change": None if b is None else ab["result_of"](_result_line(0, 0.03, b, 36.0))}
+            for i, (a, b) in enumerate(zip(parent, change))]
+
+
+def test_ab_pairs_counts_a_gain_against_every_pair_run():
+    ab = runpy.run_path(str(SCRIPTS / "ab_pairs.py"))
+    bench = [{"name": "op_ms_tail", "better": "lower", "bound": 0.25}]
+    parent = [20.0, 21.0, 19.0, 20.0, 22.0, 20.0, 21.0, 19.0, 20.0]
+    # the change wins each of the eight pairs with both results, but a
+    # ninth pair run gave it no result: 8 of 9 is below nine tenths
+    short = ab["summarize"](_tail_pairs(ab, parent, [10.0] * 8 + [None]), bench)[1]
+    assert "change won 8/8 (8/9 of all pairs); gain not met" in short
+    assert "change won 9/9; gain met" in ab["summarize"](_tail_pairs(ab, parent, [10.0] * 9), bench)[1]
+
+
+def test_ab_pairs_calls_a_bound_unresolved_where_the_parent_spreads_wider_than_it():
+    ab = runpy.run_path(str(SCRIPTS / "ab_pairs.py"))
+    bench = [{"name": "op_ms_tail", "better": "lower", "bound": 0.25}]
+    # median 10 and quartiles 9-12: a spread of 3 against a bound of 2.5
+    parent = [6.0, 12.0, 9.0, 18.0, 10.0]
+    cases = [
+        ([10.5, 11.0, 10.0, 12.0, 11.0], "unresolved: the parent's quartile spread exceeds the 25% bound"),
+        ([30.0, 31.0, 29.0, 30.0, 30.0], "unresolved: the parent's quartile spread exceeds the 25% bound"),
+        # every change run beats every parent run: the spread cannot hide a loss
+        ([5.0, 5.5, 4.0, 5.0, 5.8], "within the 25% bound"),
+    ]
+    for change, verdict in cases:
+        line = ab["summarize"](_tail_pairs(ab, parent, change), bench)[1]
+        assert line.startswith("op_ms_tail: parent 10 (quartiles 9-12)") and line.endswith(verdict)
+    # under the bound the spread leaves the verdict as it was
+    narrow = [10.0, 10.2, 9.9, 10.1, 10.0]
+    assert ab["summarize"](_tail_pairs(ab, narrow, [13.0] * 5), bench)[1].endswith("WORSE than the 25% bound")
