@@ -576,6 +576,8 @@ def test_a_scan_state_answers_only_for_the_matrix_it_was_built_from(singleton_co
         with pytest.raises(ValueError, match="scan state was built for another matrix"):
             linalg.smallest_dependent_subset(field, columns, 5, state=state)
     assert linalg.smallest_dependent_subset(pcm.field, state.columns, 5, state=state) == (0, 1, 2, 3, 4)
+    # only the scan takes a state: the rank builds its own
+    assert list(inspect.signature(linalg.rank).parameters) == ["field", "rows"]
 
 
 def test_the_scan_state_converts_the_rows_below_the_blocks_once_and_checks_their_powers_by_products():
