@@ -1,18 +1,9 @@
 """Dense linear algebra over GF(q).
 
 Row reduction, rank, nullspace and solving take and return plain lists of
-ints but eliminate on numpy arrays through the field's array operations
-(table lookups for extension fields, modular arithmetic for prime ones).
-
-The rank projects instead of eliminating the block rows.  When the leading
-m rows B are block indicators above rows P, rank [B; P] = m + rank(P K)
-for K whose columns e_j - e_f (f the first column of j's block) span ker B:
-B has rank m, and a combination of P's rows lies in B's row space exactly
-when it vanishes on ker B.  P K is each column of P less its block's first
-column, the same differences the distance scan tests, made by one helper.
-For the 96 x 546 parity-check matrix of a 91-block code only a 546 x 5
-matrix is eliminated, and the block rows are read as tuples, never
-converted to an array.
+ints and share one elimination, rref, on numpy arrays through the field's
+array operations (table lookups for extension fields, modular arithmetic
+for prime ones).
 
 The search for small dependent column sets is the hot path of distance
 verification.  A smallest dependent set is the support of one codeword, so
@@ -55,7 +46,6 @@ every candidate from size 1, so no refusal moves.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
@@ -111,20 +101,8 @@ def rref(field: GF, rows: Matrix) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(field: GF, rows: Matrix) -> int:
-    """Rank of `rows`, eliminating only what the block rows leave open.
-
-    When the leading m rows B are block indicators (_block_layout) above
-    rows P, rank [B; P] = m + rank(P K) for any K whose columns span ker B.
-    B has rank m, and a combination of P's rows lies in B's row space
-    exactly when it vanishes on ker B, so the identity is exact for every
-    P.  K's columns are e_j - e_f for each column j and the first column f
-    of j's block, so P K is each column of P less its block's first column
-    (_block_differences, the vectors the distance scan tests): zero for the
-    first columns, which span nothing.  Only that (n x rows - m) matrix is
-    eliminated.  With no block rows m = 0, and the matrix is P itself.
-    """
-    state = _ScanState(field, rows)
-    return state.blocks + len(rref(field, state.diffs[:, 0])[1])
+    """Rank of `rows`: the number of rref's pivots."""
+    return len(rref(field, rows)[1])
 
 
 def nullspace_basis(field: GF, rows: Matrix) -> list[list[int]]:
@@ -225,35 +203,24 @@ def _block_differences(field: GF, below: np.ndarray, blocks: int, width: int) ->
 
 
 class _ScanState:
-    """The block structure of one matrix, built once from its rows and
-    keeping no reference to them: its layout, the rows below the block rows
-    (`below`, the only ones converted to an array) and their block
-    differences, and the scan's columns, which write the block rows from
-    the layout, and `values`.  rank builds one of its own and reads only
-    the layout and the differences."""
+    """The block structure of one matrix, built once from its rows for the
+    scan and keeping no reference to them.  Only the rows below the block
+    rows are converted to an array; they give the block differences, the
+    scan's columns (the block rows written from the layout) and `values`:
+    row m when the p >= 1 rows below m >= 1 block rows are its powers
+    1..p (each row is the one above it times row m), else None."""
 
     def __init__(self, field: GF, rows: Matrix):
         self.field = field
         self.blocks, self.width = _block_layout(rows)
         n = np.shape(rows[:1])[-1]  # the column count, read from one row at most
-        self.below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n)
-        self.diffs = _block_differences(field, self.below.T, self.blocks, self.width)
+        below = field.array(rows[self.blocks :]).reshape(len(rows) - self.blocks, n)
+        self.diffs = _block_differences(field, below.T, self.blocks, self.width)
         self.least = _groups(n, self.blocks)[2]
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        indicators = np.arange(self.below.shape[1]) // self.width == np.arange(self.blocks)[:, None]
-        return np.vstack([indicators, self.below]).T
-
-    @cached_property
-    def values(self) -> Optional[list[int]]:
-        # row m when the p >= 1 rows below m >= 1 block rows are its powers
-        # 1..p (each row is the one above it times row m), else None; read by
-        # the scan alone, so no rank pays for it
-        below = self.below
-        if not self.blocks or not len(below) or not np.array_equal(self.field.mul_array(below[:-1], below[0]), below[1:]):
-            return None
-        return below[0].tolist()
+        indicators = np.arange(n) // self.width == np.arange(self.blocks)[:, None]
+        self.columns = np.vstack([indicators, below]).T
+        powers = self.blocks and len(below) and np.array_equal(field.mul_array(below[:-1], below[0]), below[1:])
+        self.values: Optional[list[int]] = below[0].tolist() if powers else None
 
 
 def _shortest_cycle(x: Sequence[int], width: int, limit: int) -> Optional[tuple[int, ...]]:

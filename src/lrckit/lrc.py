@@ -42,11 +42,16 @@ DEFAULT_SUBSET_BUDGET = 30_000_000
 @dataclass(frozen=True)
 class ParityCheckMatrix:
     """A parity-check matrix H: its rows, each a tuple of elements of
-    `field`.  Two matrices are equal when their rows and field orders are.
-    The code length n is the column count."""
+    `field`, at least one row and one column (ValueError otherwise).  Two
+    matrices are equal when their rows and field orders are.  The code
+    length n is the column count."""
 
     rows: tuple[tuple[int, ...], ...]
     field: GF
+
+    def __post_init__(self) -> None:
+        if not self.rows or not self.rows[0]:
+            raise ValueError("parity-check matrix must have at least one row and one column")
 
     @property
     def n(self) -> int:
@@ -135,6 +140,8 @@ def singleton_bound(n: int, k: int, r: int) -> int:
     """Distance ceiling n - k - ceil(k/r) + 2 for locality r."""
     if n < 1 or k < 1 or r < 1:
         raise ValueError("need n, k, r >= 1")
+    if k > n:
+        raise ValueError(f"dimension k={k} exceeds length n={n}")
     return n - k - (-(-k // r)) + 2
 
 

@@ -108,3 +108,25 @@ def test_every_sum_of_products_is_the_one_field_kernel():
     src = Path(lrckit.__file__).resolve().parent
     split = [p.name for p in sorted(src.glob("*.py")) if re.search(r"sum_array\(\s*\S*mul_array\(", p.read_text())]
     assert split == []
+
+
+def test_every_elimination_is_the_one_rref():
+    # rank, nullspace, solve, the generator and an erasure decode each
+    # reduce H's own rows (some columns, or a right-hand side beside them)
+    # through exactly one rref call
+    fam = setfam.SetFamily(13, 4, 2, SINGLETON_FAMILY)
+    pcm = lrc.build_parity_check(fam, 5)
+    field, rows = pcm.field, pcm.rows
+    gen = codec.generator_from_parity(field, rows)
+    word = codec.encode(field, gen, list(range(1, len(gen) + 1)))
+    calls = {
+        "rank": lambda: linalg.rank(field, rows),
+        "nullspace_basis": lambda: linalg.nullspace_basis(field, rows),
+        "solve": lambda: linalg.solve(field, rows, [0] * len(rows)),
+        "generator_from_parity": lambda: codec.generator_from_parity(field, rows),
+        "erasure_decode": lambda: codec.erasure_decode(field, rows, [None] + word[1:]),
+    }
+    for name, call in calls.items():
+        with mock.patch.object(linalg, "rref", wraps=linalg.rref) as rref:
+            call()
+        assert rref.call_count == 1 and len(rref.call_args.args[1]) == len(rows), name

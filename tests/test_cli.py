@@ -514,8 +514,7 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     assert "minimum distance: 5" in capsys.readouterr().out
 
 
-# sha256 of the files these commands wrote before the draws were batched and
-# the rank taken through the block rows; a seed must keep writing the same bytes
+# sha256 of the files these commands write: a seed keeps writing the same bytes
 PINNED_FILES = {
     "g13": (["gen-family", "--q", "13", "--r", "4", "--d", "5", "--method", "greedy", "--seed", "5"],
             "73cc997785ca1c14884c7a679bce4515ead979f7df256355d2b8701bf82e1004"),

@@ -108,6 +108,17 @@ def test_two_equal_columns_give_distance_two():
     assert min_distance_witness(pcm) == (0, 1)
 
 
+@pytest.mark.parametrize("rows", [(), ((),)], ids=["no-rows", "no-columns"])
+def test_a_matrix_with_no_rows_or_no_columns_is_refused(rows):
+    # as read_matrix refuses such a file; replace() checks again
+    message = "parity-check matrix must have at least one row and one column"
+    with pytest.raises(ValueError, match=message):
+        ParityCheckMatrix(rows, GF(13))
+    pcm = ParityCheckMatrix(((1, 1), (2, 2)), GF(13))
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(pcm, rows=rows)
+
+
 def test_distance_invariant_under_block_permutation(singleton_code):
     fam, pcm, _ = singleton_code
     for perm in itertools.permutations(range(fam.m)):
@@ -129,6 +140,8 @@ def test_singleton_bound_values():
     assert singleton_bound(n, n, r) == 2 - (-(-n // r))  # trivial-code edge
     with pytest.raises(ValueError):
         singleton_bound(10, 0, 4)
+    with pytest.raises(ValueError, match="dimension k=9 exceeds length n=5"):
+        singleton_bound(5, 9, 2)
 
 
 def test_optimality_singleton_case():
@@ -434,21 +447,16 @@ def test_the_verdict_at_the_design_distance_takes_no_walk_and_no_field_product()
 
 
 def test_the_rank_never_reads_the_values():
-    # the rank builds a scan state for its differences, but only a scan
-    # reads a state's values
+    # the rank is rref's pivot count and builds no scan state; a verdict
+    # reads only the values of the matrix's own state
     fam = SetFamily(13, 4, 2, SINGLETON_FAMILY)
     pcm = build_parity_check(fam, 5)
-    read, values = [], linalg._ScanState.values.func
-
-    def counted(state):
-        read.append(state)
-        return values(state)
-
-    with mock.patch.object(linalg._ScanState, "values", property(counted)):
+    with mock.patch.object(linalg, "_ScanState", wraps=linalg._ScanState) as built:
         assert linalg.rank(pcm.field, pcm.rows) == 6
-        assert read == []
+    assert built.call_count == 0
+    with mock.patch.object(linalg, "_shortest_cycle", wraps=linalg._shortest_cycle) as cycle:
         assert verify_distance_at_least(pcm, 5) is None
-    assert read and all(state is pcm._state for state in read)
+    assert cycle.call_count == 1 and cycle.call_args.args[0] is pcm._state.values
     assert pcm._state.values == list(pcm.rows[fam.m])
 
 
