@@ -80,7 +80,7 @@ def cmd_gen_family(args: argparse.Namespace) -> int:
     print(f"q: {args.q}  r: {args.r}  t: {t}  d: {args.d}")
     print(f"seed: {args.seed}")
     print(f"sets: {family.m}")
-    print(f"target size: {setfam.formula_target(args.q, args.r, t)}")
+    print(f"target size: {setfam.target_family_size(args.q, args.r, t)}")
     print(f"size upper bound: {setfam.family_size_upper_bound(args.q, args.r, t)}")
     print(f"wall time: {elapsed:.3f}s")
     print(f"wrote: {args.out}")

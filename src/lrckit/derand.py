@@ -22,12 +22,13 @@ itself is kept as one numerator over the product of every tracked set's
 weight; all candidates for one position share that denominator, so they
 compare as plain integers.
 
-After all elements are fixed, the violation-removal step of the randomized
-construction, `setfam.remove_violations`, runs on the verifier's minimal
-violations.  The survivors always verify without a second check: every
-failing collection contains a minimal violation, and each minimal violation
-loses a set.  The whole procedure is a pure function of (q, r, t): repeated
-calls are identical, byte for byte, regardless of platform or thread count.
+m is `setfam.target_family_size`.  After all elements are fixed, the
+randomized construction's removal step, `setfam.remove_violations`, drops
+one set of each minimal violation.  The survivors always verify without a
+second check: every failing collection contains a minimal violation, and
+each minimal violation loses a set.  The whole procedure is a pure function
+of (q, r, t): repeated calls are identical, byte for byte, regardless of
+platform or thread count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 
-from .setfam import SetFamily, formula_target, remove_violations, verify_union_condition
+from .setfam import SetFamily, remove_violations, target_family_size
 
 # Work caps.  The chain below handles collections of any size, so the caps
 # bound only work: the element loop touches q * (number of sets)^t states.
@@ -134,7 +135,7 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
         raise ValueError("need 1 <= r and r+1 <= q")
     if q > MAX_Q:
         raise ValueError(f"q={q} exceeds the supported maximum {MAX_Q}")
-    m = formula_target(q, r, t)
+    m = target_family_size(q, r, t)
     nsets = 2 * m
     if nsets > MAX_SETS:
         raise ValueError(
@@ -164,4 +165,4 @@ def derandomized_family(q: int, r: int, t: int) -> SetFamily:
             parts[i] = parts[i] | {candidates[vals.index(best)]}
             before = best
     pool = SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in parts))
-    return remove_violations(pool, verify_union_condition(pool))
+    return remove_violations(pool)

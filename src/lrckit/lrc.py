@@ -42,9 +42,9 @@ DEFAULT_SUBSET_BUDGET = 30_000_000
 @dataclass(frozen=True)
 class ParityCheckMatrix:
     """A parity-check matrix H: its rows, each a tuple of elements of
-    `field`, at least one row and one column (ValueError otherwise).  Two
-    matrices are equal when their rows and field orders are.  The code
-    length n is the column count."""
+    `field`, at least one row and one column, all rows of one length
+    (ValueError otherwise).  Two matrices are equal when their rows and
+    field orders are.  The code length n is the column count."""
 
     rows: tuple[tuple[int, ...], ...]
     field: GF
@@ -52,6 +52,9 @@ class ParityCheckMatrix:
     def __post_init__(self) -> None:
         if not self.rows or not self.rows[0]:
             raise ValueError("parity-check matrix must have at least one row and one column")
+        for i, row in enumerate(self.rows):
+            if len(row) != self.n:
+                raise ValueError(f"parity-check matrix row {i} has {len(row)} entries, not {self.n}")
 
     @property
     def n(self) -> int:

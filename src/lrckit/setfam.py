@@ -33,11 +33,12 @@ radius t - 1.  The search runs when the refusals since the last admission
 equal the draws up to it and when that streak doubles, and visits at most
 as many nodes as draws so far, so it at most doubles the walk's work.
 
-`remove_violations` is the one violation-removal step, shared by the
-randomized and derandomized constructions: it drops the lowest-index set of
-each reported minimal violation not already broken.  Its result always
-verifies, because every failing collection contains a minimal violation
-and each minimal violation loses a set; no caller verifies it again.
+Both constructions aim at `target_family_size`, the one statement of the
+paper's target, and share `remove_violations`, the one removal step: it
+runs the verifier itself and drops the lowest-index set of each minimal
+violation not already broken.  Its result always verifies, because every
+failing collection contains a minimal violation and each minimal violation
+loses a set; no caller verifies it again.
 """
 
 from __future__ import annotations
@@ -409,32 +410,21 @@ def _iroot(n: int, k: int) -> int:
     return x
 
 
-def formula_target(q: int, r: int, t: int) -> int:
-    """ceil(q**(t/(t-1)) / (2 t^2 (r+1)**(2t/(t-1)))) for any t >= 2.
-
-    `target_family_size` is this value behind its t >= 3 and range checks;
-    the derandomized construction aims at it for t = 2 as well.
+def target_family_size(q: int, r: int, t: int) -> int:
+    """ceil(q**(t/(t-1)) / (2 t^2 (r+1)**(2t/(t-1)))), the size the
+    randomized construction is guaranteed to reach (t >= 3) and the
+    derandomized one aims at (also t = 2); exact, by an integer root.
     """
-    # evaluated exactly: the least M with M**(t-1) * B >= A for A = q**t,
+    if t < 2:
+        raise ValueError("need t >= 2")
+    if r < 1 or q < 2:
+        raise ValueError("need r >= 1 and q >= 2")
+    # the least M with M**(t-1) * B >= A for A = q**t,
     # B = 2**(t-1) * t**(2t-2) * (r+1)**(2t), i.e. M**(t-1) >= ceil(A/B);
     # the least such M is one more than the largest M with M**(t-1) < ceil(A/B)
     a = q**t
     b = 2 ** (t - 1) * t ** (2 * t - 2) * (r + 1) ** (2 * t)
     return _iroot(-(-a // b) - 1, t - 1) + 1
-
-
-def target_family_size(q: int, r: int, t: int) -> int:
-    """Family size the randomized construction is guaranteed to reach.
-
-    Evaluates ceil(q**(1 + 1/(t-1)) / (2 t**2 (r+1)**(2 + 2/(t-1)))) with
-    exact integer arithmetic (an integer (t-1)-th root), so values sitting
-    on integer boundaries round correctly.
-    """
-    if t < 3:
-        raise ValueError("the randomized construction needs t >= 3")
-    if r < 1 or q < 2:
-        raise ValueError("need r >= 1 and q >= 2")
-    return formula_target(q, r, t)
 
 
 def family_size_upper_bound(q: int, r: int, t: int) -> int:
@@ -466,20 +456,20 @@ def family_size_upper_bound(q: int, r: int, t: int) -> int:
     return n + 1 if (n + 1 - offset) ** u <= x else n
 
 
-def remove_violations(family: SetFamily, violations: Sequence[Violation]) -> SetFamily:
-    """`family` without one set of each violation, the rest in their order.
+def remove_violations(family: SetFamily) -> SetFamily:
+    """`family` without one set of each minimal violation, the rest in order.
 
-    `violations` must be `verify_union_condition(family)`.  Each violation
-    that no earlier removal has broken loses its lowest-index set.  The
-    result always verifies: every failing collection of size <= t contains
-    a minimal violation (singletons never fail, so shrinking a failing
-    collection until no proper part fails ends at one of size 2..t), the
-    verifier reports every minimal violation, and each of them loses a set.
-    Any sub-family of the result verifies too, since a failing collection of
+    Each violation of `verify_union_condition(family)` that no earlier
+    removal has broken loses its lowest-index set.  The result always
+    verifies: every failing collection of size <= t contains a minimal
+    violation (singletons never fail, so shrinking a failing collection
+    until no proper part fails ends at one of size 2..t), the verifier
+    reports every minimal violation, and each of them loses a set.  Any
+    sub-family of the result verifies too, since a failing collection of
     the sub-family is one of the result.
     """
     removed: set[int] = set()
-    for v in violations:
+    for v in verify_union_condition(family):
         if removed.isdisjoint(v.indices):
             removed.add(min(v.indices))
     kept = tuple(s for i, s in enumerate(family.sets) if i not in removed)
@@ -514,7 +504,7 @@ def random_family(
     base = SplitMix64(seed)
     for _ in range(_MAX_ATTEMPTS):
         pool = SetFamily(q, r, t, tuple(base.spawn().subsets(q, r + 1, 2 * m)))
-        survivors = remove_violations(pool, verify_union_condition(pool))
+        survivors = remove_violations(pool)
         if survivors.m >= m:
             return SetFamily(q, r, t, survivors.sets[:m])
     raise GenerationError(

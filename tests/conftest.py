@@ -55,10 +55,9 @@ from lrckit.rng import SplitMix64
 from lrckit.setfam import (
     SetFamily,
     Violation,
-    formula_target,
     greedy_family,
     remove_violations,
-    verify_union_condition,
+    target_family_size,
 )
 
 
@@ -307,7 +306,7 @@ def reference_derandomized_pool(q: int, r: int, t: int) -> tuple[list[frozenset[
         raise ValueError("need 1 <= r and r+1 <= q")
     if q > derand.MAX_Q:
         raise ValueError(f"q={q} exceeds the supported maximum {derand.MAX_Q}")
-    m = formula_target(q, r, t)
+    m = target_family_size(q, r, t)
     nsets = 2 * m
     if nsets > derand.MAX_SETS:
         raise ValueError(
@@ -355,7 +354,7 @@ def reference_derandomized_family(q: int, r: int, t: int) -> SetFamily:
     """derandomized_family from `reference_derandomized_pool`."""
     pool, _ = reference_derandomized_pool(q, r, t)
     family = SetFamily(q, r, t, tuple(tuple(sorted(s)) for s in pool))
-    return remove_violations(family, verify_union_condition(family))
+    return remove_violations(family)
 
 
 def reference_violations(family: SetFamily) -> list[Violation]:

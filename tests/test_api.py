@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import lrckit
-from lrckit import cli, codec, formats, linalg, lrc, setfam
+from lrckit import cli, codec, derand, formats, linalg, lrc, setfam
 
 from conftest import SINGLETON_FAMILY
 
@@ -130,3 +130,20 @@ def test_every_elimination_is_the_one_rref():
         with mock.patch.object(linalg, "rref", wraps=linalg.rref) as rref:
             call()
         assert rref.call_count == 1 and len(rref.call_args.args[1]) == len(rows), name
+
+
+def test_every_violation_removal_runs_the_one_verifier():
+    # remove_violations works out the violations it removes, and both
+    # constructions remove them through it: one verifier call each
+    # (random_family(4999, 5, 3, 1) succeeds at its first attempt)
+    pool = setfam.SetFamily(13, 2, 3, ((0, 1, 2), (0, 1, 3), (4, 5, 6)))
+    calls = {
+        "remove_violations": lambda: setfam.remove_violations(pool),
+        "random_family": lambda: setfam.random_family(4999, 5, 3, 1),
+        "derandomized_family": lambda: derand.derandomized_family(64, 2, 3),
+    }
+    for name, call in calls.items():
+        with mock.patch.object(setfam, "verify_union_condition", wraps=setfam.verify_union_condition) as verify:
+            call()
+        assert verify.call_count == 1, name
+    assert setfam.remove_violations(pool).sets == ((0, 1, 3), (4, 5, 6))

@@ -675,12 +675,11 @@ def _draw_rank_matrix(data, q):
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_rank_through_the_block_rows_matches_full_elimination(data):
+def test_rank_of_block_and_plain_matrices_matches_the_reference_elimination(data):
     q = data.draw(st.sampled_from(RANK_QS))
     f = _field(q)
     rows = _draw_rank_matrix(data, q)
-    want = len(linalg.rref(f, rows)[1])
-    assert len(reference_rref(f, rows)[1]) == want
+    want = len(reference_rref(f, rows)[1])
     for form in (rows, tuple(tuple(row) for row in rows), np.array(rows)):
         assert linalg.rank(f, form) == want
     if f.e == 1 and len(rows) * len(rows[0]) <= 30:
@@ -691,7 +690,7 @@ def test_rank_through_the_block_rows_matches_full_elimination(data):
 def test_rank_of_the_construction_codes_matches_full_elimination(seed):
     for fam in (random_family(4999, 5, 3, seed), greedy_family(101, 5, 3, 4096, seed)):
         pcm = build_parity_check(fam, 7)
-        assert linalg.rank(pcm.field, pcm.rows) == len(linalg.rref(pcm.field, pcm.rows)[1]) == fam.m + 5
+        assert linalg.rank(pcm.field, pcm.rows) == fam.m + 5
 
 
 @pytest.mark.parametrize(
@@ -703,7 +702,7 @@ def test_rank_of_the_construction_codes_matches_full_elimination(seed):
     ],
     ids=["q8", "q11"],
 )
-def test_rank_gate_refuses_a_deficient_code_with_the_full_rank(q, sets, message):
+def test_the_gate_refuses_a_rank_deficient_code_by_its_locality(q, sets, message):
     # r = 3 < d - 2: two verifying sets give k = 1, and H's 7 rows have rank 6
     fam = SetFamily(q, 3, 3, sets)
     pcm = build_parity_check(fam, 7)

@@ -108,10 +108,16 @@ def test_two_equal_columns_give_distance_two():
     assert min_distance_witness(pcm) == (0, 1)
 
 
-@pytest.mark.parametrize("rows", [(), ((),)], ids=["no-rows", "no-columns"])
-def test_a_matrix_with_no_rows_or_no_columns_is_refused(rows):
+EMPTY = "parity-check matrix must have at least one row and one column"
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [((), EMPTY), (((),), EMPTY), (((1, 2, 3), (1, 2)), "parity-check matrix row 1 has 2 entries, not 3")],
+    ids=["no-rows", "no-columns", "ragged"],
+)
+def test_a_matrix_with_no_rows_or_no_columns_is_refused(rows, message):
     # as read_matrix refuses such a file; replace() checks again
-    message = "parity-check matrix must have at least one row and one column"
     with pytest.raises(ValueError, match=message):
         ParityCheckMatrix(rows, GF(13))
     pcm = ParityCheckMatrix(((1, 1), (2, 2)), GF(13))

@@ -16,7 +16,6 @@ from lrckit.setfam import (
     SetFamily,
     family_size_upper_bound,
     find_berge_cycle,
-    formula_target,
     greedy_family,
     is_berge_cycle,
     packing_ceiling,
@@ -169,7 +168,7 @@ def test_verifier_matches_exhaustive_walk(fam):
 @settings(max_examples=300, deadline=None)
 def test_remove_violations_leaves_a_verifying_subsequence(fam):
     violations = verify_union_condition(fam)
-    kept = remove_violations(fam, violations)
+    kept = remove_violations(fam)
     assert (kept.q, kept.r, kept.t) == (fam.q, fam.r, fam.t)
     assert reference_violations(kept) == []
     # the kept sets keep their order: match each to its first unused original
@@ -511,11 +510,12 @@ def test_equivalence_check_fuzz(data):
     (lambda: family_size_upper_bound(997, 0, 3), "need r >= 1 and q >= 2"),
     (lambda: family_size_upper_bound(1, 5, 3), "need r >= 1 and q >= 2"),
     (lambda: random_family(13, 2, 3, 1, target_m=0), "target family size must be positive"),
+    (lambda: random_family(13, 2, 2, 1), "the randomized construction needs t >= 3"),
     (lambda: greedy_family(13, 2, 1, 64, 1), "need t >= 2"),
     (lambda: greedy_family(4, 4, 2, 64, 1), r"set size r\+1 cannot exceed q"),
     (lambda: find_berge_cycle(SetFamily(13, 2, 2, ((0, 1, 2), (1, 2, 3))), 1), None),
-], ids=["target-r", "target-q", "bound-t", "bound-r", "bound-q", "random-m", "greedy-t", "greedy-r",
-        "berge-length-1"])
+], ids=["target-r", "target-q", "bound-t", "bound-r", "bound-q", "random-m", "random-t", "greedy-t",
+        "greedy-r", "berge-length-1"])
 def test_generators_and_bounds_refuse_arguments_out_of_range(call, error):
     # a Berge cycle has at least two edges, so none is shorter than 2 even
     # in a family with a 2-cycle
@@ -533,8 +533,8 @@ def test_target_family_size_frozen_values():
 
 
 def test_target_family_size_rejects_small_t():
-    with pytest.raises(ValueError):
-        target_family_size(997, 5, 2)
+    with pytest.raises(ValueError, match="need t >= 2"):
+        target_family_size(997, 5, 1)
 
 
 def test_target_family_size_against_decimal_oracle():
@@ -548,9 +548,7 @@ def test_target_family_size_against_decimal_oracle():
                 nearest = val.to_integral_value(ROUND_CEILING)
                 if abs(val - val.to_integral_value()) < Decimal("1e-30"):
                     continue  # too close to an integer for the float oracle
-                # t = 2 is the derandomized target, behind no t >= 3 check
-                size = formula_target if t == 2 else target_family_size
-                assert size(q, r, t) == max(1, int(nearest))
+                assert target_family_size(q, r, t) == max(1, int(nearest))
 
 
 def test_upper_bound_frozen_values():
