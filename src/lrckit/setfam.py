@@ -33,12 +33,12 @@ radius t - 1.  The search runs when the refusals since the last admission
 equal the draws up to it and when that streak doubles, and visits at most
 as many nodes as draws so far, so it at most doubles the walk's work.
 
-Both constructions aim at `target_family_size`, the one statement of the
-paper's target, and share `remove_violations`, the one removal step: it
-runs the verifier itself and drops the lowest-index set of each minimal
-violation not already broken.  Its result always verifies, because every
-failing collection contains a minimal violation and each minimal violation
-loses a set; no caller verifies it again.
+The randomized and derandomized constructions aim at `target_family_size`
+and share `remove_violations`, the one removal step: it runs the verifier
+itself and drops the lowest-index set of each minimal violation not
+already broken.  Its result always verifies, because every failing
+collection contains a minimal violation and each minimal violation loses a
+set; no caller verifies it again.
 """
 
 from __future__ import annotations

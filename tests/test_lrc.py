@@ -113,7 +113,11 @@ EMPTY = "parity-check matrix must have at least one row and one column"
 
 @pytest.mark.parametrize(
     "rows,message",
-    [((), EMPTY), (((),), EMPTY), (((1, 2, 3), (1, 2)), "parity-check matrix row 1 has 2 entries, not 3")],
+    [
+        ((), EMPTY),
+        (((),), EMPTY),
+        (((1, 2, 3), (1, 2)), "parity-check matrix row 1 has 2 entries, not 3"),
+    ],
     ids=["no-rows", "no-columns", "ragged"],
 )
 def test_a_matrix_with_no_rows_or_no_columns_is_refused(rows, message):
